@@ -242,11 +242,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+# metadata block -> keys it must hold; the model kinds also need "model" and
+# "feature_stats", which the lr baseline does not have
+_META_KEYS = {
+    "dataset": ("N_c", "N_f", "maxFeat"),
+    "model": ("D_m", "N_h", "D_a", "topk", "T_r", "M", "L_G"),
+    "feature_stats": (),
+}
+
+
 def _load_checkpoint_model(path):
     arrays, meta = dc.load_checkpoint(path)
     kind = meta.get("kind")
     if kind not in ("mrm", "plain_lstm", "lr"):
         raise events_mod.DatasetError(f"{path}: unknown model kind {kind!r}")
+    for block in (("dataset",) if kind == "lr" else _META_KEYS):
+        if not isinstance(meta.get(block), dict):
+            raise events_mod.DatasetError(
+                f"{path}: checkpoint metadata lacks the {block!r} block")
+        missing = [k for k in _META_KEYS[block] if k not in meta[block]]
+        if missing:
+            raise events_mod.DatasetError(
+                f"{path}: checkpoint metadata block {block!r} lacks {missing}")
     return arrays, meta, kind
 
 
@@ -260,17 +277,21 @@ def _check_dataset_match(meta, data_config, where: str):
             f"dataset has {got}")
 
 
+def _checkpoint_model_config(meta, data_config) -> model_mod.MrmConfig:
+    m = meta["model"]
+    return model_mod.MrmConfig(
+        n_codes=data_config.n_codes, n_features=data_config.n_features,
+        max_features=data_config.max_features, model_dim=m["D_m"],
+        n_heads=m["N_h"], head_dim=m["D_a"], topk=m["topk"],
+        window_hours=m["T_r"], max_groups=m["M"], max_group_len=m["L_G"])
+
+
 def _scores_for_checkpoint(arrays, meta, kind, sequences, data_config):
     if kind == "lr":
         fv = np.stack([events_mod.frequency_vector(s, data_config.n_codes)
                        for s in sequences])
         return ev.lr_scores(arrays["weight"], float(arrays["bias"]), fv)
-    m = meta["model"]
-    model_config = model_mod.MrmConfig(
-        n_codes=data_config.n_codes, n_features=data_config.n_features,
-        max_features=data_config.max_features, model_dim=m["D_m"],
-        n_heads=m["N_h"], head_dim=m["D_a"], topk=m["topk"],
-        window_hours=m["T_r"], max_groups=m["M"], max_group_len=m["L_G"])
+    model_config = _checkpoint_model_config(meta, data_config)
     params = model_mod.MrmParams.from_arrays(arrays, model_config, kind=kind)
     stats = _stats_from_meta(meta["feature_stats"])
     normalized = events_mod.normalize_numeric(
@@ -346,9 +367,8 @@ def cmd_inspect(args) -> int:
         score = _scores_for_checkpoint(arrays, meta, kind, [seq], data_config)[0]
         print(f"prediction = {float(score)!r}")
         if kind == "mrm":
-            m = meta["model"]
-            part = optimal_partition(seq.times()[-m["M"] * m["L_G"]:],
-                                     m["M"], m["L_G"])
+            part = model_mod.sequence_partition(
+                seq, _checkpoint_model_config(meta, data_config))
             print(f"n_groups = {len(part.groups)}")
             print(f"minimax_span = {part.minimax_span!r}")
     return 0

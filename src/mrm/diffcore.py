@@ -388,6 +388,88 @@ def maxpool_rows(x: Tensor) -> Tensor:
     return _node(x.data[arg, cols], "maxpool_rows", (x,), bwd)
 
 
+def _band(lo, hi):
+    """Padded (n, W) index block of the rows [lo[i], hi[i]) plus its
+    validity mask, W = max(hi - lo). Padding slots repeat lo[i]."""
+    width = int(np.max(hi - lo))
+    idx = lo[:, None] + np.arange(width)
+    valid = idx < hi[:, None]
+    return np.where(valid, idx, lo[:, None]), valid
+
+
+def windowed_attention(x: Tensor, queries, keys, values, lo, hi, topk: int):
+    """Multi-head attention of every row of x over a contiguous window of rows.
+
+    Row i attends to the rows [lo[i], hi[i]); lo and hi must be
+    non-decreasing with lo[i] <= i < hi[i]. queries, keys and values hold
+    one (head_dim, d) weight per head. Per query and head only the topk
+    largest dot-product scores survive (ties go to the lowest row index),
+    the softmax runs over those and the value rows are summed with its
+    weights; head outputs are concatenated in head order.
+
+    Returns (out, weights): out is the (n, heads * head_dim) tensor and
+    weights[i, h, w] the softmax weight of row lo[i] + w (exactly 0 when
+    not kept or past hi[i]). Time and memory are O(n * W * d) with
+    W = max(hi - lo). The backward rule treats the top-k selection as
+    constant. Its scatter-add of window gradients back onto rows is done as
+    a gather over the transposed band: the queries whose window holds row
+    j are the contiguous range [a_j, b_j), because lo and hi are sorted.
+    """
+    weight_list = (*queries, *keys, *values)
+    n_heads = len(queries)
+    head_dim = queries[0].shape[0]
+    if (len(keys) != n_heads or len(values) != n_heads
+            or any(w.shape != (head_dim, x.shape[1]) for w in weight_list)):
+        raise ShapeError(f"windowed_attention: x {x.shape} does not match the "
+                         f"per-head weights {[w.shape for w in weight_list]}")
+    n = x.shape[0]
+    ha = n_heads * head_dim
+    w_all = np.concatenate([w.data for w in weight_list])  # (3 * ha, d)
+    proj = x.data @ w_all.T                                  # [Q | K | V]
+    q = proj[:, :ha].reshape(n, n_heads, head_dim)
+    idx, valid = _band(lo, hi)
+    width = idx.shape[1]
+    kg = proj[idx, ha:2 * ha].reshape(n, width, n_heads, head_dim)
+    vg = proj[idx, 2 * ha:].reshape(n, width, n_heads, head_dim)
+    scores = np.einsum("iha,iwha->ihw", q, kg)
+    keep = np.broadcast_to(valid[:, None, :], scores.shape)
+    if width > topk:
+        # stable sort by (-score, slot): the lowest index wins a tie
+        order = np.argsort(np.where(keep, -scores, np.inf), axis=-1, kind="stable")
+        top = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(top, order[..., :topk], True, axis=-1)
+        keep = top & keep
+    s = np.where(keep, scores, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.einsum("ihw,iwha->iha", p, vg).reshape(n, ha)
+
+    def bwd(g):
+        g3 = g.reshape(n, n_heads, head_dim)
+        dp = np.einsum("iha,iwha->ihw", g3, vg)
+        ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+        dq = np.einsum("ihw,iwha->iha", ds, kg).reshape(n, ha)
+        rows = np.arange(n)
+        tidx, tvalid = _band(np.searchsorted(hi, rows, side="right"),
+                             np.searchsorted(lo, rows, side="right"))
+        slot = np.where(tvalid, rows[:, None] - lo[tidx], 0)
+        twidth = tidx.shape[1]
+        ds_t = np.where(tvalid[..., None], ds[tidx, :, slot], 0.0)
+        p_t = np.where(tvalid[..., None], p[tidx, :, slot], 0.0)
+        qg = proj[tidx, :ha].reshape(n, twidth, n_heads, head_dim)
+        gg = g[tidx].reshape(n, twidth, n_heads, head_dim)
+        dk = np.einsum("juh,juha->jha", ds_t, qg).reshape(n, ha)
+        dv = np.einsum("juh,juha->jha", p_t, gg).reshape(n, ha)
+        dproj = np.concatenate([dq, dk, dv], axis=1)
+        _accum(x, dproj @ w_all)
+        if any(w.needs_grad for w in weight_list):
+            dw_all = dproj.T @ x.data
+            for b, w in enumerate(weight_list):
+                _accum(w, dw_all[b * head_dim:(b + 1) * head_dim])
+
+    return _node(out, "windowed_attention", (x, *weight_list), bwd), p
+
+
 def masked_softmax(scores: Tensor, mask) -> Tensor:
     """Softmax over the unmasked entries of a score vector.
 
@@ -509,6 +591,9 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None):
 def load_checkpoint(path):
     """Read a checkpoint back as (arrays, meta)."""
     with np.load(path) as f:
+        if "__format_version__" not in f.files or "__meta__" not in f.files:
+            raise ValueError(f"{path}: not a checkpoint (no format-version "
+                             f"header or metadata block)")
         version = int(f["__format_version__"][0])
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")

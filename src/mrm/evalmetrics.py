@@ -112,6 +112,18 @@ def _labels(seqs) -> np.ndarray:
     return np.array([s.label for s in seqs], dtype=np.intp)
 
 
+def _check_splits(datasets):
+    """Every split must hold both classes: the AUCs of model selection and
+    of the report are undefined otherwise. Checked before the first step
+    so a bad split fails fast instead of after an epoch of training."""
+    for name, seqs in zip(("train", "valid", "test"), datasets):
+        n_pos = sum(s.label for s in seqs)
+        if n_pos == 0 or n_pos == len(seqs):
+            raise ValueError(
+                f"{name} split needs both classes, got {n_pos} positive / "
+                f"{len(seqs) - n_pos} negative of {len(seqs)} sequences")
+
+
 def _fit(named_params, batch_loss_fn, scorer, n_train, train_config):
     """Shared early-stopping loop.
 
@@ -196,9 +208,8 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
     """
     if model_kind not in ("mrm", "plain_lstm"):
         raise ValueError(f"unknown model kind {model_kind!r}")
+    _check_splits(datasets)
     train_seqs, valid_seqs, test_seqs = datasets
-    if not train_seqs or not valid_seqs or not test_seqs:
-        raise ValueError("all three splits must be non-empty")
     params = mrm_model.MrmParams.init(model_config, seed=train_config.seed,
                                       kind=model_kind)
     named = params.named()
@@ -250,9 +261,8 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
     """Logistic regression on per-code frequency vectors with an L2
     penalty, trained with the same optimizer machinery and early-stopping
     protocol. Returns ({"weight", "bias"} params, EvalReport)."""
+    _check_splits(datasets)
     train_seqs, valid_seqs, test_seqs = datasets
-    if not train_seqs or not valid_seqs or not test_seqs:
-        raise ValueError("all three splits must be non-empty")
     splits = {"train": train_seqs, "valid": valid_seqs, "test": test_seqs}
     fv = {k: np.stack([frequency_vector(s, n_codes) for s in v])
           for k, v in splits.items()}

@@ -101,7 +101,7 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
         raw_events = obj["events"]
     except (KeyError, TypeError) as err:
         raise DatasetError(f"{where}: missing key {err}") from None
-    if label not in (0, 1):
+    if isinstance(label, bool) or label not in (0, 1):  # True == 1 in Python
         raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
     if not raw_events:
         raise DatasetError(f"{where}: empty event list")

@@ -232,47 +232,37 @@ def topk_mask(scores, topk: int) -> np.ndarray:
     return mask
 
 
-def _attention_mask(score_values: np.ndarray, lo, hi, topk: int) -> np.ndarray:
-    n = score_values.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        a, b = lo[i], hi[i]
-        if b - a <= topk:
-            mask[i, a:b] = True
-        else:
-            mask[i, a:b] = topk_mask(score_values[i, a:b], topk)
-    return mask
-
-
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
                      return_weights: bool = False):
     """Multi-head attention over time-windowed, top-k-masked neighbors.
 
     Scores are plain query-key dot products; per query only the topk
     largest in-window scores survive, the rest are masked before the
-    softmax. Head outputs are concatenated back to model_dim. The top-k
-    selection is treated as locally constant in backward.
+    softmax. Head outputs are concatenated back to model_dim. Windows are
+    contiguous in the sorted times, so one fused op works on the padded
+    (L, W) band of each query's window, W the widest window: O(L * W)
+    time and memory instead of O(L^2). The top-k selection is treated as
+    locally constant in backward.
+
+    With return_weights=True also returns one dense (L, L) weight matrix
+    per head, zero outside each query's kept neighbors.
     """
     n = x.shape[0]
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
     lo, hi = neighborhood_bounds(times, config.window_hours)
-    heads = []
+    out, band = dc.windowed_attention(x, params.query_weights, params.key_weights,
+                                      params.value_weights, lo, hi, config.topk)
+    if not return_weights:
+        return out
+    cols = lo[:, None] + np.arange(band.shape[2])
+    rows, slots = np.nonzero(cols < n)  # slots past hi[i] carry weight 0
     weights = []
     for h in range(config.n_heads):
-        q = dc.matmul(x, dc.transpose(params.query_weights[h]))
-        k = dc.matmul(x, dc.transpose(params.key_weights[h]))
-        v = dc.matmul(x, dc.transpose(params.value_weights[h]))
-        scores = dc.matmul(q, dc.transpose(k))
-        mask = _attention_mask(scores.data, lo, hi, config.topk)
-        attn = dc.masked_softmax_rows(scores, mask)
-        heads.append(dc.matmul(attn, v))
-        if return_weights:
-            weights.append(attn.data.copy())
-    out = dc.concat(heads, axis=1)
-    if return_weights:
-        return out, weights
-    return out
+        dense = np.zeros((n, n))
+        dense[rows, cols[rows, slots]] = band[rows, h, slots]
+        weights.append(dense)
+    return out, weights
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Splits L time-sorted events into at most ``max_groups`` contiguous groups
 of at most ``max_group_len`` events while minimizing the largest
 within-group time span. Solved exactly: binary search over the discrete
-list of pairwise time differences (the optimum is always one of them)
-with a greedy left-to-right feasibility check at each threshold.
+list of time differences t[j] - t[i] with 0 <= j - i < max_group_len (the
+optimum is the span of a group, so always one of them) with a greedy
+left-to-right feasibility check at each threshold. The candidate list has
+O(L * max_group_len) entries.
 """
 
 from __future__ import annotations
@@ -43,11 +45,42 @@ def candidate_spans(times) -> np.ndarray:
     """All distinct pairwise differences t_j - t_i (j >= i), sorted.
 
     The optimal minimax span is the span of some contiguous group, i.e. a
-    pairwise difference, so searching this list is exact. O(L^2) memory.
+    pairwise difference, so searching this list is exact. O(L^2) memory;
+    optimal_partition searches the O(L * max_group_len) subset of
+    _window_spans instead, and this full list is kept as its reference.
     """
     t = _check_sorted(times)
     iu = np.triu_indices(t.size)
     return np.unique(t[iu[1]] - t[iu[0]])
+
+
+def _window_spans(t: np.ndarray, max_group_len: int) -> np.ndarray:
+    """Distinct differences t_j - t_i with 0 <= j - i < max_group_len, sorted.
+
+    A group holds at most max_group_len events, so every group span, and
+    hence the optimal minimax span, is in this list. O(L * max_group_len)
+    memory.
+    """
+    n = t.size
+    return np.unique(np.concatenate([t[k:] - t[:n - k]
+                                     for k in range(min(max_group_len, n))]))
+
+
+def _greedy(times: list, threshold: float, max_group_len: int, limit=None):
+    """The greedy groups over Python floats; None as soon as there are
+    more than ``limit`` of them."""
+    groups = []
+    start = 0
+    t_start = times[0]
+    for i in range(1, len(times)):
+        if i - start >= max_group_len or times[i] - t_start > threshold:
+            groups.append((start, i))
+            if limit is not None and len(groups) >= limit:
+                return None
+            start = i
+            t_start = times[i]
+    groups.append((start, len(times)))
+    return groups
 
 
 def greedy_feasible(times, threshold: float, max_groups: int, max_group_len: int):
@@ -60,22 +93,17 @@ def greedy_feasible(times, threshold: float, max_groups: int, max_group_len: int
     Returns (feasible, groups) with groups as [start, end) index pairs.
     """
     t = _check_sorted(times)
-    groups = []
-    start = 0
-    for i in range(1, t.size):
-        if i - start >= max_group_len or t[i] - t[start] > threshold:
-            groups.append((start, i))
-            start = i
-    groups.append((start, t.size))
+    groups = _greedy(t.tolist(), float(threshold), max_group_len)
     return len(groups) <= max_groups, groups
 
 
 def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
     """Exact minimax-span partition of sorted times.
 
-    Binary search for the smallest candidate span the greedy can satisfy
-    with at most max_groups groups; the groups returned are the canonical
-    greedy grouping at that threshold, so the result is deterministic.
+    Binary search for the smallest candidate span (see _window_spans) the
+    greedy can satisfy with at most max_groups groups; the groups returned
+    are the canonical greedy grouping at that threshold, so the result is
+    deterministic.
     """
     if max_groups < 1 or max_group_len < 1:
         raise ValueError("max_groups and max_group_len must be >= 1")
@@ -84,15 +112,15 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
         raise InfeasiblePartitionError(
             f"{t.size} events cannot fit into {max_groups} groups of "
             f"at most {max_group_len}")
-    cands = candidate_spans(t)
-    lo, hi = 0, cands.size - 1
+    tl = t.tolist()
+    cands = _window_spans(t, max_group_len).tolist()
+    lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        ok, _ = greedy_feasible(t, cands[mid], max_groups, max_group_len)
-        if ok:
+        if _greedy(tl, cands[mid], max_group_len, max_groups) is not None:
             hi = mid
         else:
             lo = mid + 1
-    _, groups = greedy_feasible(t, cands[lo], max_groups, max_group_len)
-    spans = tuple(float(t[e - 1] - t[s]) for s, e in groups)
+    groups = _greedy(tl, cands[lo], max_group_len)
+    spans = tuple(tl[e - 1] - tl[s] for s, e in groups)
     return Partition(groups=tuple(groups), spans=spans, minimax_span=max(spans))

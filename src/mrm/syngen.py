@@ -82,8 +82,9 @@ _MIN_ORDER_GAP_HOURS = 1.0
 
 def _noise_features(rng, config: SynthConfig):
     n_cat = int(rng.integers(0, 3))
-    cat = sorted(int(f) for f in rng.choice(config.n_feature_ids, size=n_cat,
-                                            replace=False))
+    # choice() of zero items draws nothing, so skipping it keeps the stream
+    cat = sorted(rng.choice(config.n_feature_ids, size=n_cat,
+                            replace=False).tolist()) if n_cat else []
     num = []
     if n_cat < config.max_features and rng.random() < 0.5:
         fid = int(rng.integers(0, config.n_feature_ids))

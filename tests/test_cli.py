@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mrm import cli
+from mrm import diffcore as dc
 from mrm import events as ev
+from mrm import model as mm
 
 
 GEN_CONFIG = """\
@@ -223,3 +225,78 @@ def test_log_level_env(monkeypatch, capsys):
     assert cli.main(["partition", "--times", "0,1", "--M", "2", "--L_G", "2"]) == 0
     monkeypatch.setenv("MRM_LOG", "quiet")
     assert cli.main(["partition", "--times", "0,1", "--M", "2", "--L_G", "2"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# bad checkpoints and bad splits end in exit code 2 with a message
+
+
+@pytest.mark.parametrize("meta", [
+    {"kind": "mrm"},
+    {"kind": "mrm", "dataset": {"N_c": 12, "N_f": 8, "maxFeat": 3}},
+    {"kind": "mrm", "dataset": {"N_c": 12, "N_f": 8},
+     "model": {}, "feature_stats": {}},
+    {"kind": "lr"},
+])
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+def test_checkpoint_missing_metadata_is_runtime_error(tmp_path, dataset, capsys,
+                                                      meta, command):
+    ckpt = tmp_path / "bare.npz"
+    dc.save_checkpoint(ckpt, {"weight": np.zeros(12)}, meta)
+    args = [command, "--data", str(dataset), "--ckpt", str(ckpt)]
+    if command == "inspect":
+        args += ["--index", "0"]
+    assert cli.main(args) == 2
+    assert "checkpoint metadata" in capsys.readouterr().err
+
+
+def test_evaluate_non_checkpoint_archive_is_runtime_error(tmp_path, dataset, capsys):
+    path = tmp_path / "plain.npz"
+    np.savez(path, weight=np.zeros(3))
+    assert cli.main(["evaluate", "--data", str(dataset), "--ckpt", str(path)]) == 2
+    assert "not a checkpoint" in capsys.readouterr().err
+
+
+def test_inspect_partition_follows_forward_truncation(tmp_path, dataset, capsys):
+    # M * L_G = 8 is below every sequence length (8..14), so inspect must
+    # report the partition of the truncated sequence that forward() scores
+    ckpt = tmp_path / "model.npz"
+    args = train_args(dataset, ckpt)
+    args[args.index("--M") + 1] = "2"
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    data_config = ev.load_sidecar_config(str(dataset) + ".config")
+    seqs = ev.load_dataset(str(dataset), data_config)
+    index = max(range(len(seqs)), key=lambda i: len(seqs[i]))
+    assert cli.main(["inspect", "--data", str(dataset), "--ckpt", str(ckpt),
+                     "--index", str(index)]) == 0
+    printed = dict(line.split(" = ") for line in
+                   capsys.readouterr().out.strip().splitlines())
+    config = mm.MrmConfig(n_codes=data_config.n_codes,
+                          n_features=data_config.n_features,
+                          max_features=data_config.max_features, model_dim=8,
+                          n_heads=2, head_dim=4, topk=2, max_groups=2,
+                          max_group_len=4)
+    part = mm.sequence_partition(seqs[index], config)
+    assert int(printed["n_groups"]) == len(part.groups)
+    assert printed["minimax_span"] == repr(part.minimax_span)
+
+
+def test_train_one_class_split_fails_before_training(tmp_path, capsys, caplog):
+    # 12 sequences split 8/1/3: the one-sequence validation split has one class
+    config = tmp_path / "gen12.config"
+    config.write_text(GEN_CONFIG.replace("n_sequences = 60", "n_sequences = 12")
+                      .replace("vocab_size = 12", "vocab_size = 20"))
+    data = tmp_path / "d12.jsonl"
+    assert cli.main(["generate", "--config", str(config), "--out", str(data),
+                     "--seed", "3"]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "m.npz"
+    with caplog.at_level("INFO", logger="mrm.train"):
+        code = cli.main(["train", "--data", str(data), "--model", "mrm",
+                         "--out", str(ckpt), "--D_m", "8", "--N_h", "2",
+                         "--D_a", "4", "--max-epochs", "2", "--patience", "1"])
+    assert code == 2
+    assert "split needs both classes" in capsys.readouterr().err
+    assert not any("epoch" in r.getMessage() for r in caplog.records)
+    assert not ckpt.exists()

@@ -94,6 +94,16 @@ def test_load_rejects_bad_label(tmp_path):
         ev.load_dataset(path, CFG)
 
 
+@pytest.mark.parametrize("label", [True, False])
+def test_load_rejects_bool_label(tmp_path, label):
+    # bool is an int subclass, so True would otherwise load as label 1
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([{"code": 0, "t": 0.0}], label=label)])
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    assert "label" in str(exc.value)
+
+
 def test_write_load_roundtrip(tmp_path):
     seqs = [ev.EventSequence("p7", 1, [
         ev.ClinicalEvent(2, 0.25, [1], [(0, -3.5)]),

@@ -133,6 +133,29 @@ def oracle_plain_lstm(seq, arrays, config):
     return float(sig(arrays["output.weight"] @ h + arrays["output.bias"]))
 
 
+def dense_reference_attention(x, times, params, config):
+    """The dense per-head form: (n, n) scores, a top-k mask per window row
+    from topk_mask, masked softmax, weights @ values. Returns the
+    concatenated heads and the per-head dense weight matrices."""
+    n = len(times)
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+    heads, weights = [], []
+    for h in range(config.n_heads):
+        q = x @ params.query_weights[h].data.T
+        k = x @ params.key_weights[h].data.T
+        v = x @ params.value_weights[h].data.T
+        scores = q @ k.T
+        mask = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            mask[i, lo[i]:hi[i]] = mm.topk_mask(scores[i, lo[i]:hi[i]], config.topk)
+        s = np.where(mask, scores, -np.inf)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        heads.append(w @ v)
+        weights.append(w)
+    return np.concatenate(heads, axis=1), weights
+
+
 # ---------------------------------------------------------------------------
 # config and params
 
@@ -308,6 +331,101 @@ def test_attention_rows_are_convex_combinations():
         assert np.all(w >= 0.0)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((w > 0).sum(axis=1) <= config.topk)
+
+
+def test_attention_matches_dense_reference_near_capacity():
+    # default model at L = 2000, about 8 events per window against topk = 4
+    config = mm.MrmConfig(n_codes=12, n_features=6, max_features=3)
+    params = mm.MrmParams.init(config, seed=30)
+    rng = np.random.default_rng(30)
+    n = 2000
+    times = np.sort(rng.uniform(0.0, n / 8.0, size=n))
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+    assert np.mean(hi - lo > config.topk) > 0.5
+    x = rng.normal(size=(n, config.model_dim))
+    v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
+                                     return_weights=True)
+    want_v, want_weights = dense_reference_attention(x, times, params, config)
+    assert np.max(np.abs(v.data - want_v)) < 1e-10
+    assert len(weights) == config.n_heads
+    for w, want in zip(weights, want_weights):
+        assert w.shape == (n, n)
+        assert np.array_equal(w > 0, want > 0)
+        assert np.max(np.abs(w - want)) < 1e-12
+
+
+def _topk_margin(x, times, params, config):
+    """Smallest gap between the topk-th and the next score over all
+    windows wider than topk (inf when none is)."""
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+    gap = np.inf
+    for h in range(config.n_heads):
+        scores = ((x @ params.query_weights[h].data.T)
+                  @ (x @ params.key_weights[h].data.T).T)
+        for i in range(len(times)):
+            window = np.sort(scores[i, lo[i]:hi[i]])[::-1]
+            if window.size > config.topk:
+                gap = min(gap, window[config.topk - 1] - window[config.topk])
+    return gap
+
+
+def test_attention_exact_ties_keep_lowest_index():
+    # integer inputs and weights make every score an exact integer, so
+    # windows wider than topk hold exact ties at the top-k threshold
+    config = small_config(topk=2, window_hours=1.0)
+    rng = np.random.default_rng(31)
+    tied = 0
+    for trial in range(20):
+        params = mm.MrmParams.init(config, seed=trial)
+        for t in params.named().values():
+            t.data = rng.integers(-1, 2, size=t.data.shape).astype(np.float64)
+        n = int(rng.integers(20, 60))
+        times = np.sort(rng.uniform(0.0, n / 6.0, size=n))
+        x = rng.integers(-1, 2, size=(n, config.model_dim)).astype(np.float64)
+        x[1::3] = x[0::3][:x[1::3].shape[0]]  # duplicated rows tie for sure
+        v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
+                                         return_weights=True)
+        want_v, want_weights = dense_reference_attention(x, times, params, config)
+        assert np.max(np.abs(v.data - want_v)) < 1e-12
+        for w, want in zip(weights, want_weights):
+            assert np.array_equal(w > 0, want > 0)
+        tied += _topk_margin(x, times, params, config) == 0.0
+    assert tied == 20
+
+
+def test_attention_backward_matches_finite_differences(fd_grads, grad_rel_err):
+    # windows of about 10 events against topk = 2, so the backward of the
+    # kept-set softmax and of the dropped neighbors is exercised everywhere
+    config = small_config(window_hours=1.0)
+    checked = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        params = mm.MrmParams.init(config, seed=seed)
+        n = 40
+        times = np.sort(rng.uniform(0.0, 8.0, size=n))
+        x = dc.Tensor(rng.normal(size=(n, config.model_dim)), requires_grad=True)
+        if _topk_margin(x.data, times, params, config) < 1e-3:
+            continue  # finite differences would cross a top-k boundary
+        lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+        assert np.mean(hi - lo > config.topk) > 0.8
+        probe = rng.normal(size=(n, config.model_dim))
+        named = {"x": x, **{k: t for k, t in params.named().items()
+                            if k.startswith("head")}}
+
+        def loss_value():
+            out = mm.sparse_attention(x, times, params, config)
+            return float(np.sum(out.data * probe))
+
+        out = mm.sparse_attention(x, times, params, config)
+        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        numeric = fd_grads(loss_value, named)
+        for name, t in named.items():
+            assert t.grad is not None, name
+            assert grad_rel_err(t.grad, numeric[name]) < 1e-6, name
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def test_attention_locality_outside_window():

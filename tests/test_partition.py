@@ -233,3 +233,34 @@ def test_constraints_and_coverage_random():
             prev_end = e
         assert prev_end == n
         assert part.minimax_span == max(part.spans)
+
+
+def all_pairs_partition(times, max_groups, max_group_len):
+    """Binary search over every pairwise difference (candidate_spans) with
+    the public greedy probe: the O(L^2) reference search."""
+    t = np.asarray(times)
+    cands = candidate_spans(t)
+    lo, hi = 0, cands.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if greedy_feasible(t, cands[mid], max_groups, max_group_len)[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    _, groups = greedy_feasible(t, cands[lo], max_groups, max_group_len)
+    spans = tuple(float(t[e - 1] - t[s]) for s, e in groups)
+    return tuple(groups), spans, max(spans)
+
+
+def test_windowed_candidates_match_all_pairs_search_near_capacity():
+    rng = np.random.default_rng(19)
+    for trial in range(24):
+        n = int(rng.choice([int(rng.integers(300, 1000)), 2048]))
+        t = random_times(rng, n)
+        lg = int(rng.choice([1, 4, 32, 64]))
+        m = -(-n // lg) + int(rng.integers(0, 40))
+        part = optimal_partition(t, m, lg)
+        groups, spans, minimax = all_pairs_partition(t, m, lg)
+        assert part.groups == groups, (trial, n, lg, m)
+        assert part.spans == spans
+        assert part.minimax_span == minimax
