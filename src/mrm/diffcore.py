@@ -88,8 +88,8 @@ class Tensor:
                 raise ShapeError(
                     f"backward() without seed needs a scalar, got shape {self.data.shape}")
             seed = 1.0
-        # Iterative DFS: chains (one LSTM step per group) can exceed the
-        # recursion limit.
+        # Iterative DFS: a long chain of nodes can exceed the recursion
+        # limit.
         topo = []
         visited = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -265,10 +265,13 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, "tanh", (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
 
     def bwd(g):
         _accum(a, g * out * (1.0 - out))
@@ -351,25 +354,6 @@ def slice_rows(x: Tensor, start: int, end: int) -> Tensor:
     return _node(x.data[start:end].copy(), "slice_rows", (x,), bwd)
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        _accum(x, gx)
-    return _node(x.data[i].copy(), "row", (x,), bwd)
-
-
-def slice_vec(x: Tensor, start: int, end: int) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError(f"slice_vec: expected a vector, got shape {x.shape}")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[start:end] = g
-        _accum(x, gx)
-    return _node(x.data[start:end].copy(), "slice_vec", (x,), bwd)
-
-
 def maxpool_rows(x: Tensor) -> Tensor:
     """Coordinatewise max over the rows of a non-empty matrix.
 
@@ -386,6 +370,38 @@ def maxpool_rows(x: Tensor) -> Tensor:
         gx[arg, cols] = g
         _accum(x, gx)
     return _node(x.data[arg, cols], "maxpool_rows", (x,), bwd)
+
+
+def group_maxpool(x: Tensor, starts) -> Tensor:
+    """Coordinatewise max over each group of consecutive rows of x.
+
+    Group k holds the rows [starts[k], starts[k + 1]), the last group runs
+    to the end; starts must begin at 0 and increase strictly. Returns the
+    (groups, d) maxima in one node. Backward routes each coordinate's
+    gradient to its group's argmax row, the lowest row index on a tie, as
+    maxpool_rows does. When every group is a single row, x itself is
+    returned.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    if x.data.ndim != 2:
+        raise ShapeError(f"group_maxpool: need a matrix, got shape {x.shape}")
+    n = x.shape[0]
+    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
+            or starts[-1] >= n or np.any(np.diff(starts) <= 0)):
+        raise ShapeError(f"group_maxpool: {starts.size} group starts do not "
+                         f"split the {n} rows of x in order")
+    if starts.size == n:
+        return x
+    out = np.maximum.reduceat(x.data, starts, axis=0)
+
+    def bwd(g):
+        at_max = x.data == np.repeat(out, np.diff(starts, append=n), axis=0)
+        rows = np.where(at_max, np.arange(n)[:, None], n)
+        arg = np.minimum.reduceat(rows, starts, axis=0)
+        gx = np.zeros_like(x.data)
+        gx[arg, np.arange(x.shape[1])] = g
+        _accum(x, gx)
+    return _node(out, "group_maxpool", (x,), bwd)
 
 
 def _band(lo, hi):
@@ -505,6 +521,96 @@ def masked_softmax_rows(scores: Tensor, mask) -> Tensor:
         dot = (g * out).sum(axis=1, keepdims=True)
         _accum(scores, out * (g - dot))
     return _node(out, "masked_softmax_rows", (scores,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm(xs, w_input: Tensor, w_hidden: Tensor, bias: Tensor) -> Tensor:
+    """An LSTM over a batch of sequences -> their (B, H) last hidden states.
+
+    xs is a list of B tensors of shape (T_b, d), T_b >= 1, each run from a
+    zero hidden and cell state; result rows follow the order of xs. The
+    gate pre-activations of a step are w_input @ x_t + w_hidden @ h + bias
+    with w_input (4H, d), w_hidden (4H, H), bias (4H,) and gate order
+    i, f, g, o.
+
+    The sequences are packed longest first into a zero-padded time-major
+    (T, B, d) block, so the rows still running at step t are a prefix of
+    n_t rows. The input projection of every step is one matmul; each step
+    then adds one (n_t, H) @ (H, 4H) product. Backward is backprop through
+    time over the same prefixes. Padded rows get zero gradient, so each
+    weight gradient is one matmul over the T * B flattened rows.
+    """
+    xs = list(xs)
+    four_h, d = w_input.shape
+    hid = four_h // 4
+    if (not xs or four_h != 4 * hid or w_hidden.shape != (four_h, hid)
+            or bias.shape != (four_h,)
+            or any(x.data.ndim != 2 or x.shape[0] == 0 or x.shape[1] != d
+                   for x in xs)):
+        raise ShapeError(f"lstm: inputs {[x.shape for x in xs]} do not match the "
+                         f"weights {w_input.shape}, {w_hidden.shape}, {bias.shape}")
+    batch = len(xs)
+    order = np.argsort([-x.shape[0] for x in xs], kind="stable")
+    lengths = np.array([xs[b].shape[0] for b in order])
+    steps = int(lengths[0])
+    running = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
+    packed = np.zeros((steps, batch, d))
+    for j, b in enumerate(order):
+        packed[:lengths[j], j] = xs[b].data
+    pre_in = (packed.reshape(-1, d) @ w_input.data.T + bias.data).reshape(
+        steps, batch, four_h)
+    hs = np.zeros((steps + 1, batch, hid))  # hs[t]: the hidden state before step t
+    cs = np.zeros((steps + 1, batch, hid))
+    gates = np.zeros((steps, batch, four_h))  # activated i, f, g, o
+    tanh_c = np.zeros((steps, batch, hid))
+    w_hidden_t = w_hidden.data.T
+    for t in range(steps):
+        n = running[t]
+        z = pre_in[t, :n] + hs[t, :n] @ w_hidden_t
+        a = _sigmoid(z)
+        a[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])
+        c = a[:, hid:2 * hid] * cs[t, :n] + a[:, :hid] * a[:, 2 * hid:3 * hid]
+        tc = np.tanh(c)
+        gates[t, :n] = a
+        cs[t + 1, :n] = c
+        tanh_c[t, :n] = tc
+        hs[t + 1, :n] = a[:, 3 * hid:] * tc
+    out = np.empty((batch, hid))
+    out[order] = hs[lengths, np.arange(batch)]
+
+    def bwd(g):
+        # a row's output gradient waits in dh until its last step is reached
+        dh = g[order]
+        dc = np.zeros((batch, hid))
+        dpre = np.zeros((steps, batch, four_h))
+        deriv = gates * (1.0 - gates)
+        g_gate = gates[..., 2 * hid:3 * hid]
+        deriv[..., 2 * hid:3 * hid] = 1.0 - g_gate * g_gate
+        for t in range(steps - 1, -1, -1):
+            n = running[t]
+            a = gates[t, :n]
+            tc = tanh_c[t, :n]
+            dh_t = dh[:n]
+            dc_t = dc[:n] + dh_t * a[:, 3 * hid:] * (1.0 - tc * tc)
+            da = np.concatenate([dc_t * a[:, 2 * hid:3 * hid], dc_t * cs[t, :n],
+                                 dc_t * a[:, :hid], dh_t * tc], axis=1)
+            dz = da * deriv[t, :n]
+            dpre[t, :n] = dz
+            dh[:n] = dz @ w_hidden.data
+            dc[:n] = dc_t * a[:, hid:2 * hid]
+        flat = dpre.reshape(-1, four_h)
+        _accum(w_input, flat.T @ packed.reshape(-1, d))
+        _accum(w_hidden, flat.T @ hs[:steps].reshape(-1, hid))
+        _accum(bias, flat.sum(axis=0))
+        if any(x.needs_grad for x in xs):
+            dx = (flat @ w_input.data).reshape(steps, batch, d)
+            for j, b in enumerate(order):
+                _accum(xs[b], dx[:lengths[j], j])
+
+    return _node(out, "lstm", (*xs, w_input, w_hidden, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,9 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
           model_config: mrm_model.MrmConfig):
     """Train an "mrm" or "plain_lstm" model on (train, valid, test) splits.
 
-    Adam on the mean cross entropy of shuffled mini-batches; after each
-    epoch the validation AUC decides early stopping and model selection.
+    Adam on the mean cross entropy of shuffled mini-batches, each one
+    batched forward graph (model.forward_batch); after each epoch the
+    validation AUC decides early stopping and model selection.
     Test data is only touched after selection finishes. Returns
     (params, EvalReport).
     """
@@ -214,29 +215,20 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
                                       kind=model_kind)
     named = params.named()
 
-    partitions = {"train": None, "valid": None, "test": None}
-    if model_kind == "mrm":
-        # times never change, so the per-sequence partition is computed once
-        partitions = {
-            "train": [mrm_model.sequence_partition(s, model_config) for s in train_seqs],
-            "valid": [mrm_model.sequence_partition(s, model_config) for s in valid_seqs],
-            "test": [mrm_model.sequence_partition(s, model_config) for s in test_seqs],
-        }
     splits = {"train": train_seqs, "valid": valid_seqs, "test": test_seqs}
     labels_by_split = {k: _labels(v) for k, v in splits.items()}
+    partitions = dict.fromkeys(splits)
+    if model_kind == "mrm":
+        # times never change, so the per-sequence partition is computed once
+        partitions = {k: [mrm_model.sequence_partition(s, model_config) for s in v]
+                      for k, v in splits.items()}
 
     def batch_loss(indices):
-        total = None
-        for i in indices:
-            seq = train_seqs[i]
-            if model_kind == "mrm":
-                y_hat, _ = mrm_model.forward(seq, params, model_config,
-                                             partition=partitions["train"][i])
-            else:
-                y_hat = mrm_model.plain_lstm_forward(seq, params, model_config)
-            term = mrm_model.loss(y_hat, seq.label)
-            total = term if total is None else dc.add(total, term)
-        return dc.scale(total, 1.0 / len(indices))
+        parts = partitions["train"]
+        y_hat = mrm_model.forward_batch(
+            [train_seqs[i] for i in indices], params, model_config,
+            None if parts is None else [parts[i] for i in indices], kind=model_kind)
+        return mrm_model.loss(y_hat, labels_by_split["train"][indices])
 
     def scorer(split):
         scores = score_sequences(model_kind, params, splits[split], model_config,

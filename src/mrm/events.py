@@ -26,7 +26,7 @@ class DatasetError(ValueError):
     """Malformed or out-of-range dataset content."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ClinicalEvent:
     """One timestamped record: type code, occurrence time in hours, and
     up to max_features categorical/numerical feature attachments."""

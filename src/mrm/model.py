@@ -5,7 +5,8 @@ it with multi-head attention restricted to events within window_hours
 (keeping only the topk strongest scores per query), compress the sequence
 with the minimax-span partition and per-group max pooling, then run an
 LSTM over the group vectors and squash the last hidden state into an
-outcome probability.
+outcome probability. The LSTM is one op over a whole batch of sequences,
+so training builds one graph per mini-batch (forward_batch).
 """
 
 from __future__ import annotations
@@ -266,22 +267,7 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
 
 
 # ---------------------------------------------------------------------------
-# LSTM and the full pipeline
-
-
-def lstm_step(x_t: dc.Tensor, h: dc.Tensor, c: dc.Tensor, params: MrmParams):
-    """One LSTM iteration; gate order in the fused projection is i,f,g,o."""
-    hidden = h.shape[0]
-    pre = dc.add(dc.add(dc.matmul(params.lstm_w_input, x_t),
-                        dc.matmul(params.lstm_w_hidden, h)),
-                 params.lstm_bias)
-    i_gate = dc.sigmoid(dc.slice_vec(pre, 0, hidden))
-    f_gate = dc.sigmoid(dc.slice_vec(pre, hidden, 2 * hidden))
-    g_cand = dc.tanh(dc.slice_vec(pre, 2 * hidden, 3 * hidden))
-    o_gate = dc.sigmoid(dc.slice_vec(pre, 3 * hidden, 4 * hidden))
-    c_next = dc.add(dc.mul(f_gate, c), dc.mul(i_gate, g_cand))
-    h_next = dc.mul(o_gate, dc.tanh(c_next))
-    return h_next, c_next
+# the full pipeline
 
 
 def _truncate(seq: EventSequence, config: MrmConfig):
@@ -298,33 +284,66 @@ def sequence_partition(seq: EventSequence, config: MrmConfig) -> Partition:
     return optimal_partition(used.times(), config.max_groups, config.max_group_len)
 
 
+def _group_starts(partition: Partition, n_events: int) -> np.ndarray:
+    """First row of every group; the groups must tile [0, n_events) in order."""
+    starts = [s for s, _ in partition.groups]
+    ends = [e for _, e in partition.groups]
+    if not starts or starts[0] != 0 or starts[1:] != ends[:-1] or ends[-1] != n_events:
+        raise ValueError(f"the {len(starts)} partition groups do not cover the "
+                         f"{n_events} events of the (truncated) sequence in order")
+    return np.array(starts, dtype=np.intp)
+
+
 def _head(params: MrmParams, h_last: dc.Tensor) -> dc.Tensor:
-    return dc.sigmoid(dc.add(dc.matmul(params.out_weight, h_last), params.out_bias))
+    return dc.sigmoid(dc.add(dc.matmul(h_last, params.out_weight), params.out_bias))
+
+
+def forward_batch(seqs, params: MrmParams, config: MrmConfig, partitions=None,
+                  kind: str = "mrm") -> dc.Tensor:
+    """Outcome probabilities of a batch of sequences as a (B,) tensor.
+
+    Every sequence is truncated to its most recent max_groups *
+    max_group_len events and encoded. kind "mrm" runs attention and
+    max-pools each group of the sequence's partition (partitions[i], which
+    must tile the truncated events, or computed when partitions is None);
+    kind "plain_lstm" feeds the event vectors straight to the LSTM. One
+    LSTM op then runs over the whole batch and the sigmoid head scores its
+    last hidden states.
+    """
+    if kind not in ("mrm", "plain_lstm"):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if kind == "mrm" and params.kind != "mrm":
+        raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
+    inputs = []
+    for i, seq in enumerate(seqs):
+        used, _ = _truncate(seq, config)
+        x = encode_events(used, params, config)
+        if kind == "mrm":
+            times = used.times()
+            v = sparse_attention(x, times, params, config)
+            part = (partitions[i] if partitions is not None else
+                    optimal_partition(times, config.max_groups, config.max_group_len))
+            x = dc.group_maxpool(v, _group_starts(part, len(used.events)))
+        inputs.append(x)
+    h_last = dc.lstm(inputs, params.lstm_w_input, params.lstm_w_hidden,
+                     params.lstm_bias)
+    return _head(params, h_last)
 
 
 def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
             partition: Partition | None = None):
     """Full pipeline -> (probability tensor, diagnostics dict).
 
-    Sequences longer than max_groups * max_group_len are truncated to
-    their most recent events first. A precomputed partition may be passed
-    in (it must describe the post-truncation times).
+    The single-sequence case of forward_batch: sequences longer than
+    max_groups * max_group_len are truncated to their most recent events
+    first. A precomputed partition may be passed in; it must cover exactly
+    the post-truncation events (ValueError otherwise).
     """
-    if params.kind != "mrm":
-        raise ConfigError(f"forward() needs mrm params, got kind {params.kind!r}")
     used, truncated = _truncate(seq, config)
-    times = used.times()
-    x = encode_events(used, params, config)
-    v = sparse_attention(x, times, params, config)
     if partition is None:
-        partition = optimal_partition(times, config.max_groups, config.max_group_len)
-    hidden = config.model_dim
-    h = dc.Tensor(np.zeros(hidden))
-    c = dc.Tensor(np.zeros(hidden))
-    for start, end in partition.groups:
-        g = dc.maxpool_rows(dc.slice_rows(v, start, end))
-        h, c = lstm_step(g, h, c, params)
-    y_hat = _head(params, h)
+        partition = optimal_partition(used.times(), config.max_groups,
+                                      config.max_group_len)
+    y_hat = dc.sum_all(forward_batch([used], params, config, [partition]))
     diagnostics = {
         "n_events": len(used.events),
         "truncated": truncated,
@@ -338,25 +357,23 @@ def plain_lstm_forward(seq: EventSequence, params: MrmParams,
                        config: MrmConfig) -> dc.Tensor:
     """Baseline: the LSTM consumes every event vector directly (no
     attention, no pooling), then the same sigmoid head."""
-    used, _ = _truncate(seq, config)
-    x = encode_events(used, params, config)
-    hidden = config.model_dim
-    h = dc.Tensor(np.zeros(hidden))
-    c = dc.Tensor(np.zeros(hidden))
-    for i in range(x.shape[0]):
-        h, c = lstm_step(dc.row(x, i), h, c, params)
-    return _head(params, h)
+    return dc.sum_all(forward_batch([seq], params, config, kind="plain_lstm"))
 
 
 _CLAMP = 1e-7
 
 
-def loss(y_hat: dc.Tensor, y: int) -> dc.Tensor:
-    """Cross entropy -(y ln p + (1-y) ln(1-p)) with p clamped away from
-    {0, 1} for stability."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
+def loss(y_hat: dc.Tensor, y) -> dc.Tensor:
+    """Mean cross entropy -(y ln p + (1-y) ln(1-p)) over the probabilities
+    in y_hat (a scalar or a vector, y of the same shape), with p clamped
+    away from {0, 1} for stability."""
+    labels = np.asarray(y)
+    if labels.shape != y_hat.shape:
+        raise dc.ShapeError(f"loss: labels of shape {labels.shape} for "
+                            f"probabilities of shape {y_hat.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {y!r}")
     p = dc.clip(y_hat, _CLAMP, 1.0 - _CLAMP)
-    if y == 1:
-        return dc.neg(dc.log(p))
-    return dc.neg(dc.log(dc.sub(dc.Tensor(1.0), p)))
+    # p where y = 1 and 1 - p where y = 0, both exact
+    likelihood = dc.add(dc.mul(dc.Tensor(2 * labels - 1), p), dc.Tensor(1 - labels))
+    return dc.scale(dc.sum_all(dc.neg(dc.log(likelihood))), 1.0 / labels.size)

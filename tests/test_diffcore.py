@@ -98,6 +98,43 @@ def test_maxpool_tie_goes_to_lowest_row():
     assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
 
 
+def test_group_maxpool_matches_slice_and_maxpool_rows():
+    rng = np.random.default_rng(5)
+    tied = 0
+    for trial in range(200):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        if trial % 2:  # small integers: exact ties inside groups
+            data = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        else:
+            data = rng.normal(size=(n, d))
+        starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.4])
+        ends = np.r_[starts[1:], n]
+        probe = rng.normal(size=(starts.size, d))
+        x_new, x_old = t(data), t(data)
+        pooled = dc.group_maxpool(x_new, starts)
+        dc.sum_all(dc.mul(pooled, dc.Tensor(probe))).backward()
+        total = dc.Tensor(0.0)
+        for k, (s, e) in enumerate(zip(starts, ends)):
+            ref = dc.maxpool_rows(dc.slice_rows(x_old, s, e))
+            assert np.array_equal(pooled.data[k], ref.data)
+            total = dc.add(total, dc.sum_all(dc.mul(ref, dc.Tensor(probe[k]))))
+            tied += np.any((data[s:e] == ref.data).sum(axis=0) > 1)
+        total.backward()
+        assert np.array_equal(x_new.grad, x_old.grad)
+    assert tied > 50
+
+
+def test_group_maxpool_singletons_pass_through():
+    x = t(np.arange(6.0).reshape(3, 2))
+    assert dc.group_maxpool(x, [0, 1, 2]) is x
+
+
+@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 2, 1], [0, 3]])
+def test_group_maxpool_rejects_starts_that_do_not_split_the_rows(starts):
+    with pytest.raises(dc.ShapeError):
+        dc.group_maxpool(t(np.zeros((3, 2))), starts)
+
+
 def test_clip_passes_gradient_only_inside_range():
     x = t([-2.0, 0.5, 2.0])
     out = dc.sum_all(dc.clip(x, 0.0, 1.0))
@@ -203,6 +240,37 @@ def test_maxpool_gradient_matches_finite_differences(fd_grads, grad_rel_err):
     loss.backward()
     numeric = fd_grads(lambda: forward().item(), {"x": x})
     assert grad_rel_err(x.grad, numeric["x"]) < 1e-4
+
+
+def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
+    # mixed lengths in unsorted order, with a length-1 row and a tie
+    rng = np.random.default_rng(12)
+    d, hid = 3, 2
+    lengths = (3, 1, 5, 2, 5)
+    params = {f"x{b}": t(rng.normal(size=(n, d))) for b, n in enumerate(lengths)}
+    params["w_input"] = t(rng.normal(size=(4 * hid, d)))
+    params["w_hidden"] = t(rng.normal(size=(4 * hid, hid)))
+    params["bias"] = t(rng.normal(size=4 * hid))
+    probe = rng.normal(size=(len(lengths), hid))
+
+    def forward():
+        xs = [params[f"x{b}"] for b in range(len(lengths))]
+        out = dc.lstm(xs, params["w_input"], params["w_hidden"], params["bias"])
+        return dc.sum_all(dc.mul(out, dc.Tensor(probe)))
+
+    forward().backward()
+    numeric = fd_grads(lambda: forward().item(), params)
+    for name, p in params.items():
+        assert grad_rel_err(p.grad, numeric[name]) < 1e-6, name
+
+
+def test_lstm_rejects_mismatched_shapes():
+    w_input, w_hidden, bias = t(np.zeros((8, 3))), t(np.zeros((8, 2))), t(np.zeros(8))
+    for xs in ([], [t(np.zeros((2, 4)))], [t(np.zeros((0, 3)))]):
+        with pytest.raises(dc.ShapeError):
+            dc.lstm(xs, w_input, w_hidden, bias)
+    with pytest.raises(dc.ShapeError):
+        dc.lstm([t(np.zeros((2, 3)))], w_input, t(np.zeros((8, 3))), bias)
 
 
 def test_deep_chain_backward_no_recursion_limit():

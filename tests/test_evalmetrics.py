@@ -211,10 +211,10 @@ def test_train_touches_test_split_only_after_selection(monkeypatch):
 def test_train_reports_divergence_with_batch_id(monkeypatch):
     splits, data_cfg = tiny_dataset()
 
-    def nan_forward(seq, params, config, partition=None):
-        return Tensor(np.nan), {}
+    def nan_forward(seqs, params, config, partitions=None, kind="mrm"):
+        return Tensor(np.full(len(seqs), np.nan))
 
-    monkeypatch.setattr(mm, "forward", nan_forward)
+    monkeypatch.setattr(mm, "forward_batch", nan_forward)
     tcfg = em.TrainConfig(max_epochs=1, patience=0, batch_size=8, seed=5)
     with pytest.raises(em.TrainingDiverged) as exc:
         em.train("mrm", splits, tcfg, tiny_model_config(data_cfg))

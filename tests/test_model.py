@@ -4,6 +4,7 @@ import pytest
 from mrm import diffcore as dc
 from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
+from mrm.partition import Partition, optimal_partition
 
 
 def small_config(**overrides):
@@ -542,6 +543,102 @@ def test_forward_invariant_to_file_order_when_times_distinct(tmp_path):
     assert a.item() == b.item()
 
 
+def test_lstm_op_matches_oracle_step_loop():
+    config = small_config()
+    params = mm.MrmParams.init(config, seed=40)
+    arrays = params.arrays()
+    rng = np.random.default_rng(40)
+    # one sequence, equal lengths, lengths 1..6 in unsorted order, length 1
+    for lengths in ([5], [4, 4, 4], [3, 1, 6, 2, 5, 4], [1], [1, 7]):
+        xs = [rng.normal(size=(n, config.model_dim)) for n in lengths]
+        out = dc.lstm([dc.Tensor(x) for x in xs], params.lstm_w_input,
+                      params.lstm_w_hidden, params.lstm_bias)
+        assert out.shape == (len(lengths), config.model_dim)
+        for row, x in zip(out.data, xs):
+            h = c = np.zeros(config.model_dim)
+            for x_t in x:
+                h, c = oracle_lstm_step(x_t, h, c, arrays)
+            assert np.max(np.abs(row - h)) < 1e-12
+
+
+def _mixed_batch(rng, config):
+    """Sequences of mixed lengths, some beyond capacity (truncated)."""
+    lengths = (5, 1, config.capacity() + 2, 9, 3, config.capacity(), 7)
+    return [random_sequence(rng, n, config) for n in lengths]
+
+
+def test_forward_batch_matches_per_sequence_forward():
+    rng = np.random.default_rng(41)
+    config = small_config(max_groups=3, max_group_len=4)
+    seqs = _mixed_batch(rng, config)
+    params = mm.MrmParams.init(config, seed=41)
+    batch = mm.forward_batch(seqs, params, config)
+    assert batch.shape == (len(seqs),)
+    for p, seq in zip(batch.data, seqs):
+        assert abs(p - mm.forward(seq, params, config)[0].item()) < 1e-12
+    parts = [mm.sequence_partition(s, config) for s in seqs]
+    assert np.array_equal(mm.forward_batch(seqs, params, config, parts).data,
+                          batch.data)
+    plain = mm.MrmParams.init(config, seed=42, kind="plain_lstm")
+    batch = mm.forward_batch(seqs, plain, config, kind="plain_lstm")
+    for p, seq in zip(batch.data, seqs):
+        assert abs(p - mm.plain_lstm_forward(seq, plain, config).item()) < 1e-12
+
+
+def test_batch_loss_gradients_are_the_mean_of_per_sequence_gradients():
+    rng = np.random.default_rng(43)
+    config = small_config(max_groups=3, max_group_len=4)
+    seqs = _mixed_batch(rng, config)
+    labels = np.array([s.label for s in seqs])
+    for kind in ("mrm", "plain_lstm"):
+        params = mm.MrmParams.init(config, seed=43, kind=kind)
+        named = params.named()
+        mm.loss(mm.forward_batch(seqs, params, config, kind=kind), labels).backward()
+        batched = {name: t.grad.copy() for name, t in named.items()}
+        mean = {name: np.zeros_like(t.data) for name, t in named.items()}
+        for seq in seqs:
+            for t in named.values():
+                t.zero_grad()
+            mm.loss(mm.forward_batch([seq], params, config, kind=kind),
+                    [seq.label]).backward()
+            for name, t in named.items():
+                if t.grad is not None:
+                    mean[name] += t.grad / len(seqs)
+        for name in named:
+            assert np.max(np.abs(batched[name] - mean[name])) < 1e-12, (kind, name)
+
+
+def test_forward_rejects_partition_that_does_not_cover_the_events():
+    config = small_config(max_groups=8, max_group_len=4)
+    params = mm.MrmParams.init(config, seed=16)
+    rng = np.random.default_rng(16)
+    seq = random_sequence(rng, 20, config)
+    times = seq.times()
+    first_ten = optimal_partition(times[:10], 8, 4)
+    gap = Partition(((0, 5), (6, 20)), (0.0, 0.0), 0.0)
+    for part in (first_ten, gap):
+        with pytest.raises(ValueError, match="do not cover"):
+            mm.forward(seq, params, config, partition=part)
+        with pytest.raises(ValueError, match="do not cover"):
+            mm.forward_batch([seq], params, config, [part])
+    # the partition of the events before truncation does not fit either
+    short = small_config()
+    assert len(seq) > short.capacity()
+    with pytest.raises(ValueError, match="do not cover"):
+        mm.forward(seq, mm.MrmParams.init(short, seed=16), short,
+                   partition=optimal_partition(times, 8, 4))
+
+
+def test_forward_batch_rejects_mrm_kind_with_plain_params():
+    config = small_config()
+    params = mm.MrmParams.init(config, seed=17, kind="plain_lstm")
+    seq = random_sequence(np.random.default_rng(17), 4, config)
+    with pytest.raises(mm.ConfigError):
+        mm.forward(seq, params, config)
+    with pytest.raises(mm.ConfigError):
+        mm.forward_batch([seq], params, config, kind="svm")
+
+
 def test_loss_values():
     assert abs(mm.loss(dc.Tensor(0.5), 1).item() - 0.6931471805599453) < 1e-12
     assert abs(mm.loss(dc.Tensor(0.5), 0).item() - 0.6931471805599453) < 1e-12
@@ -558,6 +655,17 @@ def test_loss_monotone_and_vanishing_at_truth():
 def test_loss_rejects_bad_label():
     with pytest.raises(ValueError):
         mm.loss(dc.Tensor(0.5), 2)
+    with pytest.raises(ValueError):
+        mm.loss(dc.Tensor([0.5, 0.5]), [1, 2])
+    with pytest.raises(dc.ShapeError):
+        mm.loss(dc.Tensor([0.5, 0.5, 0.5]), [0, 1])
+
+
+def test_loss_of_a_vector_is_the_mean_of_scalar_losses():
+    probs, labels = [0.2, 0.9, 0.5, 1.0], [0, 1, 1, 0]
+    mean = mm.loss(dc.Tensor(probs), labels).item()
+    singles = [mm.loss(dc.Tensor(p), y).item() for p, y in zip(probs, labels)]
+    assert abs(mean - np.mean(singles)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
