@@ -17,8 +17,8 @@ from .events import (ClinicalEvent, DatasetConfig, DatasetError, EventSequence,
 from .evalmetrics import (EvalReport, TrainConfig, TrainingDiverged,
                           average_precision, auc, train, train_lr_baseline)
 from .model import (ConfigError, MrmConfig, MrmParams, encode_events, forward,
-                    forward_batch, loss, neighborhood, plain_lstm_forward,
-                    sparse_attention, topk_mask)
+                    forward_batch, loss, plain_lstm_forward, sparse_attention,
+                    topk_mask)
 from .partition import (InfeasiblePartitionError, Partition, candidate_spans,
                         greedy_feasible, optimal_partition)
 from .syngen import SynthConfig, SynthConfigError, generate, label_oracle
@@ -31,7 +31,7 @@ __all__ = [
     "EvalReport", "TrainConfig", "TrainingDiverged", "average_precision",
     "auc", "train", "train_lr_baseline",
     "ConfigError", "MrmConfig", "MrmParams", "encode_events", "forward",
-    "forward_batch", "loss", "neighborhood", "plain_lstm_forward",
+    "forward_batch", "loss", "plain_lstm_forward",
     "sparse_attention", "topk_mask",
     "InfeasiblePartitionError", "Partition", "candidate_spans",
     "greedy_feasible", "optimal_partition",

@@ -21,9 +21,6 @@ from . import model as model_mod
 from . import syngen as syngen_mod
 from .partition import InfeasiblePartitionError, optimal_partition
 
-log = logging.getLogger("mrm.cli")
-
-
 class _UsageError(Exception):
     pass
 
@@ -75,14 +72,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip", type=float, default=5.0, help="gradient-norm clip")
     p.add_argument("--l2", type=float, default=1e-4, help="L2 penalty (lr model)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a dataset with a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--data-config", default=None)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("partition", help="minimax-span grouping of a times list")
@@ -186,8 +181,6 @@ def _stats_from_meta(meta_stats: dict) -> dict:
 
 
 def cmd_train(args) -> int:
-    if args.threads != 1:
-        log.debug("worker cap %d requested; execution is serial", args.threads)
     data_config = events_mod.load_sidecar_config(_sidecar_path(args))
     sequences = events_mod.load_dataset(args.data, data_config)
     splits = events_mod.split_dataset(sequences, seed=args.seed)

@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode differentiation and Adam.
 
-Deliberately small: only the operations the sequence model needs, each
-with an explicit backward rule. Graphs are built eagerly during the
-forward pass; a Tensor doubles as its graph node and is freed when the
+Deliberately small: only the operations the model and its baselines
+call, each with an explicit backward rule; attention, pooling and the
+LSTM are one fused op each. Graphs are built eagerly during the forward
+pass; a Tensor doubles as its graph node and is freed when the
 output goes out of scope. Everything is double precision so gradient
 checks against central finite differences are reliable.
 """
@@ -63,10 +64,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -110,22 +107,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # small amount of sugar; model code mostly calls the functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def _accum(t: Tensor, g: np.ndarray):
     if t.needs_grad:
@@ -166,16 +147,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _node(a.data + b.data, "add", (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-    return _node(a.data - b.data, "sub", (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -229,42 +200,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(ad @ bd, "matmul", (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-
-    def bwd(g):
-        _accum(a, g.T)
-    return _node(a.data.T.copy(), "transpose", (a,), bwd)
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat: no tensors given")
-    nd = parts[0].data.ndim
-    if any(p.data.ndim != nd for p in parts) or axis >= nd:
-        raise ShapeError(
-            f"concat: mixed ranks or bad axis {axis}: {[p.shape for p in parts]}")
-    widths = [p.shape[axis] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def bwd(g):
-        for p, o, w in zip(parts, offsets, widths):
-            piece = g[o:o + w] if axis == 0 else g[:, o:o + w]
-            _accum(p, piece)
-    return _node(np.concatenate([p.data for p in parts], axis=axis),
-                 "concat", tuple(parts), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        _accum(a, g * (1.0 - out * out))
-    return _node(out, "tanh", (a,), bwd)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
@@ -276,14 +211,6 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * out * (1.0 - out))
     return _node(out, "sigmoid", (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out)
-    return _node(out, "exp", (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -413,15 +340,17 @@ def _band(lo, hi):
     return np.where(valid, idx, lo[:, None]), valid
 
 
-def windowed_attention(x: Tensor, queries, keys, values, lo, hi, topk: int):
+def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int):
     """Multi-head attention of every row of x over a contiguous window of rows.
 
     Row i attends to the rows [lo[i], hi[i]); lo and hi must be
-    non-decreasing with lo[i] <= i < hi[i]. queries, keys and values hold
-    one (head_dim, d) weight per head. Per query and head only the topk
-    largest dot-product scores survive (ties go to the lowest row index),
-    the softmax runs over those and the value rows are summed with its
-    weights; head outputs are concatenated in head order.
+    non-decreasing with lo[i] <= i < hi[i]. w_qkv is the (3 * n_heads *
+    head_dim, d) stack of every head's query weight, then every key
+    weight, then every value weight, so one matmul projects x to
+    [Q | K | V]. Per query and head only the topk largest dot-product
+    scores survive (ties go to the lowest row index), the softmax runs
+    over those and the value rows are summed with its weights; head
+    outputs are concatenated in head order.
 
     Returns (out, weights): out is the (n, heads * head_dim) tensor and
     weights[i, h, w] the softmax weight of row lo[i] + w (exactly 0 when
@@ -431,17 +360,14 @@ def windowed_attention(x: Tensor, queries, keys, values, lo, hi, topk: int):
     a gather over the transposed band: the queries whose window holds row
     j are the contiguous range [a_j, b_j), because lo and hi are sorted.
     """
-    weight_list = (*queries, *keys, *values)
-    n_heads = len(queries)
-    head_dim = queries[0].shape[0]
-    if (len(keys) != n_heads or len(values) != n_heads
-            or any(w.shape != (head_dim, x.shape[1]) for w in weight_list)):
+    if (w_qkv.data.ndim != 2 or w_qkv.shape[1] != x.shape[1]
+            or w_qkv.shape[0] % (3 * n_heads)):
         raise ShapeError(f"windowed_attention: x {x.shape} does not match the "
-                         f"per-head weights {[w.shape for w in weight_list]}")
+                         f"stacked weight {w_qkv.shape} of {n_heads} heads")
+    head_dim = w_qkv.shape[0] // (3 * n_heads)
     n = x.shape[0]
     ha = n_heads * head_dim
-    w_all = np.concatenate([w.data for w in weight_list])  # (3 * ha, d)
-    proj = x.data @ w_all.T                                  # [Q | K | V]
+    proj = x.data @ w_qkv.data.T  # [Q | K | V]
     q = proj[:, :ha].reshape(n, n_heads, head_dim)
     idx, valid = _band(lo, hi)
     width = idx.shape[1]
@@ -477,50 +403,10 @@ def windowed_attention(x: Tensor, queries, keys, values, lo, hi, topk: int):
         dk = np.einsum("juh,juha->jha", ds_t, qg).reshape(n, ha)
         dv = np.einsum("juh,juha->jha", p_t, gg).reshape(n, ha)
         dproj = np.concatenate([dq, dk, dv], axis=1)
-        _accum(x, dproj @ w_all)
-        if any(w.needs_grad for w in weight_list):
-            dw_all = dproj.T @ x.data
-            for b, w in enumerate(weight_list):
-                _accum(w, dw_all[b * head_dim:(b + 1) * head_dim])
+        _accum(x, dproj @ w_qkv.data)
+        _accum(w_qkv, dproj.T @ x.data)
 
-    return _node(out, "windowed_attention", (x, *weight_list), bwd), p
-
-
-def masked_softmax(scores: Tensor, mask) -> Tensor:
-    """Softmax over the unmasked entries of a score vector.
-
-    Masked entries get weight exactly 0 (treated as -inf before the
-    softmax); the max is subtracted for stability.
-    """
-    m = np.asarray(mask, dtype=bool)
-    if scores.data.ndim != 1 or m.shape != scores.shape:
-        raise ShapeError(f"masked_softmax: scores {scores.shape} vs mask {m.shape}")
-    if not m.any():
-        raise ValueError("masked_softmax: every entry is masked")
-    s = np.where(m, scores.data, -np.inf)
-    e = np.exp(s - s.max())
-    out = e / e.sum()
-
-    def bwd(g):
-        _accum(scores, out * (g - float(np.dot(g, out))))
-    return _node(out, "masked_softmax", (scores,), bwd)
-
-
-def masked_softmax_rows(scores: Tensor, mask) -> Tensor:
-    """Row-wise masked softmax; every row needs at least one unmasked entry."""
-    m = np.asarray(mask, dtype=bool)
-    if scores.data.ndim != 2 or m.shape != scores.shape:
-        raise ShapeError(f"masked_softmax_rows: scores {scores.shape} vs mask {m.shape}")
-    if not m.any(axis=1).all():
-        raise ValueError("masked_softmax_rows: a row is fully masked")
-    s = np.where(m, scores.data, -np.inf)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        _accum(scores, out * (g - dot))
-    return _node(out, "masked_softmax_rows", (scores,), bwd)
+    return _node(out, "windowed_attention", (x, w_qkv), bwd), p
 
 
 # ---------------------------------------------------------------------------
@@ -704,5 +590,8 @@ def load_checkpoint(path):
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         meta = json.loads(str(f["__meta__"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: checkpoint metadata is a JSON "
+                             f"{type(meta).__name__}, not an object")
         arrays = {k: f[k] for k in f.files if not k.startswith("__")}
     return arrays, meta

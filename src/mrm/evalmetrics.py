@@ -263,17 +263,11 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
     weight = dc.Tensor(np.zeros(n_codes), requires_grad=True)
     bias = dc.Tensor(0.0, requires_grad=True)
     named = {"weight": weight, "bias": bias}
-    y_train = labels_by_split["train"].astype(np.float64)
 
     def batch_loss(indices):
         xb = dc.Tensor(fv["train"][indices])
-        yb = dc.Tensor(y_train[indices])
-        ones = dc.Tensor(np.ones(len(indices)))
-        p = dc.clip(dc.sigmoid(dc.add(dc.matmul(xb, weight), bias)),
-                    1e-7, 1.0 - 1e-7)
-        ce = dc.neg(dc.add(dc.mul(yb, dc.log(p)),
-                           dc.mul(dc.sub(ones, yb), dc.log(dc.sub(ones, p)))))
-        mean = dc.scale(dc.sum_all(ce), 1.0 / len(indices))
+        mean = mrm_model.loss(dc.sigmoid(dc.add(dc.matmul(xb, weight), bias)),
+                              labels_by_split["train"][indices])
         if l2 > 0:
             mean = dc.add(mean, dc.scale(dc.sum_all(dc.mul(weight, weight)), l2))
         return mean

@@ -67,20 +67,25 @@ def _glorot(rng, out_dim: int, in_dim: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(out_dim, in_dim))
 
 
+_ROLES = ("query", "key", "value")  # block order of the stacked attention weight
+
+
 class MrmParams:
     """All learnable weights, addressable by flat name for the optimizer
-    and checkpointing. kind is "mrm" or "plain_lstm" (no attention heads)."""
+    and checkpointing. kind is "mrm" or "plain_lstm" (no attention).
+    from_arrays also loads the per-head head{h}.{query,key,value}_weight
+    arrays of older checkpoints by stacking them."""
 
     def __init__(self, kind, code_embedding, cat_embedding, num_projection,
-                 query_weights, key_weights, value_weights,
-                 lstm_w_input, lstm_w_hidden, lstm_bias, out_weight, out_bias):
+                 attention, lstm_w_input, lstm_w_hidden, lstm_bias, out_weight,
+                 out_bias):
         self.kind = kind
         self.code_embedding = code_embedding
         self.cat_embedding = cat_embedding
         self.num_projection = num_projection
-        self.query_weights = query_weights    # per head, (head_dim, model_dim)
-        self.key_weights = key_weights
-        self.value_weights = value_weights
+        # (3 * n_heads * head_dim, model_dim): every head's query weight,
+        # then every key weight, then every value weight; None for plain_lstm
+        self.attention = attention
         self.lstm_w_input = lstm_w_input      # (4H, model_dim), gate order i,f,g,o
         self.lstm_w_hidden = lstm_w_hidden    # (4H, H)
         self.lstm_bias = lstm_bias            # (4H,), forget slice starts at 1.0
@@ -102,12 +107,14 @@ class MrmParams:
         code_embedding = emb(config.n_codes)
         cat_embedding = emb(config.n_features)
         num_projection = emb(config.n_features)
-        queries, keys, values = [], [], []
+        attention = None
         if kind == "mrm":
-            for _ in range(config.n_heads):
-                queries.append(dc.Tensor(_glorot(rng, config.head_dim, d), requires_grad=True))
-                keys.append(dc.Tensor(_glorot(rng, config.head_dim, d), requires_grad=True))
-                values.append(dc.Tensor(_glorot(rng, config.head_dim, d), requires_grad=True))
+            # drawn head by head (query, key, value), then stacked by role
+            heads = [[_glorot(rng, config.head_dim, d) for _ in _ROLES]
+                     for _ in range(config.n_heads)]
+            attention = dc.Tensor(np.concatenate([w for role in zip(*heads)
+                                                  for w in role]),
+                                  requires_grad=True)
         lstm_w_input = dc.Tensor(_glorot(rng, 4 * h, d), requires_grad=True)
         lstm_w_hidden = dc.Tensor(_glorot(rng, 4 * h, h), requires_grad=True)
         bias = np.zeros(4 * h)
@@ -117,8 +124,8 @@ class MrmParams:
                                requires_grad=True)
         out_bias = dc.Tensor(0.0, requires_grad=True)
         return cls(kind, code_embedding, cat_embedding, num_projection,
-                   queries, keys, values, lstm_w_input, lstm_w_hidden,
-                   lstm_bias, out_weight, out_bias)
+                   attention, lstm_w_input, lstm_w_hidden, lstm_bias,
+                   out_weight, out_bias)
 
     def named(self) -> dict:
         out = {
@@ -126,10 +133,8 @@ class MrmParams:
             "cat_embedding": self.cat_embedding,
             "num_projection": self.num_projection,
         }
-        for i in range(len(self.query_weights)):
-            out[f"head{i}.query_weight"] = self.query_weights[i]
-            out[f"head{i}.key_weight"] = self.key_weights[i]
-            out[f"head{i}.value_weight"] = self.value_weights[i]
+        if self.attention is not None:
+            out["attention.qkv"] = self.attention
         out["lstm.w_input"] = self.lstm_w_input
         out["lstm.w_hidden"] = self.lstm_w_hidden
         out["lstm.bias"] = self.lstm_bias
@@ -142,6 +147,7 @@ class MrmParams:
 
     @classmethod
     def from_arrays(cls, arrays: dict, config: MrmConfig, kind: str = "mrm"):
+        arrays = cls._stack_legacy_heads(arrays, config)
         fresh = cls.init(config, seed=0, kind=kind)
         named = fresh.named()
         missing = set(named) - set(arrays)
@@ -156,6 +162,24 @@ class MrmParams:
                                   f"expected {t.data.shape}")
             t.data = arr.copy()
         return fresh
+
+    @staticmethod
+    def _stack_legacy_heads(arrays: dict, config: MrmConfig) -> dict:
+        """Replace per-head head{h}.{query,key,value}_weight arrays by their
+        attention.qkv stack; arrays without them are returned as they are."""
+        legacy = {name for name in arrays if name.startswith("head")}
+        if not legacy or "attention.qkv" in arrays:
+            return arrays
+        names = [f"head{h}.{role}_weight" for role in _ROLES
+                 for h in range(config.n_heads)]
+        shape = (config.head_dim, config.model_dim)
+        if legacy != set(names) or any(np.shape(arrays[n]) != shape for n in names):
+            raise ConfigError(f"checkpoint per-head attention arrays "
+                              f"{sorted(legacy)} do not match N_h = "
+                              f"{config.n_heads} heads of shape {shape}")
+        stacked = {name: arr for name, arr in arrays.items() if name not in legacy}
+        stacked["attention.qkv"] = np.concatenate([arrays[name] for name in names])
+        return stacked
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +236,6 @@ def neighborhood_bounds(times, window_hours: float):
     return lo, hi
 
 
-def neighborhood(i: int, times, window_hours: float) -> range:
-    """Index range of events within window_hours of event i."""
-    lo, hi = neighborhood_bounds(times, window_hours)
-    return range(int(lo[i]), int(hi[i]))
-
-
 def topk_mask(scores, topk: int) -> np.ndarray:
     """Boolean mask keeping the min(topk, n) largest scores.
 
@@ -252,8 +270,8 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
     lo, hi = neighborhood_bounds(times, config.window_hours)
-    out, band = dc.windowed_attention(x, params.query_weights, params.key_weights,
-                                      params.value_weights, lo, hi, config.topk)
+    out, band = dc.windowed_attention(x, params.attention, config.n_heads,
+                                      lo, hi, config.topk)
     if not return_weights:
         return out
     cols = lo[:, None] + np.arange(band.shape[2])

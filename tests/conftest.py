@@ -39,6 +39,25 @@ def rel_err(analytic, numeric, floor=1e-6):
     return float(np.abs(a - f).max(initial=0.0) / denom)
 
 
+def param_rel_err(name, analytic, numeric, n_heads):
+    """rel_err of one parameter's gradient. The stacked attention weight
+    is checked per head and role, each block against its own scale, as
+    when every block was a tensor of its own."""
+    if name != "attention.qkv":
+        return rel_err(analytic, numeric)
+    return max(rel_err(a, f) for a, f in zip(np.split(analytic, 3 * n_heads),
+                                             np.split(numeric, 3 * n_heads)))
+
+
+def head_weights(qkv, n_heads, h):
+    """Head h's (query, key, value) weights, each (head_dim, d), sliced
+    from the stacked (3 * n_heads * head_dim, d) attention array."""
+    queries, keys, values = np.split(np.asarray(qkv), 3)
+    head_dim = queries.shape[0] // n_heads
+    rows = slice(h * head_dim, (h + 1) * head_dim)
+    return queries[rows], keys[rows], values[rows]
+
+
 @pytest.fixture
 def fd_grads():
     return finite_difference_gradients
@@ -58,8 +77,9 @@ def _selection_margins_ok(seq, params, config, margin):
         times = seq.times()
         lo, hi = model_mod.neighborhood_bounds(times, config.window_hours)
         for h in range(config.n_heads):
-            q = x.data @ params.query_weights[h].data.T
-            k = x.data @ params.key_weights[h].data.T
+            wq, wk, _ = head_weights(params.attention.data, config.n_heads, h)
+            q = x.data @ wq.T
+            k = x.data @ wk.T
             scores = q @ k.T
             for i in range(len(times)):
                 window = np.sort(scores[i, lo[i]:hi[i]])[::-1]

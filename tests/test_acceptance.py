@@ -14,7 +14,8 @@ from mrm import model as mm
 from mrm import syngen
 from mrm.partition import InfeasiblePartitionError, optimal_partition
 
-from conftest import finite_difference_gradients, rel_err, tie_avoided_instance
+from conftest import (finite_difference_gradients, head_weights, param_rel_err,
+                      tie_avoided_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ def test_criterion_1_gradient_suite(acceptance):
             numeric = finite_difference_gradients(loss_value, named, h=1e-5)
             for name, t in named.items():
                 analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-                err = rel_err(analytic, numeric[name])
+                err = param_rel_err(name, analytic, numeric[name], config.n_heads)
                 worst = max(worst, err)
                 assert err < 1e-4, f"seed {seed}, tensor {name}: rel err {err:.2e}"
         elapsed = time.perf_counter() - started
@@ -150,9 +151,7 @@ def _oracle_attention(x, times, arrays, config):
               if abs(times[j] - times[i]) <= config.window_hours]
         heads = []
         for h in range(config.n_heads):
-            wq = arrays[f"head{h}.query_weight"]
-            wk = arrays[f"head{h}.key_weight"]
-            wv = arrays[f"head{h}.value_weight"]
+            wq, wk, wv = head_weights(arrays["attention.qkv"], config.n_heads, h)
             q = wq @ x[i]
             scores = np.array([q @ (wk @ x[j]) for j in ne])
             order = sorted(range(len(ne)), key=lambda k: (-scores[k], k))
@@ -347,6 +346,7 @@ def test_criterion_7_pipeline_invariants(acceptance):
         # outside the window of i
         params = mm.MrmParams.init(config, seed=77)
         times = np.array([0.0, 0.2, 0.4, 1.5, 1.8, 4.0, 4.1])
+        lo, hi = mm.neighborhood_bounds(times, config.window_hours)
         x_base = rng.normal(size=(7, config.model_dim))
         v_base = mm.sparse_attention(dc.Tensor(x_base), times, params, config).data
         for j in range(7):
@@ -354,7 +354,7 @@ def test_criterion_7_pipeline_invariants(acceptance):
             bumped[j] += 1e-5 * rng.normal(size=config.model_dim)
             v_new = mm.sparse_attention(dc.Tensor(bumped), times, params, config).data
             for i in range(7):
-                if j not in mm.neighborhood(i, times, config.window_hours):
+                if not lo[i] <= j < hi[i]:
                     assert np.max(np.abs(v_new[i] - v_base[i])) <= 1e-14
 
         # head-dimension invariant is enforced

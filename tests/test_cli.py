@@ -250,6 +250,44 @@ def test_checkpoint_missing_metadata_is_runtime_error(tmp_path, dataset, capsys,
     assert "checkpoint metadata" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", [[1, 2], "x"])
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+def test_checkpoint_metadata_that_is_no_object_is_runtime_error(
+        tmp_path, dataset, capsys, meta, command):
+    ckpt = tmp_path / "bare.npz"
+    dc.save_checkpoint(ckpt, {"weight": np.zeros(12)}, meta)
+    args = [command, "--data", str(dataset), "--ckpt", str(ckpt)]
+    if command == "inspect":
+        args += ["--index", "0"]
+    assert cli.main(args) == 2
+    assert "not an object" in capsys.readouterr().err
+
+
+def test_evaluate_legacy_per_head_checkpoint(tmp_path, dataset, capsys):
+    # the per-head attention arrays of older checkpoints score identically;
+    # a head count that does not match the metadata exits 2
+    ckpt = tmp_path / "model.npz"
+    assert cli.main(train_args(dataset, ckpt)) == 0
+    capsys.readouterr()
+    evaluate = ["evaluate", "--data", str(dataset), "--ckpt"]
+    assert cli.main(evaluate + [str(ckpt)]) == 0
+    printed = capsys.readouterr().out
+    arrays, meta = dc.load_checkpoint(ckpt)
+    queries, keys, values = np.split(arrays.pop("attention.qkv"), 3)
+    for role, stack in (("query", queries), ("key", keys), ("value", values)):
+        for h, w in enumerate(np.split(stack, 2)):
+            arrays[f"head{h}.{role}_weight"] = w
+    legacy = tmp_path / "legacy.npz"
+    dc.save_checkpoint(legacy, arrays, meta)
+    assert cli.main(evaluate + [str(legacy)]) == 0
+    assert capsys.readouterr().out == printed
+    del arrays["head1.query_weight"], arrays["head1.key_weight"]
+    del arrays["head1.value_weight"]
+    dc.save_checkpoint(legacy, arrays, meta)
+    assert cli.main(evaluate + [str(legacy)]) == 2
+    assert "N_h = 2" in capsys.readouterr().err
+
+
 def test_evaluate_non_checkpoint_archive_is_runtime_error(tmp_path, dataset, capsys):
     path = tmp_path / "plain.npz"
     np.savez(path, weight=np.zeros(3))

@@ -43,39 +43,6 @@ def test_sigmoid_extreme_inputs_stable():
     assert out.data[0] == 0.0 and out.data[1] == 1.0
 
 
-def test_masked_softmax_symmetry():
-    out = dc.masked_softmax(t([1.0, 1.0]), [True, True])
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
-
-
-def test_masked_softmax_single_survivor():
-    out = dc.masked_softmax(t([5.0, 0.0]), [True, False])
-    assert out.data[0] == 1.0 and out.data[1] == 0.0
-
-
-def test_masked_softmax_hand_computed():
-    # softmax(1,2,3), computed independently from the definition
-    out = dc.masked_softmax(t([1.0, 2.0, 3.0]), [True, True, True])
-    assert np.allclose(out.data, [0.0900, 0.2447, 0.6652], atol=1e-4)
-    assert abs(out.data.sum() - 1.0) < 1e-12
-
-
-def test_masked_softmax_all_masked_rejected():
-    with pytest.raises(ValueError):
-        dc.masked_softmax(t([1.0, 2.0]), [False, False])
-
-
-def test_masked_softmax_rows_matches_vector_op():
-    rng = np.random.default_rng(0)
-    s = rng.normal(size=(5, 7))
-    mask = rng.random((5, 7)) < 0.6
-    mask[:, 0] = True  # keep every row alive
-    rows = dc.masked_softmax_rows(t(s), mask)
-    for i in range(5):
-        one = dc.masked_softmax(t(s[i]), mask[i])
-        assert np.allclose(rows.data[i], one.data, atol=1e-15)
-
-
 def test_maxpool_rows_coordinatewise():
     out = dc.maxpool_rows(t([[1.0, 5.0], [3.0, 2.0]]))
     assert np.array_equal(out.data, [3.0, 5.0])
@@ -164,35 +131,35 @@ def test_row_bias_broadcast_backward():
 
 
 def _random_composite(seed):
-    """A small randomly-shaped pipeline exercising most operations."""
+    """A small randomly-shaped pipeline through every elementwise,
+    linear-algebra, indexing and pooling op."""
     rng = np.random.default_rng(seed)
     params = {
         "A": dc.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "B": dc.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
         "w": dc.Tensor(rng.normal(size=3), requires_grad=True),
         "b": dc.Tensor(rng.normal(size=3), requires_grad=True),
+        "c": dc.Tensor(rng.normal(), requires_grad=True),
         "T": dc.Tensor(rng.normal(size=(5, 3)), requires_grad=True),
     }
     idx = rng.integers(0, 5, size=4)
     seg = np.sort(rng.integers(0, 3, size=4))
     factors = rng.normal(size=4)
-    mask = np.array([True, True, False])
 
     def forward():
-        A, B, w, b, T = (params[k] for k in "ABwbT")
-        m = dc.matmul(A, B)                      # 3x3
-        m = dc.add(m, b)                         # row bias
-        m = dc.tanh(m)
-        v = dc.matmul(m, w)                      # 3-vector
-        v = dc.masked_softmax(v, mask)
-        g = dc.gather_rows(T, idx)               # 4x3
+        A, B, w, b, c, T = (params[k] for k in "ABwbcT")
+        m = dc.sigmoid(dc.add(dc.matmul(A, B), b))   # 3x3, row bias
+        v = dc.add(dc.matmul(m, w), c)               # (m,k)@(k,), scalar bias
+        u = dc.matmul(w, m)                          # (k,)@(k,n)
+        g = dc.gather_rows(T, idx)                   # 4x3
         g = dc.scale_rows(g, factors)
-        s = dc.segment_sum(g, seg, 3)            # 3x3
-        pooled = dc.maxpool_rows(dc.sigmoid(s))  # 3-vector
-        mixed = dc.concat([dc.mul(v, pooled), dc.exp(dc.scale(w, 0.1))])
-        top = dc.matmul(dc.transpose(A), dc.slice_rows(m, 0, 3))  # 4x3
-        total = dc.add(dc.sum_all(mixed), dc.sum_all(dc.log(dc.add(dc.mul(top, top), dc.Tensor(np.ones((4, 3)))))))
-        return total
+        s = dc.segment_sum(g, seg, 3)                # 3x3
+        pooled = dc.maxpool_rows(dc.slice_rows(s, 1, 3))  # 3-vector
+        grouped = dc.group_maxpool(s, [0, 2])        # 2x3
+        mixed = dc.clip(dc.mul(dc.add(v, u), pooled), -0.5, 0.5)
+        squares = dc.add(dc.mul(grouped, grouped), dc.Tensor(np.ones((2, 3))))
+        total = dc.add(dc.sum_all(mixed), dc.scale(dc.sum_all(dc.log(squares)), 0.5))
+        return dc.add(total, dc.neg(dc.matmul(w, v)))  # (k,)@(k,)
 
     return params, forward
 

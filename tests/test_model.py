@@ -6,6 +6,8 @@ from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
+from conftest import head_weights, param_rel_err
+
 
 def small_config(**overrides):
     base = dict(n_codes=12, n_features=6, max_features=3, model_dim=8,
@@ -60,9 +62,7 @@ def oracle_attention(x, times, arrays, config):
               if abs(times[j] - times[i]) <= config.window_hours]
         heads = []
         for h in range(config.n_heads):
-            wq = arrays[f"head{h}.query_weight"]
-            wk = arrays[f"head{h}.key_weight"]
-            wv = arrays[f"head{h}.value_weight"]
+            wq, wk, wv = head_weights(arrays["attention.qkv"], config.n_heads, h)
             q = wq @ x[i]
             scores = np.array([q @ (wk @ x[j]) for j in ne])
             order = sorted(range(len(ne)), key=lambda k: (-scores[k], k))
@@ -142,9 +142,10 @@ def dense_reference_attention(x, times, params, config):
     lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     heads, weights = [], []
     for h in range(config.n_heads):
-        q = x @ params.query_weights[h].data.T
-        k = x @ params.key_weights[h].data.T
-        v = x @ params.value_weights[h].data.T
+        wq, wk, wv = head_weights(params.attention.data, config.n_heads, h)
+        q = x @ wq.T
+        k = x @ wk.T
+        v = x @ wv.T
         scores = q @ k.T
         mask = np.zeros((n, n), dtype=bool)
         for i in range(n):
@@ -187,6 +188,57 @@ def test_params_from_arrays_rejects_mismatch():
     del arrays["output.bias"]
     with pytest.raises(mm.ConfigError):
         mm.MrmParams.from_arrays(arrays, config)
+
+
+def legacy_arrays(config, seed):
+    """The arrays an older checkpoint holds for MrmParams.init(config, seed):
+    one head{h}.{query,key,value}_weight array per head and role, drawn
+    after the three embeddings in head order, query then key then value."""
+    arrays = mm.MrmParams.init(config, seed=seed).arrays()
+    del arrays["attention.qkv"]
+    rng = np.random.default_rng(seed)
+    d = config.model_dim
+    for n in (config.n_codes, config.n_features, config.n_features):
+        rng.normal(0.0, 1.0 / np.sqrt(d), size=(n, d))
+    a = np.sqrt(6.0 / (config.head_dim + d))
+    for h in range(config.n_heads):
+        for role in ("query", "key", "value"):
+            arrays[f"head{h}.{role}_weight"] = rng.uniform(
+                -a, a, size=(config.head_dim, d))
+    return arrays
+
+
+def test_params_load_legacy_per_head_arrays_bit_equal():
+    rng = np.random.default_rng(18)
+    for config in (small_config(), small_config(n_heads=1, head_dim=8)):
+        params = mm.MrmParams.init(config, seed=18)
+        arrays = legacy_arrays(config, 18)
+        legacy = mm.MrmParams.from_arrays(arrays, config)
+        assert list(legacy.named()) == list(params.named())
+        assert np.array_equal(legacy.attention.data, params.attention.data)
+        for h in range(config.n_heads):
+            wq, wk, wv = head_weights(legacy.attention.data, config.n_heads, h)
+            assert np.array_equal(wq, arrays[f"head{h}.query_weight"])
+            assert np.array_equal(wk, arrays[f"head{h}.key_weight"])
+            assert np.array_equal(wv, arrays[f"head{h}.value_weight"])
+        for _ in range(5):
+            seq = random_sequence(rng, int(rng.integers(1, 16)), config)
+            assert (mm.forward(seq, legacy, config)[0].item()
+                    == mm.forward(seq, params, config)[0].item())
+
+
+def test_params_reject_legacy_heads_that_do_not_match_the_config():
+    config = small_config()
+    arrays = legacy_arrays(config, 19)
+    with pytest.raises(mm.ConfigError, match="N_h"):
+        mm.MrmParams.from_arrays(arrays, small_config(n_heads=4, head_dim=2))
+    missing = dict(arrays)
+    del missing["head1.value_weight"]
+    with pytest.raises(mm.ConfigError, match="N_h"):
+        mm.MrmParams.from_arrays(missing, config)
+    misshapen = dict(arrays, **{"head0.key_weight": np.zeros((3, 8))})
+    with pytest.raises(mm.ConfigError, match="N_h"):
+        mm.MrmParams.from_arrays(misshapen, config)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +285,20 @@ def test_encode_rejects_out_of_range_code():
 # neighborhood and top-k
 
 
+def neighbors(i, times, window_hours):
+    lo, hi = mm.neighborhood_bounds(times, window_hours)
+    return set(range(lo[i], hi[i]))
+
+
 def test_neighborhood_window_example():
-    assert set(mm.neighborhood(0, [0.0, 0.4, 2.0], 0.5)) == {0, 1}
+    assert neighbors(0, [0.0, 0.4, 2.0], 0.5) == {0, 1}
 
 
 def test_neighborhood_always_contains_self():
     rng = np.random.default_rng(1)
     times = np.sort(rng.uniform(0, 10, size=30))
     for i in range(30):
-        assert i in mm.neighborhood(i, times, 0.25)
+        assert i in neighbors(i, times, 0.25)
 
 
 def test_neighborhood_matches_brute_scan():
@@ -252,7 +309,7 @@ def test_neighborhood_matches_brute_scan():
         window = float(rng.choice([0.1, 0.5, 1.0]))
         i = int(rng.integers(0, n))
         brute = {j for j in range(n) if abs(times[j] - times[i]) <= window}
-        assert set(mm.neighborhood(i, times, window)) == brute
+        assert neighbors(i, times, window) == brute
 
 
 def test_topk_mask_selects_largest():
@@ -286,8 +343,8 @@ def test_attention_single_event_is_value_projection():
     seq = EventSequence("p", 0, [ClinicalEvent(3, 1.0, [], [])])
     x = mm.encode_events(seq, params, config)
     v = mm.sparse_attention(x, seq.times(), params, config)
-    expected = np.concatenate([params.value_weights[h].data @ x.data[0]
-                               for h in range(config.n_heads)])
+    expected = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
+                               @ x.data[0] for h in range(config.n_heads)])
     assert np.allclose(v.data[0], expected, atol=1e-12)
 
 
@@ -301,8 +358,8 @@ def test_attention_identical_neighbors_share_weight_equally():
                                      return_weights=True)
     for w in weights:
         assert np.allclose(w, 0.5, atol=1e-12)
-    single = np.concatenate([params.value_weights[h].data @ x.data[0]
-                             for h in range(config.n_heads)])
+    single = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
+                             @ x.data[0] for h in range(config.n_heads)])
     assert np.allclose(v.data[0], single, atol=1e-12)
     assert np.allclose(v.data[1], single, atol=1e-12)
 
@@ -361,8 +418,8 @@ def _topk_margin(x, times, params, config):
     lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     gap = np.inf
     for h in range(config.n_heads):
-        scores = ((x @ params.query_weights[h].data.T)
-                  @ (x @ params.key_weights[h].data.T).T)
+        wq, wk, _ = head_weights(params.attention.data, config.n_heads, h)
+        scores = (x @ wq.T) @ (x @ wk.T).T
         for i in range(len(times)):
             window = np.sort(scores[i, lo[i]:hi[i]])[::-1]
             if window.size > config.topk:
@@ -394,7 +451,7 @@ def test_attention_exact_ties_keep_lowest_index():
     assert tied == 20
 
 
-def test_attention_backward_matches_finite_differences(fd_grads, grad_rel_err):
+def test_attention_backward_matches_finite_differences(fd_grads):
     # windows of about 10 events against topk = 2, so the backward of the
     # kept-set softmax and of the dropped neighbors is exercised everywhere
     config = small_config(window_hours=1.0)
@@ -410,8 +467,7 @@ def test_attention_backward_matches_finite_differences(fd_grads, grad_rel_err):
         lo, hi = mm.neighborhood_bounds(times, config.window_hours)
         assert np.mean(hi - lo > config.topk) > 0.8
         probe = rng.normal(size=(n, config.model_dim))
-        named = {"x": x, **{k: t for k, t in params.named().items()
-                            if k.startswith("head")}}
+        named = {"x": x, "attention.qkv": params.attention}
 
         def loss_value():
             out = mm.sparse_attention(x, times, params, config)
@@ -422,7 +478,8 @@ def test_attention_backward_matches_finite_differences(fd_grads, grad_rel_err):
         numeric = fd_grads(loss_value, named)
         for name, t in named.items():
             assert t.grad is not None, name
-            assert grad_rel_err(t.grad, numeric[name]) < 1e-6, name
+            assert param_rel_err(name, t.grad, numeric[name],
+                                 config.n_heads) < 1e-6, name
         checked += 1
         if checked == 3:
             break
@@ -440,13 +497,14 @@ def test_attention_locality_outside_window():
     x = mm.encode_events(seq, params, config)
     base_x = dc.Tensor(x.data.copy())
     base_v = mm.sparse_attention(base_x, times, params, config).data
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     for j in range(len(times)):
         for h_step in (1e-5, 1e-2):
             bumped = dc.Tensor(base_x.data.copy())
             bumped.data[j] += h_step * rng.normal(size=config.model_dim)
             v2 = mm.sparse_attention(bumped, times, params, config).data
             for i in range(len(times)):
-                if j not in mm.neighborhood(i, times, config.window_hours):
+                if not lo[i] <= j < hi[i]:
                     assert np.max(np.abs(v2[i] - base_v[i])) <= 1e-14
 
 
@@ -461,8 +519,8 @@ def test_forward_single_event_matches_manual_pipeline():
     y_hat, diag = mm.forward(seq, params, config)
     assert diag["n_groups"] == 1
     arrays = params.arrays()
-    g = np.concatenate([arrays[f"head{h}.value_weight"] @ oracle_encode(seq, arrays)[0]
-                        for h in range(config.n_heads)])
+    g = np.concatenate([head_weights(arrays["attention.qkv"], config.n_heads, h)[2]
+                        @ oracle_encode(seq, arrays)[0] for h in range(config.n_heads)])
     h, _ = oracle_lstm_step(g, np.zeros(8), np.zeros(8), arrays)
     expected = sig(arrays["output.weight"] @ h + arrays["output.bias"])
     assert 0.0 < y_hat.item() < 1.0
@@ -672,8 +730,7 @@ def test_loss_of_a_vector_is_the_mean_of_scalar_losses():
 # gradients
 
 
-def test_end_to_end_gradients_match_finite_differences(make_instance, fd_grads,
-                                                       grad_rel_err):
+def test_end_to_end_gradients_match_finite_differences(make_instance, fd_grads):
     for seed in (0, 1):
         seq, params, config = make_instance(seed)
         named = params.named()
@@ -690,7 +747,8 @@ def test_end_to_end_gradients_match_finite_differences(make_instance, fd_grads,
                     for name, t in named.items()}
         numeric = fd_grads(loss_value, named)
         for name in named:
-            assert grad_rel_err(analytic[name], numeric[name]) < 1e-4, name
+            assert param_rel_err(name, analytic[name], numeric[name],
+                                 config.n_heads) < 1e-4, name
 
 
 def test_plain_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
