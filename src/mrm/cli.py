@@ -337,7 +337,7 @@ def cmd_inspect(args) -> int:
     sequences = events_mod.load_dataset(args.data, data_config)
     if args.index is None:
         lengths = np.array([len(s) for s in sequences])
-        durations = np.array([s.events[-1].t - s.events[0].t for s in sequences])
+        durations = np.array([s.times()[-1] - s.times()[0] for s in sequences])
         n_pos = sum(s.label for s in sequences)
         print(f"n_sequences = {len(sequences)}")
         print(f"positives = {n_pos}/{len(sequences)}")
@@ -352,8 +352,8 @@ def cmd_inspect(args) -> int:
     print(f"patient_id = {seq.patient_id}")
     print(f"label = {seq.label}")
     print(f"n_events = {len(seq)}")
-    print(f"t_first = {seq.events[0].t!r}")
-    print(f"t_last = {seq.events[-1].t!r}")
+    print(f"t_first = {float(seq.times()[0])!r}")
+    print(f"t_last = {float(seq.times()[-1])!r}")
     if args.ckpt:
         arrays, meta, kind = _load_checkpoint_model(args.ckpt)
         _check_dataset_match(meta, data_config, args.ckpt)

@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation and Adam.
 
 Deliberately small: only the operations the model and its baselines
-call, each with an explicit backward rule; attention, pooling and the
-LSTM are one fused op each. Graphs are built eagerly during the forward
-pass; a Tensor doubles as its graph node and is freed when the
-output goes out of scope. Everything is double precision so gradient
+call, each with an explicit backward rule; event encoding, attention,
+pooling and the LSTM are one fused op each. Graphs are built eagerly
+during the forward pass; a Tensor doubles as its graph node and is freed
+when the output goes out of scope. Everything is double precision so gradient
 checks against central finite differences are reliable.
 """
 
@@ -131,15 +131,11 @@ def _node(value, op: str, parents, backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for equal shapes, or any a plus a scalar b."""
     if a.shape == b.shape:
         def bwd(g):
             _accum(a, g)
             _accum(b, g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        # matrix plus row bias, the only broadcast supported
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
     elif b.data.ndim == 0:
         def bwd(g):
             _accum(a, g)
@@ -174,35 +170,21 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for the four shape combinations in use.
-
-    (m,k)@(k,n)->(m,n); (m,k)@(k,)->(m,); (k,)@(k,n)->(n,); (k,)@(k,)->().
-    """
+    """Matrix-vector product (m,k)@(k,)->(m,), the only shape in use."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0]:
-        def bwd(g):
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-        def bwd(g):
-            _accum(a, np.outer(g, bd))
-            _accum(b, ad.T @ g)
-    elif ad.ndim == 1 and bd.ndim == 2 and ad.shape[0] == bd.shape[0]:
-        def bwd(g):
-            _accum(a, bd @ g)
-            _accum(b, np.outer(ad, g))
-    elif ad.ndim == 1 and bd.ndim == 1 and ad.shape == bd.shape:
-        def bwd(g):
-            _accum(a, g * bd)
-            _accum(b, g * ad)
-    else:
+    if not (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+
+    def bwd(g):
+        _accum(a, np.outer(g, bd))
+        _accum(b, ad.T @ g)
     return _node(ad @ bd, "matmul", (a, b), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    d = 1.0 + z
+    return np.where(x >= 0, 1.0 / d, z / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -238,39 +220,50 @@ def sum_all(a: Tensor) -> Tensor:
 # indexing / pooling
 
 
-def gather_rows(table: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
+def embed(n_rows: int, lookups) -> Tensor:
+    """Sums of weighted table rows, as one (n_rows, d) node.
+
+    lookups is a sequence of (table, ids, rows, weights): entry k of a
+    lookup adds weights[k] * table[ids[k]] to output row rows[k]. rows None
+    means entry k goes to row k (then ids has n_rows entries); weights None
+    means 1. Each lookup is summed into its own block and the blocks are
+    added in order. Backward is one np.add.at per table.
+    """
+    out = None
+    terms = []
+    for table, ids, rows, weights in lookups:
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size == 0:
+            continue
+        vals = table.data[ids]
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)[:, None]
+            vals = vals * weights
+        if rows is None:
+            if ids.shape[0] != n_rows:
+                raise ShapeError(f"embed: {ids.shape[0]} ids for {n_rows} rows")
+            block = vals
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.shape != ids.shape:
+                raise ShapeError(f"embed: {rows.shape[0]} rows for {ids.shape[0]} ids")
+            block = np.zeros((n_rows, table.shape[1]))
+            np.add.at(block, rows, vals)
+        out = block if out is None else out + block
+        terms.append((table, ids, rows, weights))
+    if out is None:
+        raise ShapeError("embed: no lookup has any entries")
 
     def bwd(g):
-        if table.needs_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            _accum(table, gt)
-    return _node(table.data[idx], "gather_rows", (table,), bwd)
-
-
-def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Sum rows of x into n_segments buckets given per-row bucket ids."""
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape[0] != x.shape[0]:
-        raise ShapeError(f"segment_sum: {seg.shape[0]} ids for {x.shape[0]} rows")
-    out = np.zeros((n_segments,) + x.shape[1:])
-    np.add.at(out, seg, x.data)
-
-    def bwd(g):
-        _accum(x, g[seg])
-    return _node(out, "segment_sum", (x,), bwd)
-
-
-def scale_rows(x: Tensor, row_factors) -> Tensor:
-    """Multiply each row of x by a constant (non-differentiated) factor."""
-    f = np.asarray(row_factors, dtype=np.float64)
-    if f.shape != (x.shape[0],):
-        raise ShapeError(f"scale_rows: {f.shape} factors for {x.shape} rows")
-
-    def bwd(g):
-        _accum(x, g * f[:, None])
-    return _node(x.data * f[:, None], "scale_rows", (x,), bwd)
+        for table, ids, rows, weights in terms:
+            if table.needs_grad:
+                g_ids = g if rows is None else g[rows]
+                if weights is not None:
+                    g_ids = g_ids * weights
+                gt = np.zeros_like(table.data)
+                np.add.at(gt, ids, g_ids)
+                _accum(table, gt)
+    return _node(out, "embed", tuple(t for t, *_ in terms), bwd)
 
 
 def slice_rows(x: Tensor, start: int, end: int) -> Tensor:
@@ -413,90 +406,102 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
 # recurrence
 
 
-def lstm(xs, w_input: Tensor, w_hidden: Tensor, bias: Tensor) -> Tensor:
+def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
+         bias: Tensor) -> Tensor:
     """An LSTM over a batch of sequences -> their (B, H) last hidden states.
 
-    xs is a list of B tensors of shape (T_b, d), T_b >= 1, each run from a
-    zero hidden and cell state; result rows follow the order of xs. The
-    gate pre-activations of a step are w_input @ x_t + w_hidden @ h + bias
-    with w_input (4H, d), w_hidden (4H, H), bias (4H,) and gate order
-    i, f, g, o.
+    Sequence b is the rows [offsets[b], offsets[b + 1]) of the (N, d)
+    tensor x, at least one row each, run from a zero hidden and cell
+    state; result rows follow the order of the sequences. The gate
+    pre-activations of a step are w_input @ x_t + w_hidden @ h + bias with
+    w_input (4H, d), w_hidden (4H, H), bias (4H,) and gate order i, f, g, o.
 
-    The sequences are packed longest first into a zero-padded time-major
-    (T, B, d) block, so the rows still running at step t are a prefix of
-    n_t rows. The input projection of every step is one matmul; each step
-    then adds one (n_t, H) @ (H, 4H) product. Backward is backprop through
-    time over the same prefixes. Padded rows get zero gradient, so each
-    weight gradient is one matmul over the T * B flattened rows.
+    The input projection of all N rows is one matmul. The rows are then
+    ordered by step, sequences longest first within a step, so the
+    sequences still running at step t are a prefix of n_t of them and
+    their rows are one contiguous block. Each step adds one
+    (n_t, H) @ (H, 4H) product. Backward is backprop through time over the
+    same blocks, and each weight gradient is one matmul over the N rows.
     """
-    xs = list(xs)
+    offsets = np.asarray(offsets, dtype=np.intp)
     four_h, d = w_input.shape
     hid = four_h // 4
-    if (not xs or four_h != 4 * hid or w_hidden.shape != (four_h, hid)
-            or bias.shape != (four_h,)
-            or any(x.data.ndim != 2 or x.shape[0] == 0 or x.shape[1] != d
-                   for x in xs)):
-        raise ShapeError(f"lstm: inputs {[x.shape for x in xs]} do not match the "
-                         f"weights {w_input.shape}, {w_hidden.shape}, {bias.shape}")
-    batch = len(xs)
-    order = np.argsort([-x.shape[0] for x in xs], kind="stable")
-    lengths = np.array([xs[b].shape[0] for b in order])
+    lengths = np.diff(offsets)
+    if (x.data.ndim != 2 or x.shape[1] != d or offsets.ndim != 1
+            or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != x.shape[0]
+            or np.any(lengths < 1) or four_h != 4 * hid
+            or w_hidden.shape != (four_h, hid) or bias.shape != (four_h,)):
+        raise ShapeError(f"lstm: input {x.shape} split at {offsets.tolist()} does "
+                         f"not match the weights {w_input.shape}, "
+                         f"{w_hidden.shape}, {bias.shape}")
+    batch, total = lengths.size, x.shape[0]
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
     steps = int(lengths[0])
+    # step t's rows in the step-major layout are [first[t], first[t + 1])
     running = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
-    packed = np.zeros((steps, batch, d))
-    for j, b in enumerate(order):
-        packed[:lengths[j], j] = xs[b].data
-    pre_in = (packed.reshape(-1, d) @ w_input.data.T + bias.data).reshape(
-        steps, batch, four_h)
-    hs = np.zeros((steps + 1, batch, hid))  # hs[t]: the hidden state before step t
-    cs = np.zeros((steps + 1, batch, hid))
-    gates = np.zeros((steps, batch, four_h))  # activated i, f, g, o
-    tanh_c = np.zeros((steps, batch, hid))
+    first = np.concatenate([[0], np.cumsum(running)])
+    tt, jj = np.nonzero(np.arange(steps)[:, None] < lengths[None, :])
+    src = offsets[order][jj] + tt  # the row of x at each layout row
+    x_rows = x.data[src]
+    pre = x_rows @ w_input.data.T + bias.data
+    gates = np.empty((total, four_h))  # activated i, f, g, o
+    c_out = np.empty((total, hid))     # the state leaving each layout row
+    h_out = np.empty((total, hid))
+    tanh_c = np.empty((total, hid))
     w_hidden_t = w_hidden.data.T
     for t in range(steps):
-        n = running[t]
-        z = pre_in[t, :n] + hs[t, :n] @ w_hidden_t
+        rows, n = slice(first[t], first[t + 1]), running[t]
+        z = pre[rows]
+        if t:  # the state entering step t left the first n rows of step t - 1
+            prev = slice(first[t - 1], first[t - 1] + n)
+            z = z + h_out[prev] @ w_hidden_t
         a = _sigmoid(z)
         a[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])
-        c = a[:, hid:2 * hid] * cs[t, :n] + a[:, :hid] * a[:, 2 * hid:3 * hid]
-        tc = np.tanh(c)
-        gates[t, :n] = a
-        cs[t + 1, :n] = c
-        tanh_c[t, :n] = tc
-        hs[t + 1, :n] = a[:, 3 * hid:] * tc
+        c = a[:, :hid] * a[:, 2 * hid:3 * hid]
+        if t:
+            c += a[:, hid:2 * hid] * c_out[prev]
+        gates[rows] = a
+        c_out[rows] = c
+        tanh_c[rows] = tc = np.tanh(c)
+        h_out[rows] = a[:, 3 * hid:] * tc
     out = np.empty((batch, hid))
-    out[order] = hs[lengths, np.arange(batch)]
+    out[order] = h_out[first[lengths - 1] + np.arange(batch)]
 
     def bwd(g):
-        # a row's output gradient waits in dh until its last step is reached
+        # a sequence's output gradient waits in dh until its last step
         dh = g[order]
         dc = np.zeros((batch, hid))
-        dpre = np.zeros((steps, batch, four_h))
+        dpre = np.empty((total, four_h))
         deriv = gates * (1.0 - gates)
-        g_gate = gates[..., 2 * hid:3 * hid]
-        deriv[..., 2 * hid:3 * hid] = 1.0 - g_gate * g_gate
+        g_gate = gates[:, 2 * hid:3 * hid]
+        deriv[:, 2 * hid:3 * hid] = 1.0 - g_gate * g_gate
+        # the layout row whose output state enters each row; -1 for step 0
+        # picks the zero row appended below
+        entering = np.where(tt > 0, first[tt - 1] + jj, -1)
+        h_in = np.concatenate([h_out, np.zeros((1, hid))])[entering]
+        c_in = np.concatenate([c_out, np.zeros((1, hid))])[entering]
         for t in range(steps - 1, -1, -1):
-            n = running[t]
-            a = gates[t, :n]
-            tc = tanh_c[t, :n]
+            rows, n = slice(first[t], first[t + 1]), running[t]
+            a = gates[rows]
+            tc = tanh_c[rows]
             dh_t = dh[:n]
             dc_t = dc[:n] + dh_t * a[:, 3 * hid:] * (1.0 - tc * tc)
-            da = np.concatenate([dc_t * a[:, 2 * hid:3 * hid], dc_t * cs[t, :n],
+            da = np.concatenate([dc_t * a[:, 2 * hid:3 * hid], dc_t * c_in[rows],
                                  dc_t * a[:, :hid], dh_t * tc], axis=1)
-            dz = da * deriv[t, :n]
-            dpre[t, :n] = dz
+            dz = da * deriv[rows]
+            dpre[rows] = dz
             dh[:n] = dz @ w_hidden.data
             dc[:n] = dc_t * a[:, hid:2 * hid]
-        flat = dpre.reshape(-1, four_h)
-        _accum(w_input, flat.T @ packed.reshape(-1, d))
-        _accum(w_hidden, flat.T @ hs[:steps].reshape(-1, hid))
-        _accum(bias, flat.sum(axis=0))
-        if any(x.needs_grad for x in xs):
-            dx = (flat @ w_input.data).reshape(steps, batch, d)
-            for j, b in enumerate(order):
-                _accum(xs[b], dx[:lengths[j], j])
+        _accum(w_input, dpre.T @ x_rows)
+        _accum(w_hidden, dpre.T @ h_in)
+        _accum(bias, dpre.sum(axis=0))
+        if x.needs_grad:
+            dx = np.empty_like(x.data)
+            dx[src] = dpre @ w_input.data
+            _accum(x, dx)
 
-    return _node(out, "lstm", (*xs, w_input, w_hidden, bias), bwd)
+    return _node(out, "lstm", (x, w_input, w_hidden, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +591,12 @@ def load_checkpoint(path):
         if "__format_version__" not in f.files or "__meta__" not in f.files:
             raise ValueError(f"{path}: not a checkpoint (no format-version "
                              f"header or metadata block)")
-        version = int(f["__format_version__"][0])
+        version = f["__format_version__"]
+        if version.shape != (1,) or version.dtype.kind not in "iu":
+            raise ValueError(f"{path}: checkpoint format version must be a "
+                             f"one-element integer array, got dtype "
+                             f"{version.dtype} and shape {version.shape}")
+        version = int(version[0])
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         meta = json.loads(str(f["__meta__"]))

@@ -10,13 +10,19 @@ A sidecar flat key-value file carries the vocabulary sizes::
     N_c = 3418
     N_f = 649
     maxFeat = 3
+
+In memory a sequence is a set of numpy columns, not a list of event
+objects: one code and one time per event, and the features in CSR form
+(flat id and value arrays plus row pointers).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,19 +43,148 @@ class ClinicalEvent:
     num_features: list = field(default_factory=list)  # (feature_id, value) pairs
 
 
-@dataclass
-class EventSequence:
-    """A labeled patient record; events sorted non-decreasing by time."""
+def _pointers(counts) -> np.ndarray:
+    """CSR row pointers: 0 followed by the running sum of counts."""
+    return np.array([0, *itertools.accumulate(counts)], dtype=np.int32)
 
-    patient_id: str
-    label: int
-    events: list
+
+def _take_rows(ptr: np.ndarray, index: np.ndarray):
+    """Row pointers of the CSR rows ``index`` (in that order) and the
+    positions of their items in the flat array."""
+    counts = np.diff(ptr)[index]
+    new_ptr = np.zeros(index.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=new_ptr[1:])
+    item = np.repeat(ptr[index] - new_ptr[:-1], counts) + np.arange(new_ptr[-1])
+    return new_ptr, item
+
+
+def _rows(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values):
+    """(code, t, cat_features, num_features) of every event, from columns
+    given as Python lists."""
+    pairs = list(zip(num_ids, num_values))
+    return zip(codes, times,
+               map(cat_ids.__getitem__, map(slice, cat_ptr, cat_ptr[1:])),
+               map(pairs.__getitem__, map(slice, num_ptr, num_ptr[1:])))
+
+
+_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.int32, np.int32, np.float64)
+
+
+def event_columns(codes, times, cat_features, num_features) -> tuple:
+    """The columns, in the order of EventSequence.columns(), of events
+    given as per-event sequences: codes, times, each event's categorical
+    feature ids and each event's (feature_id, value) pairs."""
+    pairs = [p for event_pairs in num_features for p in event_pairs]
+    return (np.array(codes, dtype=np.int32), np.array(times, dtype=np.float64),
+            _pointers(map(len, cat_features)),
+            np.array([f for ids in cat_features for f in ids], dtype=np.int32),
+            _pointers(map(len, num_features)),
+            np.array([fid for fid, _ in pairs], dtype=np.int32),
+            np.array([v for _, v in pairs], dtype=np.float64))
+
+
+class EventSequence:
+    """A labeled patient record stored as columns, one entry per event.
+
+    ``codes`` (int32) and ``times()`` (float64) have one entry per event.
+    Event i's categorical feature ids are
+    ``cat_ids[cat_ptr[i]:cat_ptr[i + 1]]``, and its numerical feature ids
+    and values are ``num_ids`` and ``num_values`` over the same range of
+    ``num_ptr``. Sequences derived from one another (normalized, reordered
+    or concatenated) may share columns, so the arrays must not be changed
+    in place.
+
+    The constructor takes ClinicalEvents and neither sorts nor validates
+    them; load_dataset does both. ``events`` builds ClinicalEvents from
+    the columns on demand.
+    """
+
+    __slots__ = ("patient_id", "label", "codes", "_times", "cat_ptr", "cat_ids",
+                 "num_ptr", "num_ids", "num_values")
+
+    def __init__(self, patient_id, label, events):
+        events = list(events)
+        self._set(patient_id, label, *event_columns(
+            [e.code for e in events], [e.t for e in events],
+            [e.cat_features for e in events], [e.num_features for e in events]))
+
+    def _set(self, patient_id, label, codes, times, cat_ptr, cat_ids, num_ptr,
+             num_ids, num_values):
+        self.patient_id = patient_id
+        self.label = label
+        self.codes = codes
+        self._times = times
+        self.cat_ptr = cat_ptr
+        self.cat_ids = cat_ids
+        self.num_ptr = num_ptr
+        self.num_ids = num_ids
+        self.num_values = num_values
+
+    @classmethod
+    def from_columns(cls, patient_id, label, *columns):
+        """A sequence over the given arrays, in the order of columns()."""
+        seq = cls.__new__(cls)
+        seq._set(patient_id, label, *columns)
+        return seq
+
+    def columns(self) -> tuple:
+        """(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values)."""
+        return (self.codes, self._times, self.cat_ptr, self.cat_ids, self.num_ptr,
+                self.num_ids, self.num_values)
 
     def __len__(self):
-        return len(self.events)
+        return self.codes.size
 
     def times(self) -> np.ndarray:
-        return np.array([e.t for e in self.events], dtype=np.float64)
+        return self._times
+
+    @property
+    def events(self) -> list:
+        """The events as ClinicalEvents, built afresh on every access."""
+        return [ClinicalEvent(*row)
+                for row in _rows(*(c.tolist() for c in self.columns()))]
+
+    def take(self, index) -> EventSequence:
+        """The events at ``index`` (an integer array), in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        cat_ptr, cat_item = _take_rows(self.cat_ptr, index)
+        num_ptr, num_item = _take_rows(self.num_ptr, index)
+        return EventSequence.from_columns(
+            self.patient_id, self.label, self.codes[index], self._times[index],
+            cat_ptr, self.cat_ids[cat_item], num_ptr, self.num_ids[num_item],
+            self.num_values[num_item])
+
+    def __eq__(self, other):
+        if not isinstance(other, EventSequence):
+            return NotImplemented
+        return (self.patient_id == other.patient_id and self.label == other.label
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self.columns(), other.columns())))
+
+    def __repr__(self):
+        return (f"EventSequence(patient_id={self.patient_id!r}, label={self.label!r}, "
+                f"n_events={len(self)})")
+
+
+def concatenate(sequences) -> EventSequence:
+    """The events of every sequence back to back, as one sequence whose
+    patient_id and label mean nothing (a single sequence comes back as it
+    is). Its times restart at every seam, so it only carries per-event
+    work such as encoding."""
+    if len(sequences) == 1:
+        return sequences[0]
+    cols = list(zip(*(s.columns() for s in sequences)))
+
+    def pointers(ptrs):
+        shift = np.cumsum([0] + [p[-1] for p in ptrs[:-1]])
+        return np.concatenate([np.zeros(1, dtype=np.int32)]
+                              + [p[1:] + s for p, s in zip(ptrs, shift)])
+
+    codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = cols
+    return EventSequence.from_columns(
+        "", 0, np.concatenate(codes), np.concatenate(times), pointers(cat_ptr),
+        np.concatenate(cat_ids), pointers(num_ptr), np.concatenate(num_ids),
+        np.concatenate(num_values))
 
 
 @dataclass(frozen=True)
@@ -94,6 +229,20 @@ def _validate_event(ev: ClinicalEvent, config: DatasetConfig, where: str):
             raise DatasetError(f"{where}: non-finite value for feature {fid}")
 
 
+def _valid(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values,
+           config: DatasetConfig) -> bool:
+    """Whether every event passes _validate_event, from columns given as
+    Python lists."""
+    n_f = config.n_features
+    per_event = [c + n for c, n in zip(cat_ptr, num_ptr)]
+    return (0 <= min(codes) and max(codes) < config.n_codes
+            and all(map(math.isfinite, times))
+            and max(map(operator.sub, per_event[1:], per_event)) <= config.max_features
+            and (not cat_ids or (0 <= min(cat_ids) and max(cat_ids) < n_f))
+            and (not num_ids or (0 <= min(num_ids) and max(num_ids) < n_f))
+            and all(map(math.isfinite, num_values)))
+
+
 def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
     try:
         patient_id = str(obj["patient_id"])
@@ -105,21 +254,31 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
         raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
     if not raw_events:
         raise DatasetError(f"{where}: empty event list")
-    events = []
+    codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = (
+        [], [], [0], [], [0], [], [])
     for k, raw in enumerate(raw_events):
         try:
-            ev = ClinicalEvent(
-                code=int(raw["code"]),
-                t=float(raw["t"]),
-                cat_features=[int(c) for c in raw.get("cat", [])],
-                num_features=[(int(fid), float(v)) for fid, v in raw.get("num", [])],
-            )
-        except (KeyError, TypeError, ValueError) as err:
+            codes.append(int(raw["code"]))
+            times.append(float(raw["t"]))
+            cat_ids.extend([int(c) for c in raw.get("cat", [])])
+            for fid, v in raw.get("num", []):
+                num_ids.append(int(fid))
+                num_values.append(float(v))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise DatasetError(f"{where}: bad event {k}: {err}") from None
-        _validate_event(ev, config, f"{where} event {k}")
-        events.append(ev)
-    events.sort(key=lambda e: e.t)  # stable: file order preserved for ties
-    return EventSequence(patient_id=patient_id, label=int(label), events=events)
+        cat_ptr.append(len(cat_ids))
+        num_ptr.append(len(num_ids))
+    columns = (codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values)
+    if not _valid(*columns, config):
+        # name the first bad event, with the message of its first bad field
+        for k, row in enumerate(_rows(*columns)):
+            _validate_event(ClinicalEvent(*row), config, f"{where} event {k}")
+    seq = EventSequence.from_columns(
+        patient_id, int(label), *(np.array(c, dtype=dtype)
+                                  for c, dtype in zip(columns, _DTYPES)))
+    if not all(map(operator.le, times, times[1:])):
+        seq = seq.take(np.argsort(seq.times(), kind="stable"))  # ties keep file order
+    return seq
 
 
 def load_dataset(path, config: DatasetConfig):
@@ -149,11 +308,9 @@ def write_dataset(path, sequences):
             rec = {
                 "patient_id": seq.patient_id,
                 "label": seq.label,
-                "events": [
-                    {"code": e.code, "t": e.t, "cat": list(e.cat_features),
-                     "num": [[fid, v] for fid, v in e.num_features]}
-                    for e in seq.events
-                ],
+                "events": [{"code": code, "t": t, "cat": cat, "num": num}
+                           for code, t, cat, num in
+                           _rows(*(c.tolist() for c in seq.columns()))],
             }
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
@@ -168,15 +325,16 @@ def fit_normalization(sequences, config: DatasetConfig) -> DatasetConfig:
     keep the pass-through stats (0, 1). Returns a new config, the input is
     untouched.
     """
-    values = {}
-    for seq in sequences:
-        for ev in seq.events:
-            for fid, v in ev.num_features:
-                values.setdefault(fid, []).append(v)
+    ids = np.concatenate([np.zeros(0, dtype=np.int32)]
+                         + [s.num_ids for s in sequences])
+    values = np.concatenate([np.zeros(0)] + [s.num_values for s in sequences])
+    order = np.argsort(ids, kind="stable")  # per feature, in sequence order
+    ids, values = ids[order], values[order]
+    bounds = np.searchsorted(ids, np.arange(config.n_features + 1))
     stats = {}
     for fid in range(config.n_features):
-        if fid in values:
-            arr = np.asarray(values[fid], dtype=np.float64)
+        arr = values[bounds[fid]:bounds[fid + 1]]
+        if arr.size:
             stats[fid] = (float(arr.mean()), max(float(arr.std()), STD_FLOOR))
         else:
             stats[fid] = (0.0, 1.0)
@@ -186,29 +344,34 @@ def fit_normalization(sequences, config: DatasetConfig) -> DatasetConfig:
 def normalize_numeric(sequences, config: DatasetConfig):
     """Replace each numerical value v by (v - mean) / std using the stats
     stored in config (fitted on the training split). Pure: returns new
-    sequences. Apply once; idempotence is not promised."""
+    sequences, which share every column but the values with their inputs.
+    Apply once; idempotence is not promised."""
     if config.feature_stats is None:
         raise DatasetError("config has no normalization stats; fit on the "
                            "training split first")
+    n_f = config.n_features
+    mean = np.zeros(n_f)
+    std = np.ones(n_f)
+    known = np.zeros(n_f, dtype=bool)
+    for fid, (m, s) in config.feature_stats.items():
+        if 0 <= fid < n_f:
+            mean[fid], std[fid], known[fid] = m, s, True
     out = []
     for seq in sequences:
-        events = []
-        for ev in seq.events:
-            num = []
-            for fid, v in ev.num_features:
-                try:
-                    mean, std = config.feature_stats[fid]
-                except KeyError:
-                    raise DatasetError(f"unknown feature id {fid}") from None
-                num.append((fid, (v - mean) / std))
-            events.append(ClinicalEvent(ev.code, ev.t, list(ev.cat_features), num))
-        out.append(EventSequence(seq.patient_id, seq.label, events))
+        ids = seq.num_ids
+        ok = (ids >= 0) & (ids < n_f)
+        ok[ok] = known[ids[ok]]
+        if not ok.all():
+            raise DatasetError(f"unknown feature id {int(ids[np.argmin(ok)])}")
+        *columns, values = seq.columns()
+        out.append(EventSequence.from_columns(seq.patient_id, seq.label, *columns,
+                                              (values - mean[ids]) / std[ids]))
     return out
 
 
 def frequency_vector(seq: EventSequence, n_codes: int) -> np.ndarray:
     """Per-code occurrence counts; entries sum to the sequence length."""
-    codes = np.array([e.code for e in seq.events], dtype=np.intp)
+    codes = seq.codes
     if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
         raise DatasetError(f"code outside [0, {n_codes})")
     return np.bincount(codes, minlength=n_codes).astype(np.float64)

@@ -5,19 +5,21 @@ it with multi-head attention restricted to events within window_hours
 (keeping only the topk strongest scores per query), compress the sequence
 with the minimax-span partition and per-group max pooling, then run an
 LSTM over the group vectors and squash the last hidden state into an
-outcome probability. The LSTM is one op over a whole batch of sequences,
-so training builds one graph per mini-batch (forward_batch).
+outcome probability. forward_batch runs a whole batch as one concatenated
+sequence: one encoding node, one attention node whose windows stop at the
+seams, one pooling node and one LSTM node, whatever the batch size.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
-from .events import EventSequence
+from .events import EventSequence, concatenate
 from .partition import Partition, optimal_partition
 
 
@@ -45,21 +47,28 @@ class MrmConfig:
     max_group_len: int = 32
 
     def __post_init__(self):
+        for name, least in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        w = self.window_hours
+        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                or not math.isfinite(w) or w <= 0):
+            raise ConfigError(f"window_hours must be a finite number > 0, got {w!r}")
         if self.head_dim * self.n_heads != self.model_dim:
             raise ConfigError(
                 f"head_dim * n_heads must equal model_dim: "
                 f"{self.head_dim} * {self.n_heads} != {self.model_dim}")
-        if self.topk < 1:
-            raise ConfigError(f"topk must be >= 1, got {self.topk}")
-        if self.window_hours <= 0:
-            raise ConfigError(f"window_hours must be positive, got {self.window_hours}")
-        if self.max_groups < 1 or self.max_group_len < 1:
-            raise ConfigError("max_groups and max_group_len must be >= 1")
-        if self.n_codes < 1:
-            raise ConfigError(f"n_codes must be >= 1, got {self.n_codes}")
 
     def capacity(self) -> int:
         return self.max_groups * self.max_group_len
+
+
+# every MrmConfig field but window_hours, with its least value
+_INTEGER_FIELDS = {"n_codes": 1, "n_features": 0, "max_features": 0, "model_dim": 1,
+                   "n_heads": 1, "head_dim": 1, "topk": 1, "max_groups": 1,
+                   "max_group_len": 1}
 
 
 def _glorot(rng, out_dim: int, in_dim: int) -> np.ndarray:
@@ -160,6 +169,8 @@ class MrmParams:
             if arr.shape != t.data.shape:
                 raise ConfigError(f"parameter {name}: shape {arr.shape} != "
                                   f"expected {t.data.shape}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"parameter {name} holds non-finite values")
             t.data = arr.copy()
         return fresh
 
@@ -187,52 +198,51 @@ class MrmParams:
 
 
 def encode_events(seq: EventSequence, params: MrmParams, config: MrmConfig) -> dc.Tensor:
-    """Per-event vectors as an (L, model_dim) tensor.
+    """Per-event vectors as an (L, model_dim) tensor, one embed node.
 
     Each row is the code embedding plus the categorical-feature embeddings
-    plus the value-scaled numerical-feature projections of that event.
+    plus the value-scaled numerical-feature projections of that event. A
+    row depends on its own event only, so seq may be a whole batch joined
+    by events.concatenate.
     """
-    codes = np.array([e.code for e in seq.events], dtype=np.intp)
-    if codes.size == 0:
+    n = len(seq)
+    if n == 0:
         raise ValueError("cannot encode an empty sequence")
-    if codes.min() < 0 or codes.max() >= config.n_codes:
-        raise ValueError(f"event code outside [0, {config.n_codes})")
-    n = codes.size
-    x = dc.gather_rows(params.code_embedding, codes)
-
-    cat_ids, cat_seg = [], []
-    num_ids, num_vals, num_seg = [], [], []
-    for i, ev in enumerate(seq.events):
-        for fid in ev.cat_features:
-            cat_ids.append(fid)
-            cat_seg.append(i)
-        for fid, v in ev.num_features:
-            num_ids.append(fid)
-            num_vals.append(v)
-            num_seg.append(i)
-    if cat_ids and max(cat_ids) >= config.n_features:
-        raise ValueError(f"categorical feature id outside [0, {config.n_features})")
-    if num_ids and max(num_ids) >= config.n_features:
-        raise ValueError(f"numerical feature id outside [0, {config.n_features})")
-    if cat_ids:
-        x = dc.add(x, dc.segment_sum(dc.gather_rows(params.cat_embedding, cat_ids),
-                                     cat_seg, n))
-    if num_ids:
-        scaled = dc.scale_rows(dc.gather_rows(params.num_projection, num_ids), num_vals)
-        x = dc.add(x, dc.segment_sum(scaled, num_seg, n))
-    return x
+    for what, ids, size in (("event code", seq.codes, config.n_codes),
+                            ("categorical feature id", seq.cat_ids, config.n_features),
+                            ("numerical feature id", seq.num_ids, config.n_features)):
+        if ids.size and (ids.min() < 0 or ids.max() >= size):
+            raise ValueError(f"{what} outside [0, {size})")
+    events = np.arange(n)
+    return dc.embed(n, [
+        (params.code_embedding, seq.codes, None, None),
+        (params.cat_embedding, seq.cat_ids,
+         np.repeat(events, np.diff(seq.cat_ptr)), None),
+        (params.num_projection, seq.num_ids,
+         np.repeat(events, np.diff(seq.num_ptr)), seq.num_values),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # windowed sparse attention
 
 
-def neighborhood_bounds(times, window_hours: float):
+def neighborhood_bounds(times, window_hours: float, offsets=None):
     """For every i, the contiguous [lo, hi) of indices with
-    |t_j - t_i| <= window_hours (inclusive, self included)."""
+    |t_j - t_i| <= window_hours (inclusive, self included).
+
+    With offsets, times holds several sorted sequences back to back,
+    sequence b at [offsets[b], offsets[b + 1]), and no window crosses into
+    another sequence."""
     t = np.asarray(times, dtype=np.float64)
-    lo = np.searchsorted(t, t - window_hours, side="left")
-    hi = np.searchsorted(t, t + window_hours, side="right")
+    if offsets is None:
+        offsets = (0, t.size)
+    lo = np.empty(t.size, dtype=np.intp)
+    hi = np.empty(t.size, dtype=np.intp)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        seg = t[a:b]
+        lo[a:b] = np.searchsorted(seg, seg - window_hours, side="left") + a
+        hi[a:b] = np.searchsorted(seg, seg + window_hours, side="right") + a
     return lo, hi
 
 
@@ -252,7 +262,7 @@ def topk_mask(scores, topk: int) -> np.ndarray:
 
 
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
-                     return_weights: bool = False):
+                     return_weights: bool = False, offsets=None):
     """Multi-head attention over time-windowed, top-k-masked neighbors.
 
     Scores are plain query-key dot products; per query only the topk
@@ -264,12 +274,13 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     locally constant in backward.
 
     With return_weights=True also returns one dense (L, L) weight matrix
-    per head, zero outside each query's kept neighbors.
+    per head, zero outside each query's kept neighbors. offsets marks
+    several sequences back to back, as in neighborhood_bounds.
     """
     n = x.shape[0]
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
-    lo, hi = neighborhood_bounds(times, config.window_hours)
+    lo, hi = neighborhood_bounds(times, config.window_hours, offsets)
     out, band = dc.windowed_attention(x, params.attention, config.n_heads,
                                       lo, hi, config.topk)
     if not return_weights:
@@ -290,10 +301,10 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
 
 def _truncate(seq: EventSequence, config: MrmConfig):
     cap = config.capacity()
-    if len(seq.events) <= cap:
+    if len(seq) <= cap:
         return seq, False
     # keep the most recent events: they carry the most outcome signal
-    return EventSequence(seq.patient_id, seq.label, seq.events[-cap:]), True
+    return seq.take(np.arange(len(seq) - cap, len(seq))), True
 
 
 def sequence_partition(seq: EventSequence, config: MrmConfig) -> Partition:
@@ -302,14 +313,18 @@ def sequence_partition(seq: EventSequence, config: MrmConfig) -> Partition:
     return optimal_partition(used.times(), config.max_groups, config.max_group_len)
 
 
-def _group_starts(partition: Partition, n_events: int) -> np.ndarray:
+def _group_starts(partition: Partition, n_events: int) -> list:
     """First row of every group; the groups must tile [0, n_events) in order."""
     starts = [s for s, _ in partition.groups]
     ends = [e for _, e in partition.groups]
     if not starts or starts[0] != 0 or starts[1:] != ends[:-1] or ends[-1] != n_events:
         raise ValueError(f"the {len(starts)} partition groups do not cover the "
                          f"{n_events} events of the (truncated) sequence in order")
-    return np.array(starts, dtype=np.intp)
+    return starts
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
 
 
 def _head(params: MrmParams, h_last: dc.Tensor) -> dc.Tensor:
@@ -321,29 +336,33 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig, partitions=None,
     """Outcome probabilities of a batch of sequences as a (B,) tensor.
 
     Every sequence is truncated to its most recent max_groups *
-    max_group_len events and encoded. kind "mrm" runs attention and
-    max-pools each group of the sequence's partition (partitions[i], which
-    must tile the truncated events, or computed when partitions is None);
-    kind "plain_lstm" feeds the event vectors straight to the LSTM. One
-    LSTM op then runs over the whole batch and the sigmoid head scores its
-    last hidden states.
+    max_group_len events, and the batch is encoded as one concatenated
+    sequence. kind "mrm" runs attention with windows that stop at the
+    seams and max-pools each group of every sequence's partition
+    (partitions[i], which must tile the truncated events, or computed when
+    partitions is None); kind "plain_lstm" feeds the event vectors
+    straight to the LSTM. One LSTM op then runs over the whole batch and
+    the sigmoid head scores its last hidden states.
     """
     if kind not in ("mrm", "plain_lstm"):
         raise ConfigError(f"unknown model kind {kind!r}")
     if kind == "mrm" and params.kind != "mrm":
         raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
-    inputs = []
-    for i, seq in enumerate(seqs):
-        used, _ = _truncate(seq, config)
-        x = encode_events(used, params, config)
-        if kind == "mrm":
-            times = used.times()
-            v = sparse_attention(x, times, params, config)
-            part = (partitions[i] if partitions is not None else
-                    optimal_partition(times, config.max_groups, config.max_group_len))
-            x = dc.group_maxpool(v, _group_starts(part, len(used.events)))
-        inputs.append(x)
-    h_last = dc.lstm(inputs, params.lstm_w_input, params.lstm_w_hidden,
+    used = [_truncate(seq, config)[0] for seq in seqs]
+    lengths = [len(seq) for seq in used]
+    offsets = _offsets(lengths)
+    x = encode_events(concatenate(used), params, config)
+    if kind == "mrm":
+        times = [seq.times() for seq in used]
+        x = sparse_attention(x, np.concatenate(times), params, config, offsets=offsets)
+        if partitions is None:
+            partitions = [optimal_partition(t, config.max_groups, config.max_group_len)
+                          for t in times]
+        starts = [_group_starts(part, n) for part, n in zip(partitions, lengths)]
+        x = dc.group_maxpool(x, np.concatenate(
+            [np.add(s, offset) for s, offset in zip(starts, offsets)]))
+        offsets = _offsets([len(s) for s in starts])
+    h_last = dc.lstm(x, offsets, params.lstm_w_input, params.lstm_w_hidden,
                      params.lstm_bias)
     return _head(params, h_last)
 
@@ -363,7 +382,7 @@ def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
                                       config.max_group_len)
     y_hat = dc.sum_all(forward_batch([used], params, config, [partition]))
     diagnostics = {
-        "n_events": len(used.events),
+        "n_events": len(used),
         "truncated": truncated,
         "partition": partition,
         "n_groups": len(partition.groups),

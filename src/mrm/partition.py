@@ -103,7 +103,9 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
     Binary search for the smallest candidate span (see _window_spans) the
     greedy can satisfy with at most max_groups groups; the groups returned
     are the canonical greedy grouping at that threshold, so the result is
-    deterministic.
+    deterministic. The smallest candidate is always 0.0 and feasibility is
+    monotone in the threshold, so when the greedy at 0.0 is feasible it is
+    the answer and the candidate list is never built.
     """
     if max_groups < 1 or max_group_len < 1:
         raise ValueError("max_groups and max_group_len must be >= 1")
@@ -113,14 +115,16 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
             f"{t.size} events cannot fit into {max_groups} groups of "
             f"at most {max_group_len}")
     tl = t.tolist()
-    cands = _window_spans(t, max_group_len).tolist()
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _greedy(tl, cands[mid], max_group_len, max_groups) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    groups = _greedy(tl, cands[lo], max_group_len)
+    groups = _greedy(tl, 0.0, max_group_len, max_groups)
+    if groups is None:
+        cands = _window_spans(t, max_group_len).tolist()
+        lo, hi = 1, len(cands) - 1  # cands[0] == 0.0 just failed
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _greedy(tl, cands[mid], max_group_len, max_groups) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        groups = _greedy(tl, cands[lo], max_group_len)
     spans = tuple(tl[e - 1] - tl[s] for s, e in groups)
     return Partition(groups=tuple(groups), spans=spans, minimax_span=max(spans))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ClinicalEvent, DatasetConfig, EventSequence
+from .events import DatasetConfig, EventSequence, event_columns
 
 
 class SynthConfigError(ValueError):
@@ -123,13 +123,13 @@ def _one_sequence(i: int, config: SynthConfig) -> EventSequence:
                                      _MIN_ORDER_GAP_HOURS + 0.5 * span))
     t_c, t_d = (early, late) if order_ok else (late, early)
 
-    events = [ClinicalEvent(int(c), float(t), *_noise_features(rng, config))
-              for c, t in zip(bg_codes, bg_times)]
-    for code, t in ((config.marker_a, t_a), (config.marker_b, t_b),
-                    (config.marker_c, t_c), (config.marker_d, t_d)):
-        events.append(ClinicalEvent(code, t, *_noise_features(rng, config)))
-    events.sort(key=lambda e: e.t)
-    return EventSequence(patient_id=f"synth-{i:05d}", label=y, events=events)
+    codes = np.concatenate([bg_codes, config.markers()])
+    times = np.concatenate([bg_times, [t_a, t_b, t_c, t_d]])
+    features = [_noise_features(rng, config) for _ in range(length)]
+    order = np.argsort(times, kind="stable")  # ties keep the draw order
+    return EventSequence.from_columns(f"synth-{i:05d}", y, *event_columns(
+        codes[order], times[order], [features[k][0] for k in order],
+        [features[k][1] for k in order]))
 
 
 def generate(config: SynthConfig):
@@ -144,10 +144,8 @@ def generate(config: SynthConfig):
 
 def label_oracle(seq: EventSequence, config: SynthConfig) -> int:
     """Re-derive the label from the events alone (test oracle)."""
-    a = [e.t for e in seq.events if e.code == config.marker_a]
-    b = [e.t for e in seq.events if e.code == config.marker_b]
-    c = [e.t for e in seq.events if e.code == config.marker_c]
-    d = [e.t for e in seq.events if e.code == config.marker_d]
-    window_ok = any(abs(ta - tb) <= config.t_signal for ta in a for tb in b)
-    order_ok = bool(c) and bool(d) and min(c) < min(d)
+    codes, times = seq.codes, seq.times()
+    a, b, c, d = (times[codes == m] for m in config.markers())
+    window_ok = bool(np.any(np.abs(a[:, None] - b[None, :]) <= config.t_signal))
+    order_ok = c.size > 0 and d.size > 0 and c.min() < d.min()
     return int(window_ok and order_ok)

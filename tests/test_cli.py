@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,53 @@ def test_train_one_class_split_fails_before_training(tmp_path, capsys, caplog):
     assert "split needs both classes" in capsys.readouterr().err
     assert not any("epoch" in r.getMessage() for r in caplog.records)
     assert not ckpt.exists()
+
+
+# ---------------------------------------------------------------------------
+# checkpoints with a bad version, bad metadata values or bad arrays exit 2
+
+
+@pytest.fixture
+def trained(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "model.npz"
+    assert cli.main(train_args(dataset, ckpt)) == 0
+    capsys.readouterr()
+    return ckpt
+
+
+def _evaluate_exits_2(dataset, ckpt, capsys):
+    code = cli.main(["evaluate", "--data", str(dataset), "--ckpt", str(ckpt)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err and "error:" in err
+    return err
+
+
+@pytest.mark.parametrize("version", [np.array(1), np.array([1.5])])
+def test_checkpoint_version_that_is_no_one_element_integer_array_is_runtime_error(
+        tmp_path, dataset, trained, capsys, version):
+    arrays, meta = dc.load_checkpoint(trained)
+    bad = tmp_path / "bad_version.npz"
+    np.savez(bad, __format_version__=version, __meta__=np.array(json.dumps(meta)),
+             **arrays)
+    assert "format version" in _evaluate_exits_2(dataset, bad, capsys)
+
+
+@pytest.mark.parametrize("key, value", [("M", 1.5), ("T_r", None), ("D_m", True),
+                                        ("T_r", "nan")])
+def test_checkpoint_model_metadata_of_a_wrong_type_is_runtime_error(
+        tmp_path, dataset, trained, capsys, key, value):
+    arrays, meta = dc.load_checkpoint(trained)
+    meta["model"][key] = float(value) if value == "nan" else value
+    bad = tmp_path / "bad_meta.npz"
+    dc.save_checkpoint(bad, arrays, meta)
+    _evaluate_exits_2(dataset, bad, capsys)
+
+
+def test_checkpoint_with_non_finite_parameters_is_runtime_error(
+        tmp_path, dataset, trained, capsys):
+    arrays, meta = dc.load_checkpoint(trained)
+    arrays["output.bias"] = np.array(np.nan)
+    bad = tmp_path / "nan_bias.npz"
+    dc.save_checkpoint(bad, arrays, meta)
+    assert "output.bias" in _evaluate_exits_2(dataset, bad, capsys)

@@ -14,9 +14,9 @@ def t(data, grad=True):
 
 def test_matmul_ones():
     a = t(np.ones((2, 3)))
-    b = t(np.ones((3, 1)))
+    b = t(np.ones(3))
     out = dc.matmul(a, b)
-    assert out.shape == (2, 1)
+    assert out.shape == (2,)
     assert np.all(out.data == 3.0)
 
 
@@ -121,45 +121,32 @@ def test_diamond_graph_accumulates():
     assert np.allclose(x.grad, 2.0 * x.data + 1.0, atol=1e-15)
 
 
-def test_row_bias_broadcast_backward():
-    a = t(np.arange(6.0).reshape(2, 3))
-    b = t([1.0, 2.0, 3.0])
-    out = dc.sum_all(dc.add(a, b))
-    out.backward()
-    assert np.array_equal(a.grad, np.ones((2, 3)))
-    assert np.array_equal(b.grad, [2.0, 2.0, 2.0])
-
-
 def _random_composite(seed):
     """A small randomly-shaped pipeline through every elementwise,
-    linear-algebra, indexing and pooling op."""
+    linear-algebra, embedding and pooling op."""
     rng = np.random.default_rng(seed)
     params = {
         "A": dc.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        "B": dc.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-        "w": dc.Tensor(rng.normal(size=3), requires_grad=True),
-        "b": dc.Tensor(rng.normal(size=3), requires_grad=True),
+        "w": dc.Tensor(rng.normal(size=4), requires_grad=True),
         "c": dc.Tensor(rng.normal(), requires_grad=True),
         "T": dc.Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+        "U": dc.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
     }
     idx = rng.integers(0, 5, size=4)
-    seg = np.sort(rng.integers(0, 3, size=4))
-    factors = rng.normal(size=4)
+    ids = rng.integers(0, 4, size=6)
+    rows = np.sort(rng.integers(0, 4, size=6))
+    factors = rng.normal(size=6)
 
     def forward():
-        A, B, w, b, c, T = (params[k] for k in "ABwbcT")
-        m = dc.sigmoid(dc.add(dc.matmul(A, B), b))   # 3x3, row bias
-        v = dc.add(dc.matmul(m, w), c)               # (m,k)@(k,), scalar bias
-        u = dc.matmul(w, m)                          # (k,)@(k,n)
-        g = dc.gather_rows(T, idx)                   # 4x3
-        g = dc.scale_rows(g, factors)
-        s = dc.segment_sum(g, seg, 3)                # 3x3
-        pooled = dc.maxpool_rows(dc.slice_rows(s, 1, 3))  # 3-vector
-        grouped = dc.group_maxpool(s, [0, 2])        # 2x3
-        mixed = dc.clip(dc.mul(dc.add(v, u), pooled), -0.5, 0.5)
+        A, w, c, T, U = (params[k] for k in "AwcTU")
+        m = dc.sigmoid(dc.add(dc.matmul(A, w), c))   # (m,k)@(k,), scalar bias
+        e = dc.embed(4, [(T, idx, None, None), (U, ids, rows, factors)])  # 4x3
+        pooled = dc.maxpool_rows(dc.slice_rows(e, 1, 3))  # 3-vector
+        grouped = dc.group_maxpool(e, [0, 2])        # 2x3
+        mixed = dc.clip(dc.mul(m, pooled), -0.5, 0.5)
         squares = dc.add(dc.mul(grouped, grouped), dc.Tensor(np.ones((2, 3))))
         total = dc.add(dc.sum_all(mixed), dc.scale(dc.sum_all(dc.log(squares)), 0.5))
-        return dc.add(total, dc.neg(dc.matmul(w, v)))  # (k,)@(k,)
+        return dc.add(total, dc.neg(dc.sum_all(dc.matmul(e, m))))
 
     return params, forward
 
@@ -175,17 +162,17 @@ def test_composite_gradients_match_finite_differences(seed, fd_grads, grad_rel_e
         assert grad_rel_err(analytic[name], numeric[name]) < 1e-4, name
 
 
-def test_vector_matrix_and_scalar_bias_gradients(fd_grads, grad_rel_err):
+def test_matrix_vector_and_scalar_bias_gradients(fd_grads, grad_rel_err):
     rng = np.random.default_rng(9)
     params = {
         "v": dc.Tensor(rng.normal(size=4), requires_grad=True),
-        "M": dc.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+        "M": dc.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "X": dc.Tensor(rng.normal(size=(5, 3)), requires_grad=True),
         "b": dc.Tensor(rng.normal(), requires_grad=True),
     }
 
     def forward():
-        row_scores = dc.matmul(params["v"], params["M"])        # (k,)@(k,n)
+        row_scores = dc.matmul(params["M"], params["v"])        # (m,k)@(k,)
         scores = dc.matmul(params["X"], row_scores)             # (m,k)@(k,)
         return dc.sum_all(dc.sigmoid(dc.add(scores, params["b"])))  # scalar bias
 
@@ -209,20 +196,62 @@ def test_maxpool_gradient_matches_finite_differences(fd_grads, grad_rel_err):
     assert grad_rel_err(x.grad, numeric["x"]) < 1e-4
 
 
+def test_embed_matches_loop_oracle_and_finite_differences(fd_grads, grad_rel_err):
+    # rows with zero, one and several feature entries, a repeated id, and
+    # weights of both signs
+    rng = np.random.default_rng(13)
+    n, d = 6, 3
+    params = {"codes": t(rng.normal(size=(7, d))), "cat": t(rng.normal(size=(5, d))),
+              "num": t(rng.normal(size=(5, d)))}
+    codes = rng.integers(0, 7, size=n)
+    cat_ids, cat_rows = [1, 1, 4, 0, 2], [0, 2, 2, 3, 5]
+    num_ids, num_rows, num_w = [3, 0, 3], [1, 1, 4], rng.normal(size=3)
+    probe = rng.normal(size=(n, d))
+
+    def forward():
+        return dc.embed(n, [(params["codes"], codes, None, None),
+                            (params["cat"], cat_ids, cat_rows, None),
+                            (params["num"], num_ids, num_rows, num_w)])
+
+    want = params["codes"].data[codes].copy()
+    for f, r in zip(cat_ids, cat_rows):
+        want[r] += params["cat"].data[f]
+    for f, r, w in zip(num_ids, num_rows, num_w):
+        want[r] += w * params["num"].data[f]
+    out = forward()
+    assert np.max(np.abs(out.data - want)) < 1e-14
+    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    numeric = fd_grads(lambda: float(np.sum(forward().data * probe)), params)
+    for name, p in params.items():
+        assert grad_rel_err(p.grad, numeric[name]) < 1e-8, name
+
+
+def test_embed_rejects_mismatched_rows():
+    table = t(np.zeros((4, 2)))
+    with pytest.raises(dc.ShapeError):
+        dc.embed(3, [(table, [0, 1], None, None)])
+    with pytest.raises(dc.ShapeError):
+        dc.embed(3, [(table, [0, 1, 2], None, None), (table, [1], [0, 1], None)])
+
+
+def _offsets(lengths):
+    return np.concatenate([[0], np.cumsum(lengths)])
+
+
 def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
-    # mixed lengths in unsorted order, with a length-1 row and a tie
+    # mixed lengths in unsorted order, with a length-1 sequence and a tie
     rng = np.random.default_rng(12)
     d, hid = 3, 2
     lengths = (3, 1, 5, 2, 5)
-    params = {f"x{b}": t(rng.normal(size=(n, d))) for b, n in enumerate(lengths)}
-    params["w_input"] = t(rng.normal(size=(4 * hid, d)))
-    params["w_hidden"] = t(rng.normal(size=(4 * hid, hid)))
-    params["bias"] = t(rng.normal(size=4 * hid))
+    params = {"x": t(rng.normal(size=(sum(lengths), d))),
+              "w_input": t(rng.normal(size=(4 * hid, d))),
+              "w_hidden": t(rng.normal(size=(4 * hid, hid))),
+              "bias": t(rng.normal(size=4 * hid))}
     probe = rng.normal(size=(len(lengths), hid))
 
     def forward():
-        xs = [params[f"x{b}"] for b in range(len(lengths))]
-        out = dc.lstm(xs, params["w_input"], params["w_hidden"], params["bias"])
+        out = dc.lstm(params["x"], _offsets(lengths), params["w_input"],
+                      params["w_hidden"], params["bias"])
         return dc.sum_all(dc.mul(out, dc.Tensor(probe)))
 
     forward().backward()
@@ -233,11 +262,14 @@ def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
 
 def test_lstm_rejects_mismatched_shapes():
     w_input, w_hidden, bias = t(np.zeros((8, 3))), t(np.zeros((8, 2))), t(np.zeros(8))
-    for xs in ([], [t(np.zeros((2, 4)))], [t(np.zeros((0, 3)))]):
+    x = t(np.zeros((4, 3)))
+    for offsets in ([0], [0, 0, 4], [0, 3], [1, 4], [0, 5]):
         with pytest.raises(dc.ShapeError):
-            dc.lstm(xs, w_input, w_hidden, bias)
+            dc.lstm(x, offsets, w_input, w_hidden, bias)
     with pytest.raises(dc.ShapeError):
-        dc.lstm([t(np.zeros((2, 3)))], w_input, t(np.zeros((8, 3))), bias)
+        dc.lstm(t(np.zeros((2, 4))), [0, 2], w_input, w_hidden, bias)
+    with pytest.raises(dc.ShapeError):
+        dc.lstm(t(np.zeros((2, 3))), [0, 2], w_input, t(np.zeros((8, 3))), bias)
 
 
 def test_deep_chain_backward_no_recursion_limit():

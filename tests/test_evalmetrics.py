@@ -186,6 +186,48 @@ def test_train_returns_params_usable_for_scoring():
     assert report.n_pos + report.n_neg == len(splits[2])
 
 
+def test_score_sequences_chunks_by_capacity_and_keeps_input_order(monkeypatch):
+    # capacity 12 against lengths 1..20 in shuffled order (some truncated):
+    # many chunks, each scored by one forward_batch call
+    config = mm.MrmConfig(n_codes=12, n_features=6, max_features=3, model_dim=8,
+                          n_heads=2, head_dim=4, topk=2, window_hours=0.5,
+                          max_groups=3, max_group_len=4)
+    rng = np.random.default_rng(8)
+    seqs = []
+    for n in rng.permutation(np.arange(1, 21)):
+        times = np.sort(rng.uniform(0.0, 4.0, size=n))
+        seqs.append(ev.EventSequence(f"p{n}", int(n % 2), [
+            ev.ClinicalEvent(int(rng.integers(0, 12)), float(t), [int(rng.integers(0, 6))],
+                             [(int(rng.integers(0, 6)), float(rng.normal()))])
+            for t in times]))
+    calls = []
+    real = mm.forward_batch
+
+    def spy(batch, *args, **kwargs):
+        calls.append(sum(min(len(s), config.capacity()) for s in batch))
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(mm, "forward_batch", spy)
+    for kind in ("mrm", "plain_lstm"):
+        params = mm.MrmParams.init(config, seed=8, kind=kind)
+        calls.clear()
+        scores = em.score_sequences(kind, params, seqs, config)
+        assert len(calls) >= 3 and max(calls) <= config.capacity(), calls
+        assert sum(calls) == sum(min(len(s), config.capacity()) for s in seqs)
+        for score, seq in zip(scores, seqs):
+            if kind == "mrm":
+                want = mm.forward(seq, params, config)[0].item()
+            else:
+                want = mm.plain_lstm_forward(seq, params, config).item()
+            assert abs(score - want) < 1e-12, (kind, seq.patient_id)
+        if kind == "mrm":
+            parts = [mm.sequence_partition(s, config) for s in seqs]
+            assert np.array_equal(em.score_sequences(kind, params, seqs, config, parts),
+                                  scores)
+        empty = em.score_sequences(kind, params, [], config)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
 def test_train_touches_test_split_only_after_selection(monkeypatch):
     splits, data_cfg = tiny_dataset()
     order = []

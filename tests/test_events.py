@@ -1,5 +1,8 @@
 import collections
+import gc
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrm import events as ev
+from mrm import syngen
 
 
 CFG = ev.DatasetConfig(n_codes=8, n_features=5, max_features=3)
@@ -77,6 +81,20 @@ def test_load_rejects_too_many_features(tmp_path):
     with pytest.raises(ev.DatasetError) as exc:
         ev.load_dataset(path, CFG)
     assert "maxFeat" in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["code", "num"])
+def test_load_rejects_infinite_integer_fields(tmp_path, field):
+    # int(float("inf")) raises OverflowError, not ValueError
+    event = {"code": 1, "t": 0.0, "cat": [], "num": []}
+    if field == "code":
+        event["code"] = float("inf")
+    else:
+        event["num"] = [[float("inf"), 1.0]]
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([event])])
+    with pytest.raises(ev.DatasetError, match="bad event 0"):
+        ev.load_dataset(path, CFG)
 
 
 def test_load_rejects_empty_event_list(tmp_path):
@@ -284,3 +302,84 @@ def test_dataset_config_validation():
         ev.DatasetConfig(0, 1, 1)
     with pytest.raises(ValueError):
         ev.DatasetConfig(1, 1, 1, feature_stats={0: (0.0, 0.0)})
+
+
+# ---------------------------------------------------------------------------
+# columnar sequences
+
+
+def test_events_view_round_trips_and_equality_uses_the_columns():
+    events = [ev.ClinicalEvent(3, 0.5, [1, 4], [(2, -1.25)]),
+              ev.ClinicalEvent(0, 0.5, [], []),
+              ev.ClinicalEvent(7, 2.0, [0], [(1, 3.0), (4, 0.0)])]
+    seq = ev.EventSequence("p", 1, events)
+    assert seq.events == events
+    assert ev.EventSequence("p", 1, seq.events) == seq
+    assert ev.EventSequence("p", 1, list(events)) == seq
+    for other in (ev.EventSequence("q", 1, events), ev.EventSequence("p", 0, events),
+                  ev.EventSequence("p", 1, events[:2]),
+                  ev.EventSequence("p", 1, [events[0], events[1],
+                                            ev.ClinicalEvent(7, 2.0, [0], [(1, 3.5)])])):
+        assert other != seq
+    assert seq != "p"
+    seq.patient_id = "renamed"
+    assert seq.patient_id == "renamed" and len(seq) == 3
+    with pytest.raises(AttributeError):
+        seq.events = []
+
+
+def test_take_reorders_events_with_their_features():
+    events = [ev.ClinicalEvent(c, float(t), cat, num) for c, t, cat, num in
+              ((1, 3.0, [0], []), (2, 1.0, [], [(1, 0.5)]), (3, 2.0, [2, 3], [(0, 1.5)]))]
+    seq = ev.EventSequence("p", 0, events)
+    assert seq.take([1, 2, 0]).events == [events[1], events[2], events[0]]
+    assert seq.take([2]).events == [events[2]]
+
+
+def test_concatenate_joins_events_back_to_back():
+    a = ev.EventSequence("a", 1, [ev.ClinicalEvent(1, 0.0, [2], [(0, 1.0)])])
+    b = ev.EventSequence("b", 0, [ev.ClinicalEvent(2, 5.0, [], []),
+                                  ev.ClinicalEvent(3, 6.0, [1, 0], [(3, -2.0)])])
+    joined = ev.concatenate([a, b, a])
+    assert joined.events == a.events + b.events + a.events
+
+
+def test_loaded_dataset_round_trips_through_the_events_view(tmp_path):
+    cfg = syngen.SynthConfig(n_sequences=40, seq_len_range=(8, 20), seed=4)
+    seqs = syngen.generate(cfg)
+    path = tmp_path / "d.jsonl"
+    ev.write_dataset(path, seqs)
+    back = ev.load_dataset(path, syngen.dataset_config_for(cfg))
+    assert back == seqs
+    assert [ev.EventSequence(s.patient_id, s.label, s.events) for s in back] == seqs
+
+
+CRITERION_5_SYNTH = dict(n_sequences=2000, vocab_size=50, seq_len_range=(12, 36),
+                         base_rate=2.0, t_signal=0.4, marker_a=0, marker_b=1,
+                         marker_c=2, marker_d=3, positive_fraction=0.5, seed=42)
+
+
+def test_criterion_5_dataset_bytes_are_unchanged(tmp_path):
+    # the digest of the file the event-object data model wrote
+    path = tmp_path / "c5.jsonl"
+    ev.write_dataset(path, syngen.generate(syngen.SynthConfig(**CRITERION_5_SYNTH)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c485849187dc436feaf40552a20b974dea78dc9cfa5e2704b685413203d6948c")
+
+
+def test_loaded_cohort_holds_at_most_100_bytes_per_event(tmp_path):
+    # the benchmark's short cohort: 128 sequences of 12 to 36 events
+    cfg = syngen.SynthConfig(n_sequences=128, seq_len_range=(12, 36), seed=1)
+    path = tmp_path / "short.jsonl"
+    ev.write_dataset(path, syngen.generate(cfg))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seqs = ev.load_dataset(path, syngen.dataset_config_for(cfg))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_events = sum(len(s) for s in seqs)
+    assert held / n_events <= 100, f"{held / n_events:.1f} bytes per event"

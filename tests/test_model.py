@@ -174,6 +174,32 @@ def test_config_rejects_bad_topk_and_window():
         small_config(window_hours=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("model_dim", 8.0), ("n_heads", True), ("topk", 1.5), ("max_groups", 1.5),
+    ("max_group_len", None), ("n_codes", "12"), ("n_features", -1),
+    ("max_groups", 0), ("n_heads", 0), ("window_hours", None),
+    ("window_hours", float("nan")), ("window_hours", float("inf")),
+    ("window_hours", -0.5), ("window_hours", "0.5"), ("window_hours", True),
+])
+def test_config_rejects_sizes_that_are_no_positive_integers(field, value):
+    with pytest.raises(mm.ConfigError, match=field):
+        small_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers_and_integer_window():
+    config = small_config(max_groups=np.int64(3), window_hours=1)
+    assert config.capacity() == 12
+
+
+def test_params_from_arrays_rejects_non_finite_values():
+    config = small_config()
+    for name, bad in (("output.bias", np.nan), ("lstm.w_hidden", np.inf)):
+        arrays = mm.MrmParams.init(config, seed=0).arrays()
+        arrays[name] = np.full_like(arrays[name], bad)
+        with pytest.raises(mm.ConfigError, match=name):
+            mm.MrmParams.from_arrays(arrays, config)
+
+
 def test_params_roundtrip_through_arrays():
     config = small_config()
     params = mm.MrmParams.init(config, seed=3)
@@ -609,8 +635,8 @@ def test_lstm_op_matches_oracle_step_loop():
     # one sequence, equal lengths, lengths 1..6 in unsorted order, length 1
     for lengths in ([5], [4, 4, 4], [3, 1, 6, 2, 5, 4], [1], [1, 7]):
         xs = [rng.normal(size=(n, config.model_dim)) for n in lengths]
-        out = dc.lstm([dc.Tensor(x) for x in xs], params.lstm_w_input,
-                      params.lstm_w_hidden, params.lstm_bias)
+        out = dc.lstm(dc.Tensor(np.concatenate(xs)), np.cumsum([0, *lengths]),
+                      params.lstm_w_input, params.lstm_w_hidden, params.lstm_bias)
         assert out.shape == (len(lengths), config.model_dim)
         for row, x in zip(out.data, xs):
             h = c = np.zeros(config.model_dim)
@@ -641,6 +667,33 @@ def test_forward_batch_matches_per_sequence_forward():
     batch = mm.forward_batch(seqs, plain, config, kind="plain_lstm")
     for p, seq in zip(batch.data, seqs):
         assert abs(p - mm.plain_lstm_forward(seq, plain, config).item()) < 1e-12
+
+
+def test_forward_batch_sequences_do_not_interact():
+    # b's events first sit 1000 h after a's, then exactly on a's times, with
+    # other codes and features; a's and c's probabilities must not move by
+    # a single bit. Times on a 1/8 h grid keep every shifted difference exact,
+    # so b's windows, its partition and the batch's band width stay the same.
+    config = small_config(max_groups=3, max_group_len=4)
+    rng = np.random.default_rng(44)
+
+    def on_grid(seq, times):
+        return EventSequence(seq.patient_id, seq.label,
+                             [ClinicalEvent(e.code, float(t), e.cat_features,
+                                            e.num_features)
+                              for e, t in zip(seq.events, times)])
+
+    grid = np.sort(rng.integers(0, 24, size=9)) / 8.0
+    a = on_grid(random_sequence(rng, 9, config), grid)
+    c = random_sequence(rng, 6, config)
+    far = on_grid(random_sequence(rng, 9, config), grid + 1000.0)
+    near = on_grid(random_sequence(rng, 9, config), grid)
+    for kind in ("mrm", "plain_lstm"):
+        params = mm.MrmParams.init(config, seed=44, kind=kind)
+        before = mm.forward_batch([a, far, c], params, config, kind=kind).data
+        after = mm.forward_batch([a, near, c], params, config, kind=kind).data
+        assert before[0] == after[0] and before[2] == after[2], kind
+        assert before[1] != after[1], kind
 
 
 def test_batch_loss_gradients_are_the_mean_of_per_sequence_gradients():

@@ -264,3 +264,21 @@ def test_windowed_candidates_match_all_pairs_search_near_capacity():
         assert part.groups == groups, (trial, n, lg, m)
         assert part.spans == spans
         assert part.minimax_span == minimax
+
+
+def test_zero_threshold_fast_path_matches_binary_search():
+    # optimal_partition returns the greedy at threshold 0.0 whenever that is
+    # feasible; the reference search always runs the binary search
+    rng = np.random.default_rng(23)
+    fast = 0
+    for trial in range(1000):
+        n = int(rng.integers(1, 50))
+        t = random_times(rng, n)  # a third of the cases hold heavy ties
+        lg = int(rng.integers(1, 9))
+        zero_groups = len(greedy_feasible(t, 0.0, n, lg)[1])
+        m = max(-(-n // lg), zero_groups + int(rng.integers(-3, 3)))
+        fast += zero_groups <= m
+        part = optimal_partition(t, m, lg)
+        assert (part.groups, part.spans, part.minimax_span) == \
+            all_pairs_partition(t, m, lg), (trial, n, lg, m)
+    assert 300 < fast < 900
