@@ -177,6 +177,15 @@ def _stats_to_meta(stats: dict) -> dict:
 
 
 def _stats_from_meta(meta_stats: dict) -> dict:
+    """Checkpoint feature_stats -> {feature id: (mean, std)}; DatasetConfig
+    then rejects a non-finite or non-positive value."""
+    for fid, pair in meta_stats.items():
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in pair)):
+            raise events_mod.DatasetError(
+                f"checkpoint feature_stats[{fid!r}] must be a [mean, std] pair "
+                f"of numbers, got {pair!r}")
     return {int(fid): (float(m), float(s)) for fid, (m, s) in meta_stats.items()}
 
 

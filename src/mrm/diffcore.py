@@ -324,34 +324,31 @@ def group_maxpool(x: Tensor, starts) -> Tensor:
     return _node(out, "group_maxpool", (x,), bwd)
 
 
-def _band(lo, hi):
-    """Padded (n, W) index block of the rows [lo[i], hi[i]) plus its
-    validity mask, W = max(hi - lo). Padding slots repeat lo[i]."""
-    width = int(np.max(hi - lo))
-    idx = lo[:, None] + np.arange(width)
-    valid = idx < hi[:, None]
-    return np.where(valid, idx, lo[:, None]), valid
-
-
 def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int):
     """Multi-head attention of every row of x over a contiguous window of rows.
 
     Row i attends to the rows [lo[i], hi[i]); lo and hi must be
     non-decreasing with lo[i] <= i < hi[i]. w_qkv is the (3 * n_heads *
     head_dim, d) stack of every head's query weight, then every key
-    weight, then every value weight, so one matmul projects x to
-    [Q | K | V]. Per query and head only the topk largest dot-product
-    scores survive (ties go to the lowest row index), the softmax runs
-    over those and the value rows are summed with its weights; head
-    outputs are concatenated in head order.
+    weight, then every value weight. Per query and head only the topk
+    largest dot-product scores survive (ties go to the lowest row index),
+    the softmax runs over those and the value rows are summed with its
+    weights; head outputs are concatenated in head order.
 
-    Returns (out, weights): out is the (n, heads * head_dim) tensor and
-    weights[i, h, w] the softmax weight of row lo[i] + w (exactly 0 when
-    not kept or past hi[i]). Time and memory are O(n * W * d) with
-    W = max(hi - lo). The backward rule treats the top-k selection as
-    constant. Its scatter-add of window gradients back onto rows is done as
-    a gather over the transposed band: the queries whose window holds row
-    j are the contiguous range [a_j, b_j), because lo and hi are sorted.
+    Selection first: the scores are computed on the padded (n, W) band of
+    every window, W = max(hi - lo), and the k = min(topk, W) kept entries
+    of each query and head are picked there. The softmax, the value
+    gather, the output and the whole backward then run over those
+    entries only, O(n * heads * k * head_dim). A window narrower than k
+    is filled up with padding entries of weight exactly 0 whose row is
+    lo[i].
+
+    Returns (out, (rows, weights)): out is the (n, heads * head_dim)
+    tensor; rows[i, h] are the k rows that query i keeps in head h, in
+    row order (padding last), and weights[i, h] their softmax weights,
+    both (n, heads, k). The backward rule treats the selection as
+    constant. It scatters the key and value gradients of the kept entries
+    onto their rows with np.bincount.
     """
     if (w_qkv.data.ndim != 2 or w_qkv.shape[1] != x.shape[1]
             or w_qkv.shape[0] % (3 * n_heads)):
@@ -360,46 +357,71 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     head_dim = w_qkv.shape[0] // (3 * n_heads)
     n = x.shape[0]
     ha = n_heads * head_dim
-    proj = x.data @ w_qkv.data.T  # [Q | K | V]
-    q = proj[:, :ha].reshape(n, n_heads, head_dim)
-    idx, valid = _band(lo, hi)
-    width = idx.shape[1]
-    kg = proj[idx, ha:2 * ha].reshape(n, width, n_heads, head_dim)
-    vg = proj[idx, 2 * ha:].reshape(n, width, n_heads, head_dim)
-    scores = np.einsum("iha,iwha->ihw", q, kg)
-    keep = np.broadcast_to(valid[:, None, :], scores.shape)
-    if width > topk:
-        # stable sort by (-score, slot): the lowest index wins a tie
-        order = np.argsort(np.where(keep, -scores, np.inf), axis=-1, kind="stable")
-        top = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(top, order[..., :topk], True, axis=-1)
-        keep = top & keep
-    s = np.where(keep, scores, -np.inf)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = np.einsum("ihw,iwha->iha", p, vg).reshape(n, ha)
+    q, keys, values = (x.data @ w_qkv.data[role * ha:(role + 1) * ha].T
+                       for role in range(3))
+    q = q.reshape(n, n_heads, head_dim)
+    size = hi - lo
+    width = int(np.max(size))
+    band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+    scores = np.einsum("iha,iwha->ihw", q,
+                       keys[band].reshape(n, width, n_heads, head_dim))
+    k = min(topk, width)
+    # a window of at most k rows keeps them all, then padding: slots 0..k-1
+    slots = np.broadcast_to(np.arange(k), (n, n_heads, k)).copy()
+    s = scores[..., :k].copy()
+    wide = np.flatnonzero(size > k)
+    if wide.size:
+        # stable sort by (-score, slot): the lowest row wins a tie
+        wide_scores = scores[wide]
+        order = np.argsort(np.where(np.arange(width) < size[wide, None, None],
+                                    -wide_scores, np.inf), axis=-1, kind="stable")
+        wide_slots = np.sort(order[..., :k], axis=-1)
+        slots[wide] = wide_slots
+        s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
+    valid = slots < size[:, None, None]
+    rows = np.where(valid, lo[:, None, None] + slots, lo[:, None, None])
+    s[~valid] = -np.inf
+    e = np.exp(s - _over_kept(np.maximum, s)[..., None])
+    p = e / _over_kept(np.add, e)[..., None]
+    # head h of row r is row r * heads + h of the (n, heads * head_dim)
+    # keys and values seen as (n * heads, head_dim) arrays
+    flat = rows * n_heads + np.arange(n_heads)[:, None]
+    v_kept = values.reshape(n * n_heads, head_dim)[flat]
+    out = np.einsum("ihk,ihka->iha", p, v_kept).reshape(n, ha)
 
     def bwd(g):
         g3 = g.reshape(n, n_heads, head_dim)
-        dp = np.einsum("iha,iwha->ihw", g3, vg)
-        ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-        dq = np.einsum("ihw,iwha->iha", ds, kg).reshape(n, ha)
-        rows = np.arange(n)
-        tidx, tvalid = _band(np.searchsorted(hi, rows, side="right"),
-                             np.searchsorted(lo, rows, side="right"))
-        slot = np.where(tvalid, rows[:, None] - lo[tidx], 0)
-        twidth = tidx.shape[1]
-        ds_t = np.where(tvalid[..., None], ds[tidx, :, slot], 0.0)
-        p_t = np.where(tvalid[..., None], p[tidx, :, slot], 0.0)
-        qg = proj[tidx, :ha].reshape(n, twidth, n_heads, head_dim)
-        gg = g[tidx].reshape(n, twidth, n_heads, head_dim)
-        dk = np.einsum("juh,juha->jha", ds_t, qg).reshape(n, ha)
-        dv = np.einsum("juh,juha->jha", p_t, gg).reshape(n, ha)
+        dp = np.einsum("iha,ihka->ihk", g3, v_kept)
+        ds = p * (dp - _over_kept(np.add, p * dp)[..., None])
+        k_kept = keys.reshape(n * n_heads, head_dim)[flat]
+        dq = np.einsum("ihk,ihka->iha", ds, k_kept).reshape(n, ha)
+        dk = _scatter_kept(flat, ds, q, n * n_heads).reshape(n, ha)
+        dv = _scatter_kept(flat, p, g3, n * n_heads).reshape(n, ha)
         dproj = np.concatenate([dq, dk, dv], axis=1)
         _accum(x, dproj @ w_qkv.data)
         _accum(w_qkv, dproj.T @ x.data)
 
-    return _node(out, "windowed_attention", (x, w_qkv), bwd), p
+    return _node(out, "windowed_attention", (x, w_qkv), bwd), (rows, p)
+
+
+def _over_kept(ufunc, a):
+    """ufunc reduced over axis 2 of a, the kept entries, as one whole-array
+    operation per entry (numpy's own reduction over a short axis is many
+    times slower)."""
+    out = a[:, :, 0]
+    for j in range(1, a.shape[2]):
+        out = ufunc(out, a[:, :, j])
+    return out
+
+
+def _scatter_kept(flat, w, u, n_cells):
+    """The (n_cells, d) sums over the kept entries (i, h, j) of
+    w[i, h, j] * u[i, h] onto row flat[i, h, j]: one np.bincount per
+    column."""
+    cells = flat.ravel()
+    return np.stack([np.bincount(cells, (w * u[:, :, None, c]).ravel(),
+                                 minlength=n_cells)
+                     for c in range(u.shape[-1])], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,10 @@ class DatasetConfig:
         if self.n_features < 0 or self.max_features < 0:
             raise ValueError("n_features and max_features must be >= 0")
         if self.feature_stats is not None:
-            for fid, (_, std) in self.feature_stats.items():
+            for fid, (mean, std) in self.feature_stats.items():
+                if not (math.isfinite(mean) and math.isfinite(std)):
+                    raise ValueError(f"mean and std for feature {fid} must be "
+                                     f"finite, got {mean!r} and {std!r}")
                 if std <= 0:
                     raise ValueError(f"std for feature {fid} not positive after floor")
 

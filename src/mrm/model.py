@@ -268,10 +268,11 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     Scores are plain query-key dot products; per query only the topk
     largest in-window scores survive, the rest are masked before the
     softmax. Head outputs are concatenated back to model_dim. Windows are
-    contiguous in the sorted times, so one fused op works on the padded
-    (L, W) band of each query's window, W the widest window: O(L * W)
-    time and memory instead of O(L^2). The top-k selection is treated as
-    locally constant in backward.
+    contiguous in the sorted times, so one fused op scores the padded
+    (L, W) band of each query's window, W the widest window, and picks
+    the kept neighbors there; the softmax, the value sum and the backward
+    then run over the kept neighbors only, O(L * heads * topk) of them.
+    The top-k selection is treated as locally constant in backward.
 
     With return_weights=True also returns one dense (L, L) weight matrix
     per head, zero outside each query's kept neighbors. offsets marks
@@ -281,18 +282,15 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
     lo, hi = neighborhood_bounds(times, config.window_hours, offsets)
-    out, band = dc.windowed_attention(x, params.attention, config.n_heads,
-                                      lo, hi, config.topk)
+    out, (rows, kept) = dc.windowed_attention(x, params.attention, config.n_heads,
+                                              lo, hi, config.topk)
     if not return_weights:
         return out
-    cols = lo[:, None] + np.arange(band.shape[2])
-    rows, slots = np.nonzero(cols < n)  # slots past hi[i] carry weight 0
-    weights = []
-    for h in range(config.n_heads):
-        dense = np.zeros((n, n))
-        dense[rows, cols[rows, slots]] = band[rows, h, slots]
-        weights.append(dense)
-    return out, weights
+    # summed, not assigned: a padding entry (weight 0) may repeat a kept row
+    cells = np.arange(n)[:, None, None] * n + rows
+    return out, [np.bincount(cells[:, h].ravel(), kept[:, h].ravel(),
+                             minlength=n * n).reshape(n, n)
+                 for h in range(config.n_heads)]
 
 
 # ---------------------------------------------------------------------------

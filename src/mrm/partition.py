@@ -117,14 +117,16 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
     tl = t.tolist()
     groups = _greedy(tl, 0.0, max_group_len, max_groups)
     if groups is None:
-        cands = _window_spans(t, max_group_len).tolist()
-        lo, hi = 1, len(cands) - 1  # cands[0] == 0.0 just failed
+        # a binary search reads a few dozen of the O(L * max_group_len)
+        # candidates, so they stay one numpy array
+        cands = _window_spans(t, max_group_len)
+        lo, hi = 1, cands.size - 1  # cands[0] == 0.0 just failed
         while lo < hi:
             mid = (lo + hi) // 2
-            if _greedy(tl, cands[mid], max_group_len, max_groups) is not None:
+            if _greedy(tl, float(cands[mid]), max_group_len, max_groups) is not None:
                 hi = mid
             else:
                 lo = mid + 1
-        groups = _greedy(tl, cands[lo], max_group_len)
+        groups = _greedy(tl, float(cands[lo]), max_group_len)
     spans = tuple(tl[e - 1] - tl[s] for s, e in groups)
     return Partition(groups=tuple(groups), spans=spans, minimax_span=max(spans))

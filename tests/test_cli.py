@@ -390,3 +390,15 @@ def test_checkpoint_with_non_finite_parameters_is_runtime_error(
     bad = tmp_path / "nan_bias.npz"
     dc.save_checkpoint(bad, arrays, meta)
     assert "output.bias" in _evaluate_exits_2(dataset, bad, capsys)
+
+
+@pytest.mark.parametrize("entry", [[float("nan"), 1.0], [0.0, float("nan")],
+                                   [float("inf"), 1.0], [0.0]])
+def test_checkpoint_feature_stats_that_are_no_finite_pair_are_runtime_error(
+        tmp_path, dataset, trained, capsys, entry):
+    arrays, meta = dc.load_checkpoint(trained)
+    assert meta["feature_stats"]
+    meta["feature_stats"][next(iter(meta["feature_stats"]))] = entry
+    bad = tmp_path / "bad_stats.npz"
+    dc.save_checkpoint(bad, arrays, meta)
+    assert "feature" in _evaluate_exits_2(dataset, bad, capsys)

@@ -438,10 +438,10 @@ def test_attention_matches_dense_reference_near_capacity():
         assert np.max(np.abs(w - want)) < 1e-12
 
 
-def _topk_margin(x, times, params, config):
+def _topk_margin(x, times, params, config, offsets=None):
     """Smallest gap between the topk-th and the next score over all
     windows wider than topk (inf when none is)."""
-    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
     gap = np.inf
     for h in range(config.n_heads):
         wq, wk, _ = head_weights(params.attention.data, config.n_heads, h)
@@ -510,6 +510,110 @@ def test_attention_backward_matches_finite_differences(fd_grads):
         if checked == 3:
             break
     assert checked == 3
+
+
+def _joined_batch(rng):
+    """Three sequences back to back: a dense one (windows of about 8
+    events), a sparse one (windows of 1 to 3) that starts right after the
+    first one ends, so its first windows would reach into it without the
+    seam, and a short one. Returns (times, offsets)."""
+    dense = np.sort(rng.uniform(0.0, 3.0, size=24))
+    sparse = dense[-1] + 0.1 + np.cumsum(np.r_[0.0, rng.uniform(0.3, 0.9, size=9)])
+    short = np.sort(rng.uniform(0.0, 0.4, size=3))
+    times = np.concatenate([dense, sparse, short])
+    return times, np.array([0, 24, 34, 37])
+
+
+def test_attention_backward_on_a_joined_batch_matches_finite_differences(fd_grads):
+    # topk = 4 against windows of 1 to about 10 events: padding entries,
+    # selected entries and windows cut at a seam in one call
+    config = small_config(topk=4, window_hours=0.5)
+    checked = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        params = mm.MrmParams.init(config, seed=seed)
+        times, offsets = _joined_batch(rng)
+        n = len(times)
+        lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
+        joined_lo, _ = mm.neighborhood_bounds(times[:34], config.window_hours)
+        assert joined_lo[24] < 24 and lo[24] == 24  # a window stops at a seam
+        assert np.any(hi - lo < config.topk) and np.any(hi - lo > config.topk)
+        x = dc.Tensor(rng.normal(size=(n, config.model_dim)), requires_grad=True)
+        if _topk_margin(x.data, times, params, config, offsets) < 1e-3:
+            continue  # finite differences would cross a top-k boundary
+        probe = rng.normal(size=(n, config.model_dim))
+        named = {"x": x, "attention.qkv": params.attention}
+
+        def loss_value():
+            out = mm.sparse_attention(x, times, params, config, offsets=offsets)
+            return float(np.sum(out.data * probe))
+
+        out = mm.sparse_attention(x, times, params, config, offsets=offsets)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            alone = mm.sparse_attention(dc.Tensor(x.data[a:b]), times[a:b], params,
+                                        config)
+            assert np.max(np.abs(out.data[a:b] - alone.data)) < 1e-12
+        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        numeric = fd_grads(loss_value, named)
+        for name, t in named.items():
+            assert param_rel_err(name, t.grad, numeric[name],
+                                 config.n_heads) < 1e-6, name
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.3, 0.6, 2.0, 5.0, 5.2, 8.0, 8.1, 8.2],  # widest window 3
+    [0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 3.0, 6.0, 6.3, 9.0, 9.4, 9.45],  # and 6
+])
+def test_attention_weights_of_narrow_windows_match_dense_reference(times):
+    # windows of 1 to 3 events against topk = 4: their padding entries
+    # repeat a kept row with weight 0 and must not overwrite its weight
+    config = small_config(topk=4)
+    times = np.array(times)
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours)
+    assert set(hi - lo) >= {1, 2, 3}
+    rng = np.random.default_rng(len(times))
+    for seed in range(5):
+        params = mm.MrmParams.init(config, seed=seed)
+        x = rng.normal(size=(len(times), config.model_dim))
+        v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
+                                         return_weights=True)
+        want_v, want_weights = dense_reference_attention(x, times, params, config)
+        assert np.max(np.abs(v.data - want_v)) < 1e-12
+        for w, want in zip(weights, want_weights):
+            assert np.array_equal(w > 0, want > 0)
+            assert np.max(np.abs(w - want)) < 1e-12
+
+
+@pytest.mark.parametrize("topk", [1, 2, 4, 9])
+def test_windowed_attention_returns_kept_rows_and_weights(topk):
+    config = small_config(topk=topk, window_hours=1.0)
+    params = mm.MrmParams.init(config, seed=topk)
+    rng = np.random.default_rng(topk)
+    times, offsets = _joined_batch(rng)
+    n = len(times)
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
+    size = hi - lo
+    k = min(topk, int(size.max()))
+    x = dc.Tensor(rng.normal(size=(n, config.model_dim)))
+    out, (rows, weights) = dc.windowed_attention(x, params.attention, config.n_heads,
+                                                 lo, hi, topk)
+    assert out.shape == (n, config.model_dim)
+    assert rows.shape == weights.shape == (n, config.n_heads, k)
+    assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+    for i in range(n):
+        kept = min(k, size[i])
+        # kept rows in row order inside the window, then padding on lo[i]
+        assert np.all(np.diff(rows[i, :, :kept], axis=-1) > 0)
+        assert np.all((rows[i, :, :kept] >= lo[i]) & (rows[i, :, :kept] < hi[i]))
+        assert np.all(weights[i, :, :kept] > 0)
+        assert np.all(rows[i, :, kept:] == lo[i])
+        assert np.all(weights[i, :, kept:] == 0.0)
+    assert np.array_equal((weights > 0).sum(axis=-1),
+                          np.broadcast_to(np.minimum(size, k)[:, None], (n, config.n_heads)))
 
 
 def test_attention_locality_outside_window():
