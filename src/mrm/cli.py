@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import diffcore as dc
 from . import evalmetrics as ev
 from . import events as events_mod
 from . import model as model_mod
 from . import syngen as syngen_mod
+from .checkpoint import Checkpoint, checkpoint_scores, read_checkpoint, write_checkpoint
 from .partition import InfeasiblePartitionError, optimal_partition
 
 class _UsageError(Exception):
@@ -172,69 +172,32 @@ def _model_config(args, data_config) -> model_mod.MrmConfig:
         raise _UsageError(str(err)) from None
 
 
-def _stats_to_meta(stats: dict) -> dict:
-    return {str(fid): [mean, std] for fid, (mean, std) in stats.items()}
-
-
-def _stats_from_meta(meta_stats: dict) -> dict:
-    """Checkpoint feature_stats -> {feature id: (mean, std)}; DatasetConfig
-    then rejects a non-finite or non-positive value."""
-    for fid, pair in meta_stats.items():
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in pair)):
-            raise events_mod.DatasetError(
-                f"checkpoint feature_stats[{fid!r}] must be a [mean, std] pair "
-                f"of numbers, got {pair!r}")
-    return {int(fid): (float(m), float(s)) for fid, (m, s) in meta_stats.items()}
-
-
 def cmd_train(args) -> int:
+    train_config = ev.TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                                  max_epochs=args.max_epochs, patience=args.patience,
+                                  seed=args.seed, clip_norm=args.clip)
     data_config = events_mod.load_sidecar_config(_sidecar_path(args))
     sequences = events_mod.load_dataset(args.data, data_config)
     splits = events_mod.split_dataset(sequences, seed=args.seed)
     data_config = events_mod.fit_normalization(splits[0], data_config)
     splits = tuple(events_mod.normalize_numeric(part, data_config) for part in splits)
-    train_config = ev.TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                                  max_epochs=args.max_epochs, patience=args.patience,
-                                  seed=args.seed, clip_norm=args.clip)
-    meta = {
-        "kind": args.model,
-        "dataset": {"N_c": data_config.n_codes, "N_f": data_config.n_features,
-                    "maxFeat": data_config.max_features},
-        "feature_stats": _stats_to_meta(data_config.feature_stats),
-        "train": {"lr": args.lr, "batch_size": args.batch_size,
-                  "max_epochs": args.max_epochs, "patience": args.patience,
-                  "seed": args.seed, "clip": args.clip},
-    }
     if args.model == "lr":
-        meta["l2"] = args.l2
         named, report = ev.train_lr_baseline(splits, args.l2, train_config,
                                              n_codes=data_config.n_codes)
-        arrays = {name: t.data for name, t in named.items()}
-        full = events_mod.normalize_numeric(sequences, data_config)
-        fv = np.stack([events_mod.frequency_vector(s, data_config.n_codes)
-                       for s in full])
-        file_scores = ev.lr_scores(arrays["weight"], float(arrays["bias"]), fv)
+        ckpt = Checkpoint("lr", data_config, None,
+                          {name: t.data for name, t in named.items()}, train_config,
+                          args.l2)
     else:
         model_config = _model_config(args, data_config)
-        meta["model"] = {
-            "D_m": model_config.model_dim, "N_h": model_config.n_heads,
-            "D_a": model_config.head_dim, "topk": model_config.topk,
-            "T_r": model_config.window_hours, "M": model_config.max_groups,
-            "L_G": model_config.max_group_len,
-        }
         params, report = ev.train(args.model, splits, train_config, model_config)
-        arrays = params.arrays()
-        full = events_mod.normalize_numeric(sequences, data_config)
-        file_scores = ev.score_sequences(args.model, params, full, model_config)
-
+        ckpt = Checkpoint(args.model, data_config, model_config, params, train_config)
+    file_scores = checkpoint_scores(ckpt, sequences)
     extra = {}
     file_labels = [s.label for s in sequences]
     if 0 < sum(file_labels) < len(file_labels):
         extra["file_auc"] = repr(ev.auc(file_scores, file_labels))
         extra["file_ap"] = repr(ev.average_precision(file_scores, file_labels))
-    dc.save_checkpoint(args.out, arrays, meta)
+    write_checkpoint(args.out, ckpt)
     ev.write_report(args.out + ".report", report, extra=extra)
     ev.write_trace_csv(args.out + ".trace.csv", report)
     print(f"test_auc = {report.auc!r}")
@@ -244,76 +207,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-# metadata block -> keys it must hold; the model kinds also need "model" and
-# "feature_stats", which the lr baseline does not have
-_META_KEYS = {
-    "dataset": ("N_c", "N_f", "maxFeat"),
-    "model": ("D_m", "N_h", "D_a", "topk", "T_r", "M", "L_G"),
-    "feature_stats": (),
-}
-
-
-def _load_checkpoint_model(path):
-    arrays, meta = dc.load_checkpoint(path)
-    kind = meta.get("kind")
-    if kind not in ("mrm", "plain_lstm", "lr"):
-        raise events_mod.DatasetError(f"{path}: unknown model kind {kind!r}")
-    for block in (("dataset",) if kind == "lr" else _META_KEYS):
-        if not isinstance(meta.get(block), dict):
-            raise events_mod.DatasetError(
-                f"{path}: checkpoint metadata lacks the {block!r} block")
-        missing = [k for k in _META_KEYS[block] if k not in meta[block]]
-        if missing:
-            raise events_mod.DatasetError(
-                f"{path}: checkpoint metadata block {block!r} lacks {missing}")
-    return arrays, meta, kind
-
-
-def _check_dataset_match(meta, data_config, where: str):
-    want = meta["dataset"]
-    got = {"N_c": data_config.n_codes, "N_f": data_config.n_features,
-           "maxFeat": data_config.max_features}
-    if want != got:
-        raise events_mod.DatasetError(
-            f"{where}: checkpoint/config mismatch: checkpoint has {want}, "
-            f"dataset has {got}")
-
-
-def _checkpoint_model_config(meta, data_config) -> model_mod.MrmConfig:
-    m = meta["model"]
-    return model_mod.MrmConfig(
-        n_codes=data_config.n_codes, n_features=data_config.n_features,
-        max_features=data_config.max_features, model_dim=m["D_m"],
-        n_heads=m["N_h"], head_dim=m["D_a"], topk=m["topk"],
-        window_hours=m["T_r"], max_groups=m["M"], max_group_len=m["L_G"])
-
-
-def _scores_for_checkpoint(arrays, meta, kind, sequences, data_config):
-    if kind == "lr":
-        fv = np.stack([events_mod.frequency_vector(s, data_config.n_codes)
-                       for s in sequences])
-        return ev.lr_scores(arrays["weight"], float(arrays["bias"]), fv)
-    model_config = _checkpoint_model_config(meta, data_config)
-    params = model_mod.MrmParams.from_arrays(arrays, model_config, kind=kind)
-    stats = _stats_from_meta(meta["feature_stats"])
-    normalized = events_mod.normalize_numeric(
-        sequences, events_mod.DatasetConfig(
-            data_config.n_codes, data_config.n_features,
-            data_config.max_features, feature_stats=stats))
-    return ev.score_sequences(kind, params, normalized, model_config)
-
-
 def cmd_evaluate(args) -> int:
-    arrays, meta, kind = _load_checkpoint_model(args.ckpt)
     sidecar = _sidecar_path(args)
-    if os.path.exists(sidecar):
-        data_config = events_mod.load_sidecar_config(sidecar)
-        _check_dataset_match(meta, data_config, args.ckpt)
-    else:
-        d = meta["dataset"]
-        data_config = events_mod.DatasetConfig(d["N_c"], d["N_f"], d["maxFeat"])
-    sequences = events_mod.load_dataset(args.data, data_config)
-    scores = _scores_for_checkpoint(arrays, meta, kind, sequences, data_config)
+    ckpt = read_checkpoint(args.ckpt, events_mod.load_sidecar_config(sidecar)
+                           if os.path.exists(sidecar) else None)
+    sequences = events_mod.load_dataset(args.data, ckpt.dataset)
+    scores = checkpoint_scores(ckpt, sequences)
     labels = [s.label for s in sequences]
     print(f"n_sequences = {len(sequences)}")
     print(f"n_pos = {sum(labels)}")
@@ -364,13 +263,10 @@ def cmd_inspect(args) -> int:
     print(f"t_first = {float(seq.times()[0])!r}")
     print(f"t_last = {float(seq.times()[-1])!r}")
     if args.ckpt:
-        arrays, meta, kind = _load_checkpoint_model(args.ckpt)
-        _check_dataset_match(meta, data_config, args.ckpt)
-        score = _scores_for_checkpoint(arrays, meta, kind, [seq], data_config)[0]
-        print(f"prediction = {float(score)!r}")
-        if kind == "mrm":
-            part = model_mod.sequence_partition(
-                seq, _checkpoint_model_config(meta, data_config))
+        ckpt = read_checkpoint(args.ckpt, data_config)
+        print(f"prediction = {float(checkpoint_scores(ckpt, [seq])[0])!r}")
+        if ckpt.kind == "mrm":
+            part = model_mod.sequence_partition(seq, ckpt.model)
             print(f"n_groups = {len(part.groups)}")
             print(f"minimax_span = {part.minimax_span!r}")
     return 0

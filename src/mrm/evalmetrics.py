@@ -9,7 +9,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import model as mrm_model
-from .events import frequency_vector
+from .events import ConfigError, check_number, frequency_vector
 
 log = logging.getLogger("mrm.train")
 
@@ -71,13 +71,14 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("lr, batch_size and max_epochs must be positive")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if not (0 <= self.patience < self.max_epochs):
-            raise ValueError(f"need 0 <= patience < max_epochs, got "
-                             f"patience={self.patience} max_epochs={self.max_epochs}")
+        for name in ("lr", "clip_norm"):
+            check_number(name, getattr(self, name), 0, strict=True)
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
+                            ("seed", 0)):
+            check_number(name, getattr(self, name), least, integer=True)
+        if self.patience >= self.max_epochs:
+            raise ConfigError(f"need 0 <= patience < max_epochs, got "
+                              f"patience={self.patience} max_epochs={self.max_epochs}")
 
 
 @dataclass
@@ -273,7 +274,9 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
                       n_codes: int):
     """Logistic regression on per-code frequency vectors with an L2
     penalty, trained with the same optimizer machinery and early-stopping
-    protocol. Returns ({"weight", "bias"} params, EvalReport)."""
+    protocol. l2 must be a finite number >= 0. Returns ({"weight", "bias"}
+    params, EvalReport)."""
+    check_number("l2", l2, 0)
     _check_splits(datasets)
     train_seqs, valid_seqs, test_seqs = datasets
     splits = {"train": train_seqs, "valid": valid_seqs, "test": test_seqs}

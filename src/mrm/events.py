@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -30,6 +31,30 @@ import numpy as np
 
 class DatasetError(ValueError):
     """Malformed or out-of-range dataset content."""
+
+
+class ConfigError(ValueError):
+    """A configuration value of a wrong type or out of range. field names
+    the offending field when the fault is one field's alone."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_number(name, value, least=None, integer=False, strict=False):
+    """Raise ConfigError unless value is a finite number >= least (> least
+    when strict), or an integer >= least when integer is set. Bools are no
+    numbers here."""
+    number = (not isinstance(value, bool)
+              and isinstance(value, numbers.Integral if integer else numbers.Real)
+              # an int is finite however large; math.isfinite may overflow on it
+              and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+    if not number or (least is not None and (value <= least if strict
+                                             else value < least)):
+        bound = "" if least is None else f" {'>' if strict else '>='} {least:g}"
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {what}{bound}, got {value!r}", field=name)
 
 
 @dataclass(slots=True)
@@ -197,17 +222,12 @@ class DatasetConfig:
     feature_stats: dict | None = None  # feature_id -> (mean, std), std pre-floored
 
     def __post_init__(self):
-        if self.n_codes < 1:
-            raise ValueError(f"n_codes must be >= 1, got {self.n_codes}")
-        if self.n_features < 0 or self.max_features < 0:
-            raise ValueError("n_features and max_features must be >= 0")
-        if self.feature_stats is not None:
-            for fid, (mean, std) in self.feature_stats.items():
-                if not (math.isfinite(mean) and math.isfinite(std)):
-                    raise ValueError(f"mean and std for feature {fid} must be "
-                                     f"finite, got {mean!r} and {std!r}")
-                if std <= 0:
-                    raise ValueError(f"std for feature {fid} not positive after floor")
+        check_number("n_codes", self.n_codes, 1, integer=True)
+        check_number("n_features", self.n_features, 0, integer=True)
+        check_number("max_features", self.max_features, 0, integer=True)
+        for fid, (mean, std) in (self.feature_stats or {}).items():
+            check_number(f"feature_stats[{fid}] mean", mean)
+            check_number(f"feature_stats[{fid}] std", std, 0, strict=True)
 
 
 def _validate_event(ev: ClinicalEvent, config: DatasetConfig, where: str):

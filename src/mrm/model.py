@@ -13,18 +13,13 @@ seams, one pooling node and one LSTM node, whatever the batch size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
-from .events import EventSequence, concatenate
+from .events import ConfigError, EventSequence, check_number, concatenate
 from .partition import Partition, optimal_partition
-
-
-class ConfigError(ValueError):
-    """Inconsistent model hyperparameters."""
 
 
 @dataclass(frozen=True)
@@ -48,14 +43,8 @@ class MrmConfig:
 
     def __post_init__(self):
         for name, least in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        w = self.window_hours
-        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
-                or not math.isfinite(w) or w <= 0):
-            raise ConfigError(f"window_hours must be a finite number > 0, got {w!r}")
+            check_number(name, getattr(self, name), least, integer=True)
+        check_number("window_hours", self.window_hours, 0, strict=True)
         if self.head_dim * self.n_heads != self.model_dim:
             raise ConfigError(
                 f"head_dim * n_heads must equal model_dim: "
@@ -156,23 +145,14 @@ class MrmParams:
 
     @classmethod
     def from_arrays(cls, arrays: dict, config: MrmConfig, kind: str = "mrm"):
-        arrays = cls._stack_legacy_heads(arrays, config)
-        fresh = cls.init(config, seed=0, kind=kind)
-        named = fresh.named()
-        missing = set(named) - set(arrays)
-        extra = set(arrays) - set(named)
-        if missing or extra:
-            raise ConfigError(f"checkpoint does not match config: "
-                              f"missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for name, t in named.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ConfigError(f"parameter {name}: shape {arr.shape} != "
-                                  f"expected {t.data.shape}")
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"parameter {name} holds non-finite values")
-            t.data = arr.copy()
-        return fresh
+        """Parameters holding float64 copies of arrays, which check_arrays
+        holds against param_shapes(config, kind)."""
+        checked = check_arrays(cls._stack_legacy_heads(arrays, config),
+                               param_shapes(config, kind))
+        t = {name: dc.Tensor(arr, requires_grad=True) for name, arr in checked.items()}
+        return cls(kind, t["code_embedding"], t["cat_embedding"], t["num_projection"],
+                   t.get("attention.qkv"), t["lstm.w_input"], t["lstm.w_hidden"],
+                   t["lstm.bias"], t["output.weight"], t["output.bias"])
 
     @staticmethod
     def _stack_legacy_heads(arrays: dict, config: MrmConfig) -> dict:
@@ -181,9 +161,11 @@ class MrmParams:
         legacy = {name for name in arrays if name.startswith("head")}
         if not legacy or "attention.qkv" in arrays:
             return arrays
-        names = [f"head{h}.{role}_weight" for role in _ROLES
-                 for h in range(config.n_heads)]
         shape = (config.head_dim, config.model_dim)
+        # counted first, so a huge N_h in the metadata never builds its names
+        names = ([f"head{h}.{role}_weight" for role in _ROLES
+                  for h in range(config.n_heads)]
+                 if len(legacy) == 3 * config.n_heads else [])
         if legacy != set(names) or any(np.shape(arrays[n]) != shape for n in names):
             raise ConfigError(f"checkpoint per-head attention arrays "
                               f"{sorted(legacy)} do not match N_h = "
@@ -191,6 +173,45 @@ class MrmParams:
         stacked = {name: arr for name, arr in arrays.items() if name not in legacy}
         stacked["attention.qkv"] = np.concatenate([arrays[name] for name in names])
         return stacked
+
+
+def param_shapes(config: MrmConfig, kind: str = "mrm") -> dict:
+    """name -> shape of every parameter of kind "mrm" or "plain_lstm", in
+    the order of MrmParams.named(); nothing is allocated."""
+    if kind not in ("mrm", "plain_lstm"):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    d = config.model_dim
+    shapes = {"code_embedding": (config.n_codes, d),
+              "cat_embedding": (config.n_features, d),
+              "num_projection": (config.n_features, d)}
+    if kind == "mrm":
+        shapes["attention.qkv"] = (3 * config.n_heads * config.head_dim, d)
+    shapes.update({"lstm.w_input": (4 * d, d), "lstm.w_hidden": (4 * d, d),
+                   "lstm.bias": (4 * d,), "output.weight": (d,), "output.bias": ()})
+    return shapes
+
+
+def check_arrays(arrays: dict, shapes: dict) -> dict:
+    """Float64 copies of arrays, in the order of shapes (name -> shape).
+
+    Raises ConfigError, naming the array, when one is missing or
+    unexpected, or is not a real-valued array of its shape with only
+    finite entries."""
+    missing, extra = set(shapes) - set(arrays), set(arrays) - set(shapes)
+    if missing or extra:
+        raise ConfigError(f"checkpoint does not match config: "
+                          f"missing {sorted(missing)}, unexpected {sorted(extra)}")
+    out = {}
+    for name, shape in shapes.items():
+        arr = np.asarray(arrays[name])
+        if arr.dtype.kind not in "iuf":
+            raise ConfigError(f"parameter {name}: dtype {arr.dtype} is not real-valued")
+        if arr.shape != shape:
+            raise ConfigError(f"parameter {name}: shape {arr.shape} != expected {shape}")
+        out[name] = arr.astype(np.float64)
+        if not np.isfinite(out[name]).all():
+            raise ConfigError(f"parameter {name} holds non-finite values")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ def _check_sorted(times) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError(f"times must be a non-empty 1-d list, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"times must be finite, got {float(t[~np.isfinite(t)][0])!r}")
     if np.any(np.diff(t) < 0):
         raise ValueError("times must be sorted non-decreasing")
     return t

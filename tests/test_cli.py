@@ -117,6 +117,21 @@ def test_train_rejects_head_dim_violation(tmp_path, dataset, capsys):
     assert "model_dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, flag, value", [
+    ("mrm", "--clip", "nan"), ("plain_lstm", "--lr", "inf"), ("lr", "--l2", "nan"),
+    ("lr", "--l2", "-5")])
+def test_train_rejects_hyperparameters_it_would_ignore(tmp_path, dataset, capsys,
+                                                     model, flag, value):
+    # --clip nan trained with no clipping, and a NaN or negative --l2
+    # dropped the penalty, each exiting 0
+    ckpt = tmp_path / "m.npz"
+    code = cli.main(train_args(dataset, ckpt, model=model, extra=(flag, value)))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err and flag.strip("-") in err.replace("clip_norm", "clip")
+    assert not ckpt.exists()
+
+
 def test_train_lr_model_report_has_metric_keys(tmp_path, dataset, capsys):
     ckpt = tmp_path / "lr.npz"
     assert cli.main(["train", "--data", str(dataset), "--model", "lr",
@@ -177,6 +192,15 @@ def test_partition_infeasible_is_runtime_error(capsys):
 def test_partition_bad_times_is_usage_error(capsys):
     code = cli.main(["partition", "--times", "1,banana", "--M", "2", "--L_G", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("times", ["nan,1,2", "1,inf"])
+def test_partition_non_finite_times_are_runtime_error(capsys, times):
+    # these printed minimax_span = nan and 0.0 and exited 0
+    code = cli.main(["partition", "--times", times, "--M", "2", "--L_G", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finite" in captured.err and "minimax_span" not in captured.out
 
 
 # ---------------------------------------------------------------------------

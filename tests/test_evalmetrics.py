@@ -276,6 +276,23 @@ def test_train_config_validation():
         em.TrainConfig(lr=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("clip_norm", float("nan")),
+    ("clip_norm", float("inf")), ("batch_size", 2.0), ("max_epochs", True),
+    ("patience", -1), ("seed", None), ("lr", "0.1")])
+def test_train_config_rejects_values_that_would_be_ignored_or_crash(field, value):
+    # a NaN clip_norm clipped nothing, a NaN lr trained until the loss diverged
+    with pytest.raises(em.ConfigError, match=field):
+        em.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("l2", [float("nan"), float("inf"), -5.0, None])
+def test_lr_baseline_rejects_an_l2_that_is_no_finite_number_at_least_0(l2):
+    tcfg = em.TrainConfig(max_epochs=1, patience=0)
+    with pytest.raises(em.ConfigError, match="l2"):
+        em.train_lr_baseline(symmetric_splits(), l2, tcfg, n_codes=5)
+
+
 # ---------------------------------------------------------------------------
 # logistic-regression baseline
 

@@ -304,6 +304,27 @@ def test_dataset_config_validation():
         ev.DatasetConfig(1, 1, 1, feature_stats={0: (0.0, 0.0)})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_codes", "x"), ("n_codes", 1.5), ("n_codes", True), ("n_features", None),
+    ("n_features", -1), ("max_features", None), ("max_features", 2.0)])
+def test_dataset_config_sizes_must_be_integers(field, value):
+    sizes = {"n_codes": 8, "n_features": 5, "max_features": 3, field: value}
+    with pytest.raises(ev.ConfigError, match=field) as err:
+        ev.DatasetConfig(**sizes)
+    assert err.value.field == field
+
+
+def test_dataset_config_accepts_numpy_integers_and_zero_features():
+    ev.DatasetConfig(np.int64(8), 0, np.int32(0))
+
+
+@pytest.mark.parametrize("stats", [{0: ("0", 1.0)}, {0: (0.0, None)},
+                                   {0: (float("nan"), 1.0)}, {0: (0.0, -1.0)}])
+def test_dataset_config_stats_must_be_finite_with_positive_std(stats):
+    with pytest.raises(ev.ConfigError, match=r"feature_stats\[0\]"):
+        ev.DatasetConfig(1, 1, 1, feature_stats=stats)
+
+
 # ---------------------------------------------------------------------------
 # columnar sequences
 

@@ -208,6 +208,41 @@ def test_params_roundtrip_through_arrays():
         assert np.array_equal(t.data, clone.named()[name].data)
 
 
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+def test_param_shapes_are_those_of_init(kind):
+    config = small_config()
+    named = mm.MrmParams.init(config, seed=0, kind=kind).named()
+    shapes = mm.param_shapes(config, kind)
+    assert list(shapes) == list(named)
+    assert all(shapes[name] == t.shape for name, t in named.items())
+
+
+def test_params_from_arrays_allocates_no_fresh_parameters(monkeypatch):
+    config = small_config()
+    arrays = mm.MrmParams.init(config, seed=0, kind="plain_lstm").arrays()
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("from_arrays called MrmParams.init")
+
+    monkeypatch.setattr(mm.MrmParams, "init", no_init)
+    params = mm.MrmParams.from_arrays(arrays, config, kind="plain_lstm")
+    assert params.attention is None and params.kind == "plain_lstm"
+    assert all(t.requires_grad for t in params.named().values())
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda a: a.astype(str), "dtype"), (lambda a: np.array(1.0), "shape"),
+    (lambda a: a[:-1], "shape"), (lambda a: a > 0, "dtype")])
+def test_check_arrays_names_the_array(bad, match):
+    arrays = {"w": np.ones((3, 2)), "b": np.zeros(())}
+    shapes = {"w": (3, 2), "b": ()}
+    checked = mm.check_arrays(arrays, shapes)
+    assert checked["w"] is not arrays["w"] and checked["w"].dtype == np.float64
+    arrays["w"] = bad(arrays["w"])
+    with pytest.raises(mm.ConfigError, match=f"w.*{match}|{match}.*w"):
+        mm.check_arrays(arrays, shapes)
+
+
 def test_params_from_arrays_rejects_mismatch():
     config = small_config()
     arrays = mm.MrmParams.init(config, seed=0).arrays()

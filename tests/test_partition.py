@@ -157,6 +157,15 @@ def test_greedy_feasibility_monotone_in_threshold(raw_times, max_group_len):
 # optimal partition
 
 
+@pytest.mark.parametrize("times", [[float("nan"), 1.0, 2.0], [1.0, float("inf")],
+                                   [float("-inf"), 0.0]])
+def test_optimal_partition_rejects_non_finite_times(times):
+    # NaN compares false in the sortedness check, and an infinite time
+    # gives a NaN span in a group of its own
+    with pytest.raises(ValueError, match="finite"):
+        optimal_partition(times, 2, 2)
+
+
 def test_example_two_clusters():
     part = optimal_partition([0.0, 1.0, 2.0, 10.0, 11.0], 2, 10)
     assert part.groups == ((0, 3), (3, 5))
