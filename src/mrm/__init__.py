@@ -17,10 +17,9 @@ from .events import (ClinicalEvent, DatasetConfig, DatasetError, EventSequence,
 from .evalmetrics import (EvalReport, TrainConfig, TrainingDiverged,
                           average_precision, auc, train, train_lr_baseline)
 from .model import (ConfigError, MrmConfig, MrmParams, encode_events, forward,
-                    forward_batch, loss, plain_lstm_forward, sparse_attention,
-                    topk_mask)
-from .partition import (InfeasiblePartitionError, Partition, candidate_spans,
-                        greedy_feasible, optimal_partition)
+                    forward_batch, loss, sparse_attention)
+from .partition import (InfeasiblePartitionError, Partition, greedy_feasible,
+                        optimal_partition)
 from .syngen import SynthConfig, SynthConfigError, generate, label_oracle
 
 __all__ = [
@@ -31,9 +30,7 @@ __all__ = [
     "EvalReport", "TrainConfig", "TrainingDiverged", "average_precision",
     "auc", "train", "train_lr_baseline",
     "ConfigError", "MrmConfig", "MrmParams", "encode_events", "forward",
-    "forward_batch", "loss", "plain_lstm_forward",
-    "sparse_attention", "topk_mask",
-    "InfeasiblePartitionError", "Partition", "candidate_spans",
-    "greedy_feasible", "optimal_partition",
+    "forward_batch", "loss", "sparse_attention",
+    "InfeasiblePartitionError", "Partition", "greedy_feasible", "optimal_partition",
     "SynthConfig", "SynthConfigError", "generate", "label_oracle",
 ]

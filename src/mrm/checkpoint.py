@@ -24,22 +24,23 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalmetrics as ev
-from .events import (ConfigError, DatasetConfig, DatasetError, check_number,
-                     frequency_vector, normalize_numeric)
+from .events import (DATASET_KEYS, ConfigError, DatasetConfig, DatasetError,
+                     build_config, check_number, entries, frequency_vector,
+                     normalize_numeric)
 from .model import MrmConfig, MrmParams, check_arrays
 
 KINDS = ("mrm", "plain_lstm", "lr")
 
-# metadata key -> config field, per block
-DATASET_KEYS = {"N_c": "n_codes", "N_f": "n_features", "maxFeat": "max_features"}
-MODEL_KEYS = {"D_m": "model_dim", "N_h": "n_heads", "D_a": "head_dim", "topk": "topk",
-              "T_r": "window_hours", "M": "max_groups", "L_G": "max_group_len"}
-TRAIN_KEYS = {"lr": "lr", "batch_size": "batch_size", "max_epochs": "max_epochs",
-              "patience": "patience", "seed": "seed", "clip": "clip_norm"}
-# config field -> the metadata entry that sets it
-_ENTRIES = {"l2": "l2", **{field: f"{block}.{key}" for block, keys in (
-    ("dataset", DATASET_KEYS), ("model", MODEL_KEYS), ("train", TRAIN_KEYS))
-    for key, field in keys.items()}}
+# metadata key -> (config field, type), per block; "dataset" uses
+# events.DATASET_KEYS
+MODEL_KEYS = {"D_m": ("model_dim", int), "N_h": ("n_heads", int),
+              "D_a": ("head_dim", int), "topk": ("topk", int),
+              "T_r": ("window_hours", float), "M": ("max_groups", int),
+              "L_G": ("max_group_len", int)}
+TRAIN_KEYS = {"lr": ("lr", float), "batch_size": ("batch_size", int),
+              "max_epochs": ("max_epochs", int), "patience": ("patience", int),
+              "seed": ("seed", int), "clip": ("clip_norm", float)}
+_TABLES = {"dataset": DATASET_KEYS, "model": MODEL_KEYS, "train": TRAIN_KEYS}
 
 
 @dataclass(frozen=True)
@@ -56,21 +57,17 @@ class Checkpoint:
     l2: float | None = None
 
 
-def _block(config, keys: dict) -> dict:
-    return {key: getattr(config, field) for key, field in keys.items()}
-
-
 def write_checkpoint(path, ckpt: Checkpoint):
     """Write ckpt as a format-1 archive with the metadata of the schema."""
-    meta = {"kind": ckpt.kind, "dataset": _block(ckpt.dataset, DATASET_KEYS),
+    meta = {"kind": ckpt.kind, "dataset": entries(ckpt.dataset, DATASET_KEYS),
             "feature_stats": {str(fid): [mean, std] for fid, (mean, std)
                               in ckpt.dataset.feature_stats.items()},
-            "train": _block(ckpt.train, TRAIN_KEYS)}
+            "train": entries(ckpt.train, TRAIN_KEYS)}
     if ckpt.kind == "lr":
         meta["l2"] = ckpt.l2
         arrays = ckpt.params
     else:
-        meta["model"] = _block(ckpt.model, MODEL_KEYS)
+        meta["model"] = entries(ckpt.model, MODEL_KEYS)
         arrays = ckpt.params.arrays()
     dc.save_checkpoint(path, arrays, meta)
 
@@ -84,16 +81,11 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
     the metadata claims is allocated."""
     arrays, meta = dc.load_checkpoint(path)
 
-    def fault(entry, problem):
-        where = f"checkpoint metadata {entry}" if entry else "checkpoint metadata"
-        return DatasetError(f"{path}: {where}: {problem}")
+    where = f"{path}: checkpoint metadata"
 
-    def fields(block, keys):
-        values = meta[block]
-        if not isinstance(values, dict) or set(values) != set(keys):
-            raise fault(block, f"must be an object with keys {sorted(keys)}, "
-                               f"got {values!r}")
-        return {field: values[key] for key, field in keys.items()}
+    def fault(entry, problem):
+        return DatasetError(f"{where} {entry}: {problem}" if entry
+                            else f"{where}: {problem}")
 
     kind = meta.get("kind")
     if kind not in KINDS:
@@ -104,31 +96,37 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
     if odd:
         raise fault(odd[0], "missing" if odd[0] in blocks
                     else f"not part of a {kind} checkpoint")
-    model = None
+    for block in sorted(blocks & set(_TABLES)):
+        keys = _TABLES[block]
+        if not isinstance(meta[block], dict) or set(meta[block]) != set(keys):
+            raise fault(block, f"must be an object with keys {sorted(keys)}, "
+                               f"got {meta[block]!r}")
+    dataset = build_config(DatasetConfig, meta["dataset"], DATASET_KEYS,
+                           f"{where} dataset.")
+    stats = meta["feature_stats"]
+    if (not isinstance(stats, dict) or len(stats) != dataset.n_features
+            or not all(str(fid) in stats for fid in range(dataset.n_features))):
+        raise fault("feature_stats", f"must map each feature id in "
+                                     f"[0, {dataset.n_features}) to [mean, std]")
+    for fid, pair in stats.items():
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise fault(f"feature_stats.{fid}", f"must be [mean, std], got {pair!r}")
     try:
-        dataset = DatasetConfig(**fields("dataset", DATASET_KEYS))
-        stats = meta["feature_stats"]
-        if (not isinstance(stats, dict) or len(stats) != dataset.n_features
-                or not all(str(fid) in stats for fid in range(dataset.n_features))):
-            raise fault("feature_stats", f"must map each feature id in "
-                                         f"[0, {dataset.n_features}) to [mean, std]")
-        for fid, pair in stats.items():
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise fault(f"feature_stats.{fid}", f"must be [mean, std], got {pair!r}")
         dataset = dataclasses.replace(dataset, feature_stats={
             int(fid): tuple(pair) for fid, pair in stats.items()})
-        train = ev.TrainConfig(**fields("train", TRAIN_KEYS))
         if kind == "lr":
             check_number("l2", meta["l2"], 0)
-        else:
-            model = MrmConfig(dataset.n_codes, dataset.n_features, dataset.max_features,
-                              **fields("model", MODEL_KEYS))
     except ConfigError as err:
-        raise fault(_ENTRIES.get(err.field), err) from None
-    if sidecar is not None and _block(sidecar, DATASET_KEYS) != meta["dataset"]:
+        raise fault(None, err) from None
+    train = build_config(ev.TrainConfig, meta["train"], TRAIN_KEYS, f"{where} train.")
+    model = None if kind == "lr" else build_config(
+        MrmConfig, meta["model"], MODEL_KEYS, f"{where} model.",
+        n_codes=dataset.n_codes, n_features=dataset.n_features,
+        max_features=dataset.max_features)
+    if sidecar is not None and entries(sidecar, DATASET_KEYS) != meta["dataset"]:
         raise DatasetError(f"{path}: checkpoint/config mismatch: checkpoint has "
                            f"{meta['dataset']}, dataset has "
-                           f"{_block(sidecar, DATASET_KEYS)}")
+                           f"{entries(sidecar, DATASET_KEYS)}")
     try:
         params = (check_arrays(arrays, {"weight": (dataset.n_codes,), "bias": ()})
                   if kind == "lr" else MrmParams.from_arrays(arrays, model, kind))

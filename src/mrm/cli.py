@@ -100,60 +100,13 @@ def _sidecar_path(args) -> str:
     return args.data_config if args.data_config else args.data + ".config"
 
 
-# file key -> (SynthConfig field, parser); seq_len_min/max fold into the range
-_SYNTH_KEYS = {
-    "n_sequences": ("n_sequences", int),
-    "vocab_size": ("vocab_size", int),
-    "seq_len_min": ("seq_len_min", int),
-    "seq_len_max": ("seq_len_max", int),
-    "base_rate": ("base_rate", float),
-    "T_signal": ("t_signal", float),
-    "marker_a": ("marker_a", int),
-    "marker_b": ("marker_b", int),
-    "marker_c": ("marker_c", int),
-    "marker_d": ("marker_d", int),
-    "positive_fraction": ("positive_fraction", float),
-    "n_feature_ids": ("n_feature_ids", int),
-    "max_features": ("max_features", int),
-}
-
-
-def _read_synth_config(path, seed: int) -> syngen_mod.SynthConfig:
-    kv = events_mod.read_keyvalue_file(path)
-    unknown = set(kv) - set(_SYNTH_KEYS) - {"seed"}
-    if unknown:
-        raise syngen_mod.SynthConfigError(
-            f"{path}: unknown keys {sorted(unknown)}")
-    if "n_sequences" not in kv:
-        raise syngen_mod.SynthConfigError(f"{path}: n_sequences is required")
-    fields = {}
-    for key, (name, conv) in _SYNTH_KEYS.items():
-        if key in kv:
-            try:
-                fields[name] = conv(kv[key])
-            except ValueError:
-                raise syngen_mod.SynthConfigError(
-                    f"{path}: bad value for {key}: {kv[key]!r}") from None
-    lo = fields.pop("seq_len_min", syngen_mod.SynthConfig.seq_len_range[0])
-    hi = fields.pop("seq_len_max", syngen_mod.SynthConfig.seq_len_range[1])
-    return syngen_mod.SynthConfig(seq_len_range=(lo, hi), seed=seed, **fields)
-
-
 def cmd_generate(args) -> int:
-    config = _read_synth_config(args.config, args.seed)
+    config = syngen_mod.load_synth_config(args.config, args.seed)
     sequences = syngen_mod.generate(config)
     events_mod.write_dataset(args.out, sequences)
-    data_config = syngen_mod.dataset_config_for(config)
-    echo = {
-        "n_sequences": config.n_sequences, "vocab_size": config.vocab_size,
-        "seq_len_min": config.seq_len_range[0], "seq_len_max": config.seq_len_range[1],
-        "base_rate": config.base_rate, "T_signal": config.t_signal,
-        "marker_a": config.marker_a, "marker_b": config.marker_b,
-        "marker_c": config.marker_c, "marker_d": config.marker_d,
-        "positive_fraction": config.positive_fraction, "seed": config.seed,
-        "n_feature_ids": config.n_feature_ids, "max_features": config.max_features,
-    }
-    events_mod.write_sidecar_config(args.out + ".config", data_config, extra=echo)
+    events_mod.write_sidecar_config(
+        args.out + ".config", syngen_mod.dataset_config_for(config),
+        extra=events_mod.entries(config, syngen_mod.SYNTH_KEYS))
     n_pos = sum(s.label for s in sequences)
     n = len(sequences)
     print(f"wrote {n} sequences to {args.out}")
@@ -281,8 +234,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 1
-    except (events_mod.DatasetError, syngen_mod.SynthConfigError,
-            InfeasiblePartitionError, model_mod.ConfigError,
+    except (events_mod.DatasetError, InfeasiblePartitionError, model_mod.ConfigError,
             ev.TrainingDiverged, OSError, ValueError) as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import diffcore as dc
 from . import model as mrm_model
-from .events import ConfigError, check_number, frequency_vector
+from .events import (ConfigError, check_number, entries, frequency_vector,
+                     write_keyvalues)
 
 log = logging.getLogger("mrm.train")
 
@@ -78,7 +79,8 @@ class TrainConfig:
             check_number(name, getattr(self, name), least, integer=True)
         if self.patience >= self.max_epochs:
             raise ConfigError(f"need 0 <= patience < max_epochs, got "
-                              f"patience={self.patience} max_epochs={self.max_epochs}")
+                              f"patience={self.patience} max_epochs={self.max_epochs}",
+                              field="patience")
 
 
 @dataclass
@@ -311,19 +313,16 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
 # report files
 
 
+# .report key -> (EvalReport field, type), in the order written
+REPORT_KEYS = {"test_auc": ("auc", float), "test_ap": ("ap", float),
+               "n_pos": ("n_pos", int), "n_neg": ("n_neg", int),
+               "train_auc": ("train_auc", float), "train_ap": ("train_ap", float),
+               "valid_auc": ("valid_auc", float), "best_epoch": ("best_epoch", int)}
+
+
 def write_report(path, report: EvalReport, extra: dict | None = None):
-    """Flat key-value serialization (floats via repr for exactness)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"test_auc = {report.auc!r}\n")
-        fh.write(f"test_ap = {report.ap!r}\n")
-        fh.write(f"n_pos = {report.n_pos}\n")
-        fh.write(f"n_neg = {report.n_neg}\n")
-        fh.write(f"train_auc = {report.train_auc!r}\n")
-        fh.write(f"train_ap = {report.train_ap!r}\n")
-        fh.write(f"valid_auc = {report.valid_auc!r}\n")
-        fh.write(f"best_epoch = {report.best_epoch}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key} = {value}\n")
+    """Flat key-value serialization (a float's str is its exact repr)."""
+    write_keyvalues(path, {**entries(report, REPORT_KEYS), **(extra or {})})
 
 
 def write_trace_csv(path, report: EvalReport):

@@ -421,21 +421,42 @@ def split_dataset(sequences, fractions=(0.7, 0.1, 0.2), seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# sidecar config files (flat key-value)
+# flat key-value files: the sidecar, the generator config and the report
+
+# file key -> (config field, type); the sidecar and the checkpoint's
+# "dataset" block both spell the vocabulary sizes so
+DATASET_KEYS = {"N_c": ("n_codes", int), "N_f": ("n_features", int),
+                "maxFeat": ("max_features", int)}
 
 
-def write_sidecar_config(path, config: DatasetConfig, extra: dict | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"N_c = {config.n_codes}\n")
-        fh.write(f"N_f = {config.n_features}\n")
-        fh.write(f"maxFeat = {config.max_features}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key} = {value}\n")
+def entries(config, keys: dict) -> dict:
+    """{key: value of its field in config} over a key table, in its order."""
+    return {key: getattr(config, field) for key, (field, _) in keys.items()}
 
 
-def read_keyvalue_file(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment."""
-    out = {}
+def build_config(make, values: dict, keys: dict, where: str, **given):
+    """make(**given, ...) with the value of each table key in values passed
+    as the key's config field; entries outside the table are ignored, and
+    a value given for the same field must be equal. A ConfigError of make
+    raises DatasetError naming where + the key."""
+    fields = {field: values[key] for key, (field, _) in keys.items() if key in values}
+    for key, (field, _) in keys.items():
+        if field in fields and field in given and fields[field] != given[field]:
+            raise DatasetError(f"{where}{key}: holds {fields[field]!r}, but "
+                               f"{given[field]!r} is given")
+    try:
+        return make(**{**fields, **given})
+    except ConfigError as err:
+        key = next((key for key, (field, _) in keys.items() if field == err.field),
+                   err.field)
+        raise DatasetError(f"{where}{key}: {err}") from None
+
+
+def read_keyvalue_file(path, keys: dict | None = None) -> dict:
+    """Parse `key = value` lines; '#' starts a comment and a key may occur
+    once. Values of the keys in the table are converted by its type, the
+    others stay strings."""
+    out, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -443,15 +464,33 @@ def read_keyvalue_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise DatasetError(f"{path} line {ln}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise DatasetError(f"{path} line {ln}: {key} repeats line {lines[key]}")
+            lines[key] = ln
+            kind = keys[key][1] if keys and key in keys else str
+            try:
+                out[key] = kind(value)
+            except ValueError:
+                raise DatasetError(f"{path} line {ln}: {key} must be "
+                                   f"{'an integer' if kind is int else 'a number'}, "
+                                   f"got {value!r}") from None
     return out
 
 
+def write_keyvalues(path, mapping: dict):
+    """Write one `key = value` line per entry, in the mapping's order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in mapping.items())
+
+
+def write_sidecar_config(path, config: DatasetConfig, extra: dict | None = None):
+    write_keyvalues(path, {**entries(config, DATASET_KEYS), **(extra or {})})
+
+
 def load_sidecar_config(path) -> DatasetConfig:
-    kv = read_keyvalue_file(path)
-    try:
-        return DatasetConfig(n_codes=int(kv["N_c"]), n_features=int(kv["N_f"]),
-                             max_features=int(kv["maxFeat"]))
-    except KeyError as err:
-        raise DatasetError(f"{path}: missing key {err}") from None
+    values = read_keyvalue_file(path, DATASET_KEYS)
+    missing = [key for key in DATASET_KEYS if key not in values]
+    if missing:
+        raise DatasetError(f"{path}: missing key {missing[0]!r}")
+    return build_config(DatasetConfig, values, DATASET_KEYS, f"{path}: ")

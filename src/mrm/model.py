@@ -48,7 +48,8 @@ class MrmConfig:
         if self.head_dim * self.n_heads != self.model_dim:
             raise ConfigError(
                 f"head_dim * n_heads must equal model_dim: "
-                f"{self.head_dim} * {self.n_heads} != {self.model_dim}")
+                f"{self.head_dim} * {self.n_heads} != {self.model_dim}",
+                field="head_dim")
 
     def capacity(self) -> int:
         return self.max_groups * self.max_group_len
@@ -267,21 +268,6 @@ def neighborhood_bounds(times, window_hours: float, offsets=None):
     return lo, hi
 
 
-def topk_mask(scores, topk: int) -> np.ndarray:
-    """Boolean mask keeping the min(topk, n) largest scores.
-
-    Ties at the threshold resolve to the lowest index: sort by
-    (score descending, index ascending) and keep the first topk.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError(f"topk_mask: need a non-empty vector, got shape {s.shape}")
-    mask = np.zeros(s.size, dtype=bool)
-    keep = np.argsort(-s, kind="stable")[:min(topk, s.size)]
-    mask[keep] = True
-    return mask
-
-
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
                      return_weights: bool = False, offsets=None):
     """Multi-head attention over time-windowed, top-k-masked neighbors.
@@ -407,13 +393,6 @@ def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
         "n_groups": len(partition.groups),
     }
     return y_hat, diagnostics
-
-
-def plain_lstm_forward(seq: EventSequence, params: MrmParams,
-                       config: MrmConfig) -> dc.Tensor:
-    """Baseline: the LSTM consumes every event vector directly (no
-    attention, no pooling), then the same sigmoid head."""
-    return dc.sum_all(forward_batch([seq], params, config, kind="plain_lstm"))
 
 
 _CLAMP = 1e-7

@@ -43,19 +43,6 @@ def _check_sorted(times) -> np.ndarray:
     return t
 
 
-def candidate_spans(times) -> np.ndarray:
-    """All distinct pairwise differences t_j - t_i (j >= i), sorted.
-
-    The optimal minimax span is the span of some contiguous group, i.e. a
-    pairwise difference, so searching this list is exact. O(L^2) memory;
-    optimal_partition searches the O(L * max_group_len) subset of
-    _window_spans instead, and this full list is kept as its reference.
-    """
-    t = _check_sorted(times)
-    iu = np.triu_indices(t.size)
-    return np.unique(t[iu[1]] - t[iu[0]])
-
-
 def _window_spans(t: np.ndarray, max_group_len: int) -> np.ndarray:
     """Distinct differences t_j - t_i with 0 <= j - i < max_group_len, sorted.
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import DatasetConfig, EventSequence, event_columns
+from .events import (ConfigError, DatasetConfig, DatasetError, EventSequence,
+                     build_config, check_number, event_columns, read_keyvalue_file)
 
-
-class SynthConfigError(ValueError):
-    """Impossible or inconsistent generator configuration."""
+# the generator's faults are ConfigErrors like every config's; the old name stays
+SynthConfigError = ConfigError
 
 
 @dataclass(frozen=True)
@@ -42,29 +42,69 @@ class SynthConfig:
     max_features: int = 3
 
     def __post_init__(self):
+        check_number("n_sequences", self.n_sequences, 1, integer=True)
+        # four marker codes plus at least one background code
+        check_number("vocab_size", self.vocab_size, 5, integer=True)
+        check_number("seq_len_min", self.seq_len_min, 8, integer=True)
+        check_number("seq_len_max", self.seq_len_max, self.seq_len_min, integer=True)
+        check_number("base_rate", self.base_rate, 0, strict=True)
+        check_number("t_signal", self.t_signal, 0, strict=True)
         markers = self.markers()
-        if len(set(markers)) != 4:
-            raise SynthConfigError(f"marker codes must be distinct, got {markers}")
-        if any(m < 0 or m >= self.vocab_size for m in markers):
-            raise SynthConfigError(f"marker codes {markers} must lie in "
-                                   f"[0, {self.vocab_size})")
-        if self.vocab_size < 5:
-            raise SynthConfigError("vocab_size must leave at least one "
-                                   "non-marker background code")
-        lo, hi = self.seq_len_range
-        if lo < 8 or hi < lo:
-            raise SynthConfigError(f"seq_len_range must satisfy 8 <= min <= max, "
-                                   f"got {self.seq_len_range}")
-        if not (0.0 < self.positive_fraction < 1.0):
-            raise SynthConfigError(f"positive_fraction must be in (0,1), "
-                                   f"got {self.positive_fraction}")
-        if self.base_rate <= 0 or self.t_signal <= 0:
-            raise SynthConfigError("base_rate and t_signal must be positive")
-        if self.n_sequences < 1:
-            raise SynthConfigError("n_sequences must be >= 1")
+        for k, name in enumerate(_MARKER_FIELDS):
+            check_number(name, markers[k], 0, integer=True)
+            if markers[k] >= self.vocab_size or markers[k] in markers[:k]:
+                raise ConfigError(f"{name} must be a code in [0, {self.vocab_size}) "
+                                  f"distinct from the other markers, got {markers}",
+                                  field=name)
+        check_number("positive_fraction", self.positive_fraction, 0, strict=True)
+        if self.positive_fraction >= 1:
+            raise ConfigError(f"positive_fraction must be < 1, got "
+                              f"{self.positive_fraction}", field="positive_fraction")
+        check_number("seed", self.seed, 0, integer=True)
+        # _noise_features draws up to two distinct categorical ids per event
+        check_number("n_feature_ids", self.n_feature_ids, 2, integer=True)
+        check_number("max_features", self.max_features, 2, integer=True)
+
+    @property
+    def seq_len_min(self):
+        return self.seq_len_range[0]
+
+    @property
+    def seq_len_max(self):
+        return self.seq_len_range[1]
 
     def markers(self):
         return (self.marker_a, self.marker_b, self.marker_c, self.marker_d)
+
+
+_MARKER_FIELDS = ("marker_a", "marker_b", "marker_c", "marker_d")
+
+# generator-config key -> (SynthConfig field, type), in the order that
+# `mrm generate` echoes them into the sidecar
+SYNTH_KEYS = {"n_sequences": ("n_sequences", int), "vocab_size": ("vocab_size", int),
+              "seq_len_min": ("seq_len_min", int), "seq_len_max": ("seq_len_max", int),
+              "base_rate": ("base_rate", float), "T_signal": ("t_signal", float),
+              **{name: (name, int) for name in _MARKER_FIELDS},
+              "positive_fraction": ("positive_fraction", float), "seed": ("seed", int),
+              "n_feature_ids": ("n_feature_ids", int),
+              "max_features": ("max_features", int)}
+
+
+# the file gives the length range by its two ends; a missing n_sequences
+# reaches the checks as None
+def _from_file(n_sequences=None, seq_len_min=SynthConfig.seq_len_range[0],
+               seq_len_max=SynthConfig.seq_len_range[1], **fields) -> SynthConfig:
+    return SynthConfig(n_sequences, seq_len_range=(seq_len_min, seq_len_max), **fields)
+
+
+def load_synth_config(path, seed: int) -> SynthConfig:
+    """The generator config of a key-value file of SYNTH_KEYS, generating
+    with seed; a seed key in the file must equal it."""
+    values = read_keyvalue_file(path, SYNTH_KEYS)
+    unknown = sorted(set(values) - set(SYNTH_KEYS))
+    if unknown:
+        raise DatasetError(f"{path}: unknown keys {unknown}")
+    return build_config(_from_file, values, SYNTH_KEYS, f"{path}: ", seed=seed)
 
 
 def dataset_config_for(config: SynthConfig) -> DatasetConfig:

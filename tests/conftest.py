@@ -58,6 +58,27 @@ def head_weights(qkv, n_heads, h):
     return queries[rows], keys[rows], values[rows]
 
 
+def topk_mask(scores, topk: int) -> np.ndarray:
+    """Boolean mask keeping the min(topk, n) largest scores, ties at the
+    threshold resolved to the lowest index: the top-k selection oracle."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError(f"topk_mask: need a non-empty vector, got shape {s.shape}")
+    mask = np.zeros(s.size, dtype=bool)
+    mask[np.argsort(-s, kind="stable")[:min(topk, s.size)]] = True
+    return mask
+
+
+def candidate_spans(times) -> np.ndarray:
+    """All distinct pairwise differences t_j - t_i (j >= i) of sorted
+    times, sorted. The optimal minimax span is the span of some contiguous
+    group, so searching this list is exact: the partition oracle's O(L^2)
+    candidate set."""
+    t = np.asarray(times, dtype=np.float64)
+    iu = np.triu_indices(t.size)
+    return np.unique(t[iu[1]] - t[iu[0]])
+
+
 @pytest.fixture
 def fd_grads():
     return finite_difference_gradients

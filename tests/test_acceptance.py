@@ -14,8 +14,8 @@ from mrm import model as mm
 from mrm import syngen
 from mrm.partition import InfeasiblePartitionError, optimal_partition
 
-from conftest import (finite_difference_gradients, head_weights, param_rel_err,
-                      tie_avoided_instance)
+from .conftest import (finite_difference_gradients, head_weights, param_rel_err,
+                       tie_avoided_instance)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_score_sequences_chunks_by_capacity_and_keeps_input_order(monkeypatch):
             if kind == "mrm":
                 want = mm.forward(seq, params, config)[0].item()
             else:
-                want = mm.plain_lstm_forward(seq, params, config).item()
+                want = mm.forward_batch([seq], params, config, kind="plain_lstm").data[0]
             assert abs(score - want) < 1e-12, (kind, seq.patient_id)
         if kind == "mrm":
             parts = [mm.sequence_partition(s, config) for s in seqs]

@@ -6,7 +6,7 @@ from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from conftest import head_weights, param_rel_err
+from .conftest import head_weights, param_rel_err, topk_mask
 
 
 def small_config(**overrides):
@@ -149,7 +149,7 @@ def dense_reference_attention(x, times, params, config):
         scores = q @ k.T
         mask = np.zeros((n, n), dtype=bool)
         for i in range(n):
-            mask[i, lo[i]:hi[i]] = mm.topk_mask(scores[i, lo[i]:hi[i]], config.topk)
+            mask[i, lo[i]:hi[i]] = topk_mask(scores[i, lo[i]:hi[i]], config.topk)
         s = np.where(mask, scores, -np.inf)
         e = np.exp(s - s.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
@@ -374,15 +374,15 @@ def test_neighborhood_matches_brute_scan():
 
 
 def test_topk_mask_selects_largest():
-    assert np.array_equal(mm.topk_mask([3.0, 1.0, 2.0], 2), [True, False, True])
+    assert np.array_equal(topk_mask([3.0, 1.0, 2.0], 2), [True, False, True])
 
 
 def test_topk_mask_keeps_all_when_k_large():
-    assert np.array_equal(mm.topk_mask([1.0, 2.0], 5), [True, True])
+    assert np.array_equal(topk_mask([1.0, 2.0], 5), [True, True])
 
 
 def test_topk_mask_ties_resolve_to_lowest_index():
-    assert np.array_equal(mm.topk_mask([5.0, 5.0, 5.0], 2), [True, True, False])
+    assert np.array_equal(topk_mask([5.0, 5.0, 5.0], 2), [True, True, False])
 
 
 def test_topk_mask_count_is_exact():
@@ -391,7 +391,7 @@ def test_topk_mask_count_is_exact():
         n = int(rng.integers(1, 12))
         scores = rng.choice([0.0, 1.0, 2.0], size=n)  # plenty of ties
         k = int(rng.integers(1, 14))
-        assert mm.topk_mask(scores, k).sum() == min(k, n)
+        assert topk_mask(scores, k).sum() == min(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +702,8 @@ def test_forward_all_zero_parameters_gives_half():
         seq = random_sequence(rng, int(rng.integers(1, 12)), config)
         y_hat, _ = mm.forward(seq, params, config)
         assert y_hat.item() == 0.5
-        assert mm.plain_lstm_forward(seq, params, config).item() == 0.5
+        plain = mm.forward_batch([seq], params, config, kind="plain_lstm")
+        assert plain.data[0] == 0.5
 
 
 def test_forward_matches_straight_line_oracle():
@@ -721,9 +722,9 @@ def test_plain_lstm_matches_straight_line_oracle():
     for trial in range(10):
         params = mm.MrmParams.init(config, seed=200 + trial, kind="plain_lstm")
         seq = random_sequence(rng, int(rng.integers(1, 14)), config)
-        y_hat = mm.plain_lstm_forward(seq, params, config)
-        assert 0.0 < y_hat.item() < 1.0
-        assert abs(y_hat.item() - oracle_plain_lstm(seq, params.arrays(), config)) < 1e-10
+        y_hat = mm.forward_batch([seq], params, config, kind="plain_lstm").data[0]
+        assert 0.0 < y_hat < 1.0
+        assert abs(y_hat - oracle_plain_lstm(seq, params.arrays(), config)) < 1e-10
 
 
 def test_forward_truncates_to_most_recent_events():
@@ -805,7 +806,8 @@ def test_forward_batch_matches_per_sequence_forward():
     plain = mm.MrmParams.init(config, seed=42, kind="plain_lstm")
     batch = mm.forward_batch(seqs, plain, config, kind="plain_lstm")
     for p, seq in zip(batch.data, seqs):
-        assert abs(p - mm.plain_lstm_forward(seq, plain, config).item()) < 1e-12
+        one = mm.forward_batch([seq], plain, config, kind="plain_lstm")
+        assert abs(p - one.data[0]) < 1e-12
 
 
 def test_forward_batch_sequences_do_not_interact():
@@ -951,9 +953,10 @@ def test_plain_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
     named = params.named()
 
     def loss_value():
-        return mm.loss(mm.plain_lstm_forward(seq, params, config), 1).item()
+        return mm.loss(mm.forward_batch([seq], params, config, kind="plain_lstm"),
+                       [1]).item()
 
-    total = mm.loss(mm.plain_lstm_forward(seq, params, config), 1)
+    total = mm.loss(mm.forward_batch([seq], params, config, kind="plain_lstm"), [1])
     total.backward()
     numeric = fd_grads(loss_value, named)
     for name in named:

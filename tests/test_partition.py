@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrm.partition import (InfeasiblePartitionError, candidate_spans,
-                           greedy_feasible, optimal_partition)
+from mrm.partition import InfeasiblePartitionError, greedy_feasible, optimal_partition
+
+from .conftest import candidate_spans
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,26 @@ def test_config_rejects_degenerate_fraction():
         syngen.SynthConfig(**{**BASE, "positive_fraction": 1.0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_signal", float("inf")), ("t_signal", float("nan")), ("base_rate", float("nan")),
+    ("base_rate", 0.0), ("positive_fraction", float("nan")), ("n_feature_ids", 1),
+    ("n_feature_ids", 0), ("max_features", 1), ("max_features", 0),
+    ("n_sequences", 2.0), ("vocab_size", True), ("marker_c", 2.5), ("seed", -1),
+])
+def test_config_rejects_a_bad_field_naming_it(field, value):
+    with pytest.raises(syngen.SynthConfigError) as err:
+        syngen.SynthConfig(**{**BASE, field: value})
+    assert err.value.field == field
+
+
+def test_config_names_the_end_of_a_bad_length_range():
+    for bounds, field in (((7, 10), "seq_len_min"), ((10, 9), "seq_len_max"),
+                          ((8, 9.5), "seq_len_max")):
+        with pytest.raises(syngen.SynthConfigError) as err:
+            syngen.SynthConfig(**{**BASE, "seq_len_range": bounds})
+        assert err.value.field == field
+
+
 def test_label_oracle_window_and_order_satisfied():
     cfg = syngen.SynthConfig(**BASE)
     seq = ev.EventSequence("x", 1, sorted([
