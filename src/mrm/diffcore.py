@@ -11,6 +11,8 @@ checks against central finite differences are reliable.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -127,6 +129,51 @@ def _node(value, op: str, parents, backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# row-parallel kernels
+
+# Workers for row-separable forward kernels: the calling thread plus pool
+# threads, one per CPU this process may run on, at most two (the only count
+# measured). The pool exists from import on, so no module attribute changes
+# later, and it starts its thread on the first split only.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+_MIN_BLOCK_ROWS = 512  # smaller blocks lose more to the hand-off than they gain
+_BAND_ROWS = 256  # query rows whose window keys attention gathers at once
+
+
+def _new_pool():
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mrm-rows")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no pool thread, but a copied pool would wait for one
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _row_blocks(fn, n: int):
+    """Call fn(r0, r1) on blocks that tile the rows [0, n) in order: one
+    block per worker when each gets at least _MIN_BLOCK_ROWS rows, else
+    one block, [0, n), on the calling thread. The calling thread runs the
+    first block and the pool the others. fn must write only its own rows
+    of arrays made beforehand and do numpy work only: no Tensor, no
+    no_grad state, no public function of this package."""
+    blocks = min(_WORKERS, n // _MIN_BLOCK_ROWS)
+    if blocks <= 1:
+        fn(0, n)
+        return
+    cuts = [n * b // blocks for b in range(blocks + 1)]
+    futures = [_POOL.submit(fn, r0, r1) for r0, r1 in zip(cuts[1:-1], cuts[2:])]
+    try:
+        fn(cuts[0], cuts[1])
+    finally:
+        wait(futures)  # no block may still write once this returns
+    for future in futures:
+        future.result()
+
+
+# ---------------------------------------------------------------------------
 # elementwise and linear-algebra operations
 
 
@@ -225,37 +272,55 @@ def embed(n_rows: int, lookups) -> Tensor:
 
     lookups is a sequence of (table, ids, rows, weights): entry k of a
     lookup adds weights[k] * table[ids[k]] to output row rows[k]. rows None
-    means entry k goes to row k (then ids has n_rows entries); weights None
-    means 1. Each lookup is summed into its own block and the blocks are
-    added in order. Backward is one np.add.at per table.
+    means entry k goes to row k (then ids has n_rows entries), otherwise
+    rows must be non-decreasing; weights None means 1. Each lookup is
+    summed into its own block, a row's entries one after the other in
+    entry order, and the blocks are added in order; the output rows are
+    filled in row blocks (_row_blocks). Backward is one np.add.at per
+    table.
     """
-    out = None
     terms = []
     for table, ids, rows, weights in lookups:
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size == 0:
             continue
-        vals = table.data[ids]
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)[:, None]
-            vals = vals * weights
+        ptr = None
         if rows is None:
             if ids.shape[0] != n_rows:
                 raise ShapeError(f"embed: {ids.shape[0]} ids for {n_rows} rows")
-            block = vals
         else:
             rows = np.asarray(rows, dtype=np.intp)
             if rows.shape != ids.shape:
                 raise ShapeError(f"embed: {rows.shape[0]} rows for {ids.shape[0]} ids")
-            block = np.zeros((n_rows, table.shape[1]))
-            np.add.at(block, rows, vals)
-        out = block if out is None else out + block
-        terms.append((table, ids, rows, weights))
-    if out is None:
+            if not (0 <= rows[0] and rows[-1] < n_rows and (rows[:-1] <= rows[1:]).all()):
+                raise ShapeError(f"embed: rows must be non-decreasing in [0, {n_rows})")
+            # the entries of row r are [ptr[r], ptr[r + 1])
+            ptr = np.searchsorted(rows, np.arange(n_rows + 1))
+        terms.append((table, ids, rows, weights, ptr))
+    if not terms:
         raise ShapeError("embed: no lookup has any entries")
+    out = np.empty((n_rows, terms[0][0].shape[1]))
+
+    def fill(r0, r1):
+        block = out[r0:r1]
+        for j, (table, ids, _, weights, ptr) in enumerate(terms):
+            a, b = (r0, r1) if ptr is None else (ptr[r0], ptr[r1])
+            vals = table.data[ids[a:b]]
+            if weights is not None:
+                vals = vals * weights[a:b]
+            if ptr is not None:
+                vals = _sum_entries(vals, ptr[r0:r1 + 1] - a)
+            if j:
+                block += vals
+            else:
+                block[...] = vals
+
+    _row_blocks(fill, n_rows)
 
     def bwd(g):
-        for table, ids, rows, weights in terms:
+        for table, ids, rows, weights, _ in terms:
             if table.needs_grad:
                 g_ids = g if rows is None else g[rows]
                 if weights is not None:
@@ -264,6 +329,20 @@ def embed(n_rows: int, lookups) -> Tensor:
                 np.add.at(gt, ids, g_ids)
                 _accum(table, gt)
     return _node(out, "embed", tuple(t for t, *_ in terms), bwd)
+
+
+def _sum_entries(vals, ptr):
+    """The (len(ptr) - 1, d) sums of the rows [ptr[r], ptr[r + 1]) of vals,
+    each from zero in row order: slot j adds the j-th entry of every row
+    that has one, so the sums equal np.add.at's."""
+    counts = ptr[1:] - ptr[:-1]
+    out = np.zeros((counts.size, vals.shape[1]))
+    has, j = counts.nonzero()[0], 0
+    while has.size:
+        out[has] += vals[ptr[has] + j]
+        j += 1
+        has = (counts > j).nonzero()[0]
+    return out
 
 
 def slice_rows(x: Tensor, start: int, end: int) -> Tensor:
@@ -343,6 +422,11 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     is filled up with padding entries of weight exactly 0 whose row is
     lo[i].
 
+    The queries, keys and values of all rows are projected first; the rest
+    of the forward runs in row blocks (_row_blocks), each filling its own
+    rows of the outputs, so the results do not depend on the number of
+    blocks.
+
     Returns (out, (rows, weights)): out is the (n, heads * head_dim)
     tensor; rows[i, h] are the k rows that query i keeps in head h, in
     row order (padding last), and weights[i, h] their softmax weights,
@@ -362,37 +446,54 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     q = q.reshape(n, n_heads, head_dim)
     size = hi - lo
     width = int(np.max(size))
-    band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
-    scores = np.einsum("iha,iwha->ihw", q,
-                       keys[band].reshape(n, width, n_heads, head_dim))
     k = min(topk, width)
-    # a window of at most k rows keeps them all, then padding: slots 0..k-1
-    slots = np.broadcast_to(np.arange(k), (n, n_heads, k)).copy()
-    s = scores[..., :k].copy()
-    wide = np.flatnonzero(size > k)
-    if wide.size:
-        # stable sort by (-score, slot): the lowest row wins a tie
-        wide_scores = scores[wide]
-        order = np.argsort(np.where(np.arange(width) < size[wide, None, None],
-                                    -wide_scores, np.inf), axis=-1, kind="stable")
-        wide_slots = np.sort(order[..., :k], axis=-1)
-        slots[wide] = wide_slots
-        s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
-    valid = slots < size[:, None, None]
-    rows = np.where(valid, lo[:, None, None] + slots, lo[:, None, None])
-    s[~valid] = -np.inf
-    e = np.exp(s - _over_kept(np.maximum, s)[..., None])
-    p = e / _over_kept(np.add, e)[..., None]
-    # head h of row r is row r * heads + h of the (n, heads * head_dim)
-    # keys and values seen as (n * heads, head_dim) arrays
-    flat = rows * n_heads + np.arange(n_heads)[:, None]
-    v_kept = values.reshape(n * n_heads, head_dim)[flat]
-    out = np.einsum("ihk,ihka->iha", p, v_kept).reshape(n, ha)
+    out = np.empty((n, n_heads, head_dim))
+    rows = np.empty((n, n_heads, k), dtype=np.intp)
+    p = np.empty((n, n_heads, k))
+    v_kept = np.empty((n, n_heads, k, head_dim))
+
+    def fill(r0, r1):
+        m, q_b = r1 - r0, q[r0:r1]
+        lo_b, size_b = lo[r0:r1, None, None], size[r0:r1]
+        band = np.minimum(lo_b[:, 0] + np.arange(width), hi[r0:r1, None] - 1)
+        scores = np.empty((m, n_heads, width))
+        # the band's key rows are the largest array here: gathered for
+        # _BAND_ROWS query rows at a time
+        for c in range(0, m, _BAND_ROWS):
+            chunk = slice(c, c + _BAND_ROWS)
+            band_keys = keys[band[chunk]].reshape(-1, width, n_heads, head_dim)
+            scores[chunk] = np.einsum("iha,iwha->ihw", q_b[chunk], band_keys)
+        # a window of at most k rows keeps them all, then padding: slots 0..k-1
+        slots = np.broadcast_to(np.arange(k), (m, n_heads, k)).copy()
+        s = scores[..., :k].copy()
+        wide = np.flatnonzero(size_b > k)
+        if wide.size:
+            # stable sort by (-score, slot): the lowest row wins a tie
+            wide_scores = scores[wide]
+            order = np.argsort(np.where(np.arange(width) < size_b[wide, None, None],
+                                        -wide_scores, np.inf), axis=-1, kind="stable")
+            wide_slots = np.sort(order[..., :k], axis=-1)
+            slots[wide] = wide_slots
+            s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
+        valid = slots < size_b[:, None, None]
+        rows[r0:r1] = np.where(valid, lo_b + slots, lo_b)
+        s[~valid] = -np.inf
+        e = np.exp(s - _over_kept(np.maximum, s)[..., None])
+        np.divide(e, _over_kept(np.add, e)[..., None], out=p[r0:r1])
+        # head h of row r is row r * heads + h of the (n, heads * head_dim)
+        # keys and values seen as (n * heads, head_dim) arrays
+        flat = rows[r0:r1] * n_heads + np.arange(n_heads)[:, None]
+        np.take(values.reshape(n * n_heads, head_dim), flat, axis=0, out=v_kept[r0:r1],
+                mode="clip")  # "clip" writes straight to out; flat is in range
+        np.einsum("ihk,ihka->iha", p[r0:r1], v_kept[r0:r1], out=out[r0:r1])
+
+    _row_blocks(fill, n)
 
     def bwd(g):
         g3 = g.reshape(n, n_heads, head_dim)
         dp = np.einsum("iha,ihka->ihk", g3, v_kept)
         ds = p * (dp - _over_kept(np.add, p * dp)[..., None])
+        flat = rows * n_heads + np.arange(n_heads)[:, None]
         k_kept = keys.reshape(n * n_heads, head_dim)[flat]
         dq = np.einsum("ihk,ihka->iha", ds, k_kept).reshape(n, ha)
         dk = _scatter_kept(flat, ds, q, n * n_heads).reshape(n, ha)
@@ -401,7 +502,8 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
         _accum(x, dproj @ w_qkv.data)
         _accum(w_qkv, dproj.T @ x.data)
 
-    return _node(out, "windowed_attention", (x, w_qkv), bwd), (rows, p)
+    return (_node(out.reshape(n, ha), "windowed_attention", (x, w_qkv), bwd),
+            (rows, p))
 
 
 def _over_kept(ufunc, a):

@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,22 +276,35 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
         raise DatasetError(f"{where}: missing key {err}") from None
     if isinstance(label, bool) or label not in (0, 1):  # True == 1 in Python
         raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
+    if not isinstance(raw_events, list):
+        raise DatasetError(f"{where}: events must be a list, got "
+                           f"{type(raw_events).__name__}")
     if not raw_events:
         raise DatasetError(f"{where}: empty event list")
     codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = (
         [], [], [0], [], [0], [], [])
     for k, raw in enumerate(raw_events):
         try:
-            codes.append(int(raw["code"]))
-            times.append(float(raw["t"]))
-            cat_ids.extend([int(c) for c in raw.get("cat", [])])
+            codes.append(raw["code"])
+            times.append(raw["t"])
+            cat_ids.extend(raw.get("cat", []))
             for fid, v in raw.get("num", []):
-                num_ids.append(int(fid))
-                num_values.append(float(v))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+                num_ids.append(fid)
+                num_values.append(v)
+        except (KeyError, TypeError, ValueError) as err:
             raise DatasetError(f"{where}: bad event {k}: {err}") from None
         cat_ptr.append(len(cat_ids))
         num_ptr.append(len(num_ids))
+    # ids are JSON integers, times and values JSON numbers; bools are neither
+    id_types = {*map(type, codes), *map(type, cat_ids), *map(type, num_ids)}
+    number_types = {*map(type, times), *map(type, num_values)}
+    if not (id_types <= {int} and number_types <= {int, float}):
+        raise _bad_number(raw_events, where)
+    if int in number_types:
+        try:
+            times, num_values = list(map(float, times)), list(map(float, num_values))
+        except OverflowError:
+            raise _bad_number(raw_events, where) from None
     columns = (codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values)
     if not _valid(*columns, config):
         # name the first bad event, with the message of its first bad field
@@ -302,6 +316,27 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
     if not all(map(operator.le, times, times[1:])):
         seq = seq.take(np.argsort(seq.times(), kind="stable"))  # ties keep file order
     return seq
+
+
+def _bad_number(raw_events, where: str) -> DatasetError:
+    """The error naming the first event with a code or feature id that is
+    not an integer, or a time or value that is not a number a float can
+    hold."""
+    for k, raw in enumerate(raw_events):
+        fields = [("code", raw["code"], int), ("t", raw["t"], float)]
+        fields += [("categorical feature id", fid, int) for fid in raw.get("cat", [])]
+        for fid, v in raw.get("num", []):
+            fields += [("numerical feature id", fid, int),
+                       (f"value of feature {fid!r}", v, float)]
+        for name, value, kind in fields:
+            if kind is int and type(value) is not int:
+                return DatasetError(f"{where}: bad event {k}: {name} must be an "
+                                    f"integer, got {value!r}")
+            if kind is float and not (type(value) is float or type(value) is int
+                                      and abs(value) <= sys.float_info.max):
+                return DatasetError(f"{where}: bad event {k}: {name} must be a "
+                                    f"finite number, got {value!r}")
+    raise AssertionError("no event has a field of a wrong type")
 
 
 def load_dataset(path, config: DatasetConfig):

@@ -24,6 +24,13 @@ from .events import (ConfigError, DatasetConfig, DatasetError, EventSequence,
 # the generator's faults are ConfigErrors like every config's; the old name stays
 SynthConfigError = ConfigError
 
+# Times are hours. A background stream spans about seq_len_max / base_rate
+# hours and the signal window is t_signal; both stay within MAX_HOURS, so
+# every time is a finite float, and t_signal is at least MIN_SIGNAL_HOURS,
+# so the signal gaps stay far above the roundoff of such times.
+MAX_HOURS = 1e6
+MIN_SIGNAL_HOURS = 1e-6
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -48,7 +55,14 @@ class SynthConfig:
         check_number("seq_len_min", self.seq_len_min, 8, integer=True)
         check_number("seq_len_max", self.seq_len_max, self.seq_len_min, integer=True)
         check_number("base_rate", self.base_rate, 0, strict=True)
-        check_number("t_signal", self.t_signal, 0, strict=True)
+        if self.base_rate * MAX_HOURS < self.seq_len_max:
+            raise ConfigError(f"base_rate must be >= seq_len_max / {MAX_HOURS:g} "
+                              f"events per hour, got {self.base_rate!r}",
+                              field="base_rate")
+        check_number("t_signal", self.t_signal, MIN_SIGNAL_HOURS)
+        if self.t_signal > MAX_HOURS:
+            raise ConfigError(f"t_signal must be <= {MAX_HOURS:g}, got "
+                              f"{self.t_signal!r}", field="t_signal")
         markers = self.markers()
         for k, name in enumerate(_MARKER_FIELDS):
             check_number(name, markers[k], 0, integer=True)

@@ -246,6 +246,36 @@ def test_missing_data_file_is_runtime_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("code", 1.5, "code must be an integer, got 1.5"),
+    ("code", True, "code must be an integer, got True"),
+    ("cat", [2.9], "categorical feature id must be an integer, got 2.9"),
+    ("num", [[1.0, 0.5]], "numerical feature id must be an integer, got 1.0"),
+    ("t", "1.0", "t must be a finite number, got '1.0'"),
+    ("t", True, "t must be a finite number, got True"),
+    ("num", [[1, "0.5"]], "value of feature 1 must be a finite number, got '0.5'"),
+    ("num", [[1, False]], "value of feature 1 must be a finite number, got False"),
+])
+@pytest.mark.parametrize("command", ["inspect", "train"])
+def test_a_dataset_number_of_a_wrong_type_exits_2_naming_line_and_event(
+        tmp_path, dataset, capsys, command, field, value, message):
+    # these once loaded as the number int() or float() made of them
+    lines = dataset.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["events"][3][field] = value
+    lines[1] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    (tmp_path / "bad.jsonl.config").write_text(
+        (tmp_path / "data.jsonl.config").read_text())
+    argv = (["inspect", "--data", str(bad)] if command == "inspect"
+            else train_args(bad, tmp_path / "m.npz", model="lr"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: bad event 3: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_log_level_env(monkeypatch, capsys):
     monkeypatch.setenv("MRM_LOG", "debug")
     assert cli.main(["partition", "--times", "0,1", "--M", "2", "--L_G", "2"]) == 0

@@ -188,6 +188,9 @@ def test_a_generator_config_with_a_repeated_key_exits_2(tmp_path):
     ("vocab_size", "4"), ("seq_len_min", "7"), ("seq_len_max", "7"),
     ("marker_b", "0"), ("marker_d", "10"), ("marker_c", "-1"),
     ("n_sequences", "1.5"), ("T_signal", "x"), ("n_sequences", None),
+    # times that overflow, or signal gaps below the roundoff of the times
+    ("base_rate", "1e-310"), ("base_rate", "1e-5"), ("T_signal", "1e308"),
+    ("T_signal", "1e-300"),
 ])
 def test_a_bad_generator_value_exits_2_naming_its_key(tmp_path, key, value):
     config = tmp_path / "gen.config"

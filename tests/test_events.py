@@ -105,6 +105,16 @@ def test_load_rejects_empty_event_list(tmp_path):
     assert "empty" in str(exc.value)
 
 
+@pytest.mark.parametrize("events, message", [
+    (5, "events must be a list, got int"), ({"code": 1}, "events must be a list, got dict"),
+])
+def test_load_rejects_events_that_are_no_list(tmp_path, events, message):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record(events)])
+    with pytest.raises(ev.DatasetError, match=f"line 1: {message}"):
+        ev.load_dataset(path, CFG)
+
+
 def test_load_rejects_bad_label(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [record([{"code": 0, "t": 0.0}], label=2)])

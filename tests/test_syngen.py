@@ -35,6 +35,7 @@ def test_config_rejects_degenerate_fraction():
     ("base_rate", 0.0), ("positive_fraction", float("nan")), ("n_feature_ids", 1),
     ("n_feature_ids", 0), ("max_features", 1), ("max_features", 0),
     ("n_sequences", 2.0), ("vocab_size", True), ("marker_c", 2.5), ("seed", -1),
+    ("base_rate", 1e-310), ("t_signal", 1e308), ("t_signal", 1e-300),
 ])
 def test_config_rejects_a_bad_field_naming_it(field, value):
     with pytest.raises(syngen.SynthConfigError) as err:
@@ -48,6 +49,18 @@ def test_config_names_the_end_of_a_bad_length_range():
         with pytest.raises(syngen.SynthConfigError) as err:
             syngen.SynthConfig(**{**BASE, "seq_len_range": bounds})
         assert err.value.field == field
+
+
+@pytest.mark.parametrize("fields", [
+    dict(base_rate=60 / syngen.MAX_HOURS, seq_len_range=(20, 60)),
+    dict(t_signal=syngen.MIN_SIGNAL_HOURS), dict(t_signal=syngen.MAX_HOURS),
+    dict(base_rate=60 / syngen.MAX_HOURS, t_signal=syngen.MIN_SIGNAL_HOURS),
+])
+def test_time_scales_at_the_bounds_keep_times_finite_and_labels_exact(fields):
+    config = syngen.SynthConfig(**{**BASE, "n_sequences": 100, **fields})
+    for seq in syngen.generate(config):
+        assert np.all(np.isfinite(seq.times()))
+        assert syngen.label_oracle(seq, config) == seq.label
 
 
 def test_label_oracle_window_and_order_satisfied():
