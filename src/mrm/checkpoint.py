@@ -1,8 +1,8 @@
 """The checkpoint schema: one writer, one reader and one scoring path for
 the mrm, plain_lstm and lr models.
 
-A checkpoint is a diffcore archive (format version 1) whose metadata is a
-JSON object with exactly these entries:
+A checkpoint is an npz archive (format version 1, see write_archive) whose
+metadata is a JSON object with exactly these entries:
 
     kind           "mrm", "plain_lstm" or "lr"
     dataset        {"N_c", "N_f", "maxFeat"}: the vocabulary sizes
@@ -18,11 +18,13 @@ Its arrays are those of model.param_shapes for mrm and plain_lstm, and
 from __future__ import annotations
 
 import dataclasses
+import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc
 from . import evalmetrics as ev
 from .events import (DATASET_KEYS, ConfigError, DatasetConfig, DatasetError,
                      build_config, check_number, entries, frequency_vector,
@@ -30,6 +32,7 @@ from .events import (DATASET_KEYS, ConfigError, DatasetConfig, DatasetError,
 from .model import MrmConfig, MrmParams, check_arrays
 
 KINDS = ("mrm", "plain_lstm", "lr")
+CHECKPOINT_FORMAT_VERSION = 1
 
 # metadata key -> (config field, type), per block; "dataset" uses
 # events.DATASET_KEYS
@@ -57,6 +60,52 @@ class Checkpoint:
     l2: float | None = None
 
 
+def write_archive(path, arrays: dict, meta=None):
+    """Write a flat name->array archive: the arrays, row-major in double
+    precision, plus "__format_version__", the one-element integer array
+    [1], and "__meta__", meta (any JSON-serializable value) as JSON text."""
+    reserved = [name for name in arrays if name.startswith("__")]
+    if reserved:
+        raise ValueError(f"parameter names {reserved} clash with reserved keys")
+    np.savez(path, __format_version__=np.array([CHECKPOINT_FORMAT_VERSION],
+                                               dtype=np.int64),
+             __meta__=np.array(json.dumps(meta or {}, sort_keys=True)),
+             **{name: np.asarray(arr, dtype=np.float64, order="C")
+                for name, arr in arrays.items()})
+
+
+# what numpy, zipfile and json raise on a damaged or foreign file (TypeError:
+# a bare .npy array, KeyError: no header)
+_DAMAGE = (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, ValueError,
+           KeyError, TypeError, OSError)
+
+
+def read_archive(path):
+    """Read an archive back as (arrays, meta), meta a dict.
+
+    A file that is no intact archive with the header raises DatasetError
+    naming path; only a file that cannot be opened raises OSError."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as f:
+                arrays = {name: f[name] for name in f.files}
+            version = arrays["__format_version__"]
+            meta = json.loads(str(arrays["__meta__"]))
+        except _DAMAGE as err:
+            raise DatasetError(f"{path}: not a checkpoint, or a damaged one "
+                               f"({type(err).__name__}: {err})") from None
+    if not (version.shape == (1,) and version.dtype.kind in "iu"
+            and version[0] == CHECKPOINT_FORMAT_VERSION):
+        raise DatasetError(f"{path}: checkpoint format version must be the "
+                           f"one-element integer array [{CHECKPOINT_FORMAT_VERSION}], "
+                           f"got {version!r}")
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{path}: checkpoint metadata is a JSON "
+                           f"{type(meta).__name__}, not an object")
+    return ({name: arr for name, arr in arrays.items() if not name.startswith("__")},
+            meta)
+
+
 def write_checkpoint(path, ckpt: Checkpoint):
     """Write ckpt as a format-1 archive with the metadata of the schema."""
     meta = {"kind": ckpt.kind, "dataset": entries(ckpt.dataset, DATASET_KEYS),
@@ -69,7 +118,7 @@ def write_checkpoint(path, ckpt: Checkpoint):
     else:
         meta["model"] = entries(ckpt.model, MODEL_KEYS)
         arrays = ckpt.params.arrays()
-    dc.save_checkpoint(path, arrays, meta)
+    write_archive(path, arrays, meta)
 
 
 def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
@@ -79,7 +128,7 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
     the array. With a sidecar config, its vocabulary sizes must equal the
     checkpoint's. Array shapes are checked before anything of the sizes
     the metadata claims is allocated."""
-    arrays, meta = dc.load_checkpoint(path)
+    arrays, meta = read_archive(path)
 
     where = f"{path}: checkpoint metadata"
 

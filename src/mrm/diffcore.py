@@ -10,15 +10,12 @@ checks against central finite differences are reliable.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 class ShapeError(ValueError):
@@ -270,42 +267,39 @@ def sum_all(a: Tensor) -> Tensor:
 def embed(n_rows: int, lookups) -> Tensor:
     """Sums of weighted table rows, as one (n_rows, d) node.
 
-    lookups is a sequence of (table, ids, rows, weights): entry k of a
-    lookup adds weights[k] * table[ids[k]] to output row rows[k]. rows None
-    means entry k goes to row k (then ids has n_rows entries), otherwise
-    rows must be non-decreasing; weights None means 1. Each lookup is
-    summed into its own block, a row's entries one after the other in
-    entry order, and the blocks are added in order; the output rows are
-    filled in row blocks (_row_blocks). Backward is one np.add.at per
-    table.
+    lookups is a sequence of (table, ids, ptr, weights), ids and weights
+    in CSR form: the entries of output row r are [ptr[r], ptr[r + 1]), and
+    entry k adds weights[k] * table[ids[k]] to its row. ptr None means
+    entry k goes to row k (then ids has n_rows entries); weights None
+    means 1. Each lookup is summed into its own block, a row's entries one
+    after the other in entry order, and the blocks are added in order; the
+    output rows are filled in row blocks (_row_blocks). Backward is one
+    np.add.at per table.
     """
     terms = []
-    for table, ids, rows, weights in lookups:
+    for table, ids, ptr, weights in lookups:
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size == 0:
             continue
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)[:, None]
-        ptr = None
-        if rows is None:
+        if ptr is None:
             if ids.shape[0] != n_rows:
                 raise ShapeError(f"embed: {ids.shape[0]} ids for {n_rows} rows")
         else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if rows.shape != ids.shape:
-                raise ShapeError(f"embed: {rows.shape[0]} rows for {ids.shape[0]} ids")
-            if not (0 <= rows[0] and rows[-1] < n_rows and (rows[:-1] <= rows[1:]).all()):
-                raise ShapeError(f"embed: rows must be non-decreasing in [0, {n_rows})")
-            # the entries of row r are [ptr[r], ptr[r + 1])
-            ptr = np.searchsorted(rows, np.arange(n_rows + 1))
-        terms.append((table, ids, rows, weights, ptr))
+            ptr = np.asarray(ptr, dtype=np.intp)
+            if not (ptr.shape == (n_rows + 1,) and ptr[0] == 0
+                    and ptr[-1] == ids.shape[0] and (ptr[:-1] <= ptr[1:]).all()):
+                raise ShapeError(f"embed: ptr must be {n_rows + 1} non-decreasing "
+                                 f"pointers from 0 to {ids.shape[0]}")
+        terms.append((table, ids, ptr, weights))
     if not terms:
         raise ShapeError("embed: no lookup has any entries")
     out = np.empty((n_rows, terms[0][0].shape[1]))
 
     def fill(r0, r1):
         block = out[r0:r1]
-        for j, (table, ids, _, weights, ptr) in enumerate(terms):
+        for j, (table, ids, ptr, weights) in enumerate(terms):
             a, b = (r0, r1) if ptr is None else (ptr[r0], ptr[r1])
             vals = table.data[ids[a:b]]
             if weights is not None:
@@ -320,9 +314,9 @@ def embed(n_rows: int, lookups) -> Tensor:
     _row_blocks(fill, n_rows)
 
     def bwd(g):
-        for table, ids, rows, weights, _ in terms:
+        for table, ids, ptr, weights in terms:
             if table.needs_grad:
-                g_ids = g if rows is None else g[rows]
+                g_ids = g if ptr is None else np.repeat(g, np.diff(ptr), axis=0)
                 if weights is not None:
                     g_ids = g_ids * weights
                 gt = np.zeros_like(table.data)
@@ -685,47 +679,3 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
         for name in grads:
             grads[name] = grads[name] * factor
     return norm
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoints
-
-
-def save_checkpoint(path, arrays: dict, meta: dict | None = None):
-    """Write a flat name->array archive with a format-version header.
-
-    Arrays are stored row-major in double precision; ``meta`` is an
-    arbitrary JSON-serializable mapping kept alongside them.
-    """
-    payload = {
-        "__format_version__": np.array([CHECKPOINT_FORMAT_VERSION], dtype=np.int64),
-        "__meta__": np.array(json.dumps(meta or {}, sort_keys=True)),
-    }
-    for name, arr in arrays.items():
-        if name.startswith("__"):
-            raise ValueError(f"parameter name '{name}' clashes with reserved keys")
-        arr = np.asarray(arr, dtype=np.float64)
-        payload[name] = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path):
-    """Read a checkpoint back as (arrays, meta)."""
-    with np.load(path) as f:
-        if "__format_version__" not in f.files or "__meta__" not in f.files:
-            raise ValueError(f"{path}: not a checkpoint (no format-version "
-                             f"header or metadata block)")
-        version = f["__format_version__"]
-        if version.shape != (1,) or version.dtype.kind not in "iu":
-            raise ValueError(f"{path}: checkpoint format version must be a "
-                             f"one-element integer array, got dtype "
-                             f"{version.dtype} and shape {version.shape}")
-        version = int(version[0])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        meta = json.loads(str(f["__meta__"]))
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: checkpoint metadata is a JSON "
-                             f"{type(meta).__name__}, not an object")
-        arrays = {k: f[k] for k in f.files if not k.startswith("__")}
-    return arrays, meta

@@ -235,13 +235,10 @@ def encode_events(seq: EventSequence, params: MrmParams, config: MrmConfig) -> d
                             ("numerical feature id", seq.num_ids, config.n_features)):
         if ids.size and (ids.min() < 0 or ids.max() >= size):
             raise ValueError(f"{what} outside [0, {size})")
-    events = np.arange(n)
     return dc.embed(n, [
         (params.code_embedding, seq.codes, None, None),
-        (params.cat_embedding, seq.cat_ids,
-         np.repeat(events, np.diff(seq.cat_ptr)), None),
-        (params.num_projection, seq.num_ids,
-         np.repeat(events, np.diff(seq.num_ptr)), seq.num_values),
+        (params.cat_embedding, seq.cat_ids, seq.cat_ptr, None),
+        (params.num_projection, seq.num_ids, seq.num_ptr, seq.num_values),
     ])
 
 
@@ -269,7 +266,7 @@ def neighborhood_bounds(times, window_hours: float, offsets=None):
 
 
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
-                     return_weights: bool = False, offsets=None):
+                     offsets=None):
     """Multi-head attention over time-windowed, top-k-masked neighbors.
 
     Scores are plain query-key dot products; per query only the topk
@@ -280,24 +277,19 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     the kept neighbors there; the softmax, the value sum and the backward
     then run over the kept neighbors only, O(L * heads * topk) of them.
     The top-k selection is treated as locally constant in backward.
+    offsets marks several sequences back to back, as in
+    neighborhood_bounds.
 
-    With return_weights=True also returns one dense (L, L) weight matrix
-    per head, zero outside each query's kept neighbors. offsets marks
-    several sequences back to back, as in neighborhood_bounds.
+    Returns what dc.windowed_attention returns, (out, (rows, weights)):
+    the (L, model_dim) tensor, and per query and head the rows it keeps
+    and their softmax weights, each (L, n_heads, k).
     """
     n = x.shape[0]
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
     lo, hi = neighborhood_bounds(times, config.window_hours, offsets)
-    out, (rows, kept) = dc.windowed_attention(x, params.attention, config.n_heads,
-                                              lo, hi, config.topk)
-    if not return_weights:
-        return out
-    # summed, not assigned: a padding entry (weight 0) may repeat a kept row
-    cells = np.arange(n)[:, None, None] * n + rows
-    return out, [np.bincount(cells[:, h].ravel(), kept[:, h].ravel(),
-                             minlength=n * n).reshape(n, n)
-                 for h in range(config.n_heads)]
+    return dc.windowed_attention(x, params.attention, config.n_heads, lo, hi,
+                                 config.topk)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +351,8 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig, partitions=None,
     x = encode_events(concatenate(used), params, config)
     if kind == "mrm":
         times = [seq.times() for seq in used]
-        x = sparse_attention(x, np.concatenate(times), params, config, offsets=offsets)
+        x, _ = sparse_attention(x, np.concatenate(times), params, config,
+                                offsets=offsets)
         if partitions is None:
             partitions = [optimal_partition(t, config.max_groups, config.max_group_len)
                           for t in times]

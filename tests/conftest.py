@@ -58,6 +58,18 @@ def head_weights(qkv, n_heads, h):
     return queries[rows], keys[rows], values[rows]
 
 
+def dense_weights(kept, n):
+    """One dense (n, n) weight matrix per head from the kept entries
+    (rows, weights) of sparse_attention, each (n, heads, k): row i of head
+    h holds query i's softmax weights at its kept rows, zero elsewhere."""
+    rows, weights = kept
+    # summed, not assigned: a padding entry (weight 0) may repeat a kept row
+    cells = np.arange(n)[:, None, None] * n + rows
+    return [np.bincount(cells[:, h].ravel(), weights[:, h].ravel(),
+                        minlength=n * n).reshape(n, n)
+            for h in range(rows.shape[1])]
+
+
 def topk_mask(scores, topk: int) -> np.ndarray:
     """Boolean mask keeping the min(topk, n) largest scores, ties at the
     threshold resolved to the lowest index: the top-k selection oracle."""
@@ -107,7 +119,7 @@ def _selection_margins_ok(seq, params, config, margin):
                 if window.size > config.topk:
                     if window[config.topk - 1] - window[config.topk] < margin:
                         return False
-        v = model_mod.sparse_attention(x, times, params, config)
+        v, _ = model_mod.sparse_attention(x, times, params, config)
         part = model_mod.sequence_partition(seq, config)
         for start, end in part.groups:
             if end - start < 2:

@@ -14,8 +14,8 @@ from mrm import model as mm
 from mrm import syngen
 from mrm.partition import InfeasiblePartitionError, optimal_partition
 
-from .conftest import (finite_difference_gradients, head_weights, param_rel_err,
-                       tie_avoided_instance)
+from .conftest import (dense_weights, finite_difference_gradients, head_weights,
+                       param_rel_err, tie_avoided_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_criterion_3_attention_oracle(acceptance):
             n = int(rng.integers(1, 10))
             times = np.sort(rng.uniform(0, 3, size=n))
             x_data = rng.normal(size=(n, config.model_dim))
-            v = mm.sparse_attention(dc.Tensor(x_data), times, params, config)
+            v, _ = mm.sparse_attention(dc.Tensor(x_data), times, params, config)
             want = _oracle_attention(x_data, times, params.arrays(), config)
             err = float(np.max(np.abs(v.data - want)))
             worst = max(worst, err)
@@ -335,8 +335,8 @@ def test_criterion_7_pipeline_invariants(acceptance):
             n = int(rng.integers(1, 14))
             times = np.sort(rng.uniform(0, 4, size=n))
             x = dc.Tensor(rng.normal(size=(n, config.model_dim)))
-            _, weights = mm.sparse_attention(x, times, params, config,
-                                             return_weights=True)
+            _, kept = mm.sparse_attention(x, times, params, config)
+            weights = dense_weights(kept, len(times))
             for w in weights:
                 assert np.all(w >= 0.0)
                 assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
@@ -348,11 +348,11 @@ def test_criterion_7_pipeline_invariants(acceptance):
         times = np.array([0.0, 0.2, 0.4, 1.5, 1.8, 4.0, 4.1])
         lo, hi = mm.neighborhood_bounds(times, config.window_hours)
         x_base = rng.normal(size=(7, config.model_dim))
-        v_base = mm.sparse_attention(dc.Tensor(x_base), times, params, config).data
+        v_base = mm.sparse_attention(dc.Tensor(x_base), times, params, config)[0].data
         for j in range(7):
             bumped = x_base.copy()
             bumped[j] += 1e-5 * rng.normal(size=config.model_dim)
-            v_new = mm.sparse_attention(dc.Tensor(bumped), times, params, config).data
+            v_new = mm.sparse_attention(dc.Tensor(bumped), times, params, config)[0].data
             for i in range(7):
                 if not lo[i] <= j < hi[i]:
                     assert np.max(np.abs(v_new[i] - v_base[i])) <= 1e-14

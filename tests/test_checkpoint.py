@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from mrm import checkpoint as ck
 from mrm import cli
-from mrm import diffcore as dc
 from mrm import evalmetrics as em
 from mrm import events as ev
 from mrm import model as mm
@@ -64,8 +63,8 @@ def trained(tmp_path_factory):
 
 def save_raw(path, arrays, meta):
     """An archive in the checkpoint layout, the arrays stored as they are
-    (dc.save_checkpoint would cast them to float64)."""
-    np.savez(path, __format_version__=np.array([dc.CHECKPOINT_FORMAT_VERSION]),
+    (ck.write_archive would cast them to float64)."""
+    np.savez(path, __format_version__=np.array([ck.CHECKPOINT_FORMAT_VERSION]),
              __meta__=np.array(json.dumps(meta)), **arrays)
 
 
@@ -84,6 +83,23 @@ def assert_exits_2(result, *names):
 
 # ---------------------------------------------------------------------------
 # round trip
+
+
+def test_archive_roundtrip(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    arrays = {"layer.weight": np.arange(6.0).reshape(2, 3), "bias": np.array(1.5)}
+    meta = {"kind": "demo", "dim": 3}
+    ck.write_archive(path, arrays, meta)
+    loaded, meta2 = ck.read_archive(path)
+    assert meta2 == meta
+    assert set(loaded) == set(arrays)
+    for k in arrays:
+        assert np.array_equal(loaded[k], arrays[k])
+
+
+def test_archive_rejects_reserved_names(tmp_path):
+    with pytest.raises(ValueError):
+        ck.write_archive(tmp_path / "x.npz", {"__meta__": np.zeros(1)})
 
 
 @pytest.mark.parametrize("kind", ck.KINDS)
@@ -127,7 +143,7 @@ def test_scores_match_the_train_report(trained):
 ])
 def test_lr_arrays_are_checked(tmp_path, trained, name, mutate):
     root, paths = trained
-    arrays, meta = dc.load_checkpoint(paths["lr"])
+    arrays, meta = ck.read_archive(paths["lr"])
     mutate(arrays)
     save_raw(tmp_path / "bad.npz", arrays, meta)
     assert_exits_2(evaluate(root, tmp_path / "bad.npz"), name)
@@ -139,9 +155,9 @@ def test_lr_arrays_are_checked(tmp_path, trained, name, mutate):
 def test_dataset_sizes_of_a_wrong_type_name_their_entry(tmp_path, trained, key,
                                                         value, sidecar):
     root, paths = trained
-    arrays, meta = dc.load_checkpoint(paths["mrm"])
+    arrays, meta = ck.read_archive(paths["mrm"])
     meta["dataset"][key] = value
-    dc.save_checkpoint(tmp_path / "bad.npz", arrays, meta)
+    ck.write_archive(tmp_path / "bad.npz", arrays, meta)
     assert_exits_2(evaluate(root, tmp_path / "bad.npz", sidecar), f"dataset.{key}")
 
 
@@ -150,9 +166,9 @@ def test_dataset_sizes_of_a_wrong_type_name_their_entry(tmp_path, trained, key,
     ("train", "batch_size", "8"), ("model", "topk", None), ("model", "T_r", [])])
 def test_train_and_model_entries_are_checked(tmp_path, trained, block, key, value):
     root, paths = trained
-    arrays, meta = dc.load_checkpoint(paths["mrm"])
+    arrays, meta = ck.read_archive(paths["mrm"])
     meta[block][key] = value
-    dc.save_checkpoint(tmp_path / "bad.npz", arrays, meta)
+    ck.write_archive(tmp_path / "bad.npz", arrays, meta)
     assert_exits_2(evaluate(root, tmp_path / "bad.npz"), f"{block}.{key}")
 
 
@@ -167,9 +183,9 @@ def test_train_and_model_entries_are_checked(tmp_path, trained, block, key, valu
 ])
 def test_metadata_entries_are_named(tmp_path, trained, kind, change, entry):
     root, paths = trained
-    arrays, meta = dc.load_checkpoint(paths[kind])
+    arrays, meta = ck.read_archive(paths[kind])
     change(meta)
-    dc.save_checkpoint(tmp_path / "bad.npz", arrays, meta)
+    ck.write_archive(tmp_path / "bad.npz", arrays, meta)
     assert_exits_2(evaluate(root, tmp_path / "bad.npz"), entry)
 
 
@@ -178,9 +194,9 @@ def test_huge_model_sizes_are_rejected_before_any_allocation(
     # D_m = 2**40 is a consistent config (N_h * D_a == D_m) whose
     # embeddings alone would take 2**40 * 8 bytes per code
     root, paths = trained
-    arrays, meta = dc.load_checkpoint(paths["mrm"])
+    arrays, meta = ck.read_archive(paths["mrm"])
     meta["model"].update(D_m=2**40, N_h=1, D_a=2**40)
-    dc.save_checkpoint(tmp_path / "huge.npz", arrays, meta)
+    ck.write_archive(tmp_path / "huge.npz", arrays, meta)
 
     def no_init(*args, **kwargs):
         raise AssertionError("MrmParams.init called while loading a checkpoint")
@@ -194,6 +210,40 @@ def test_huge_model_sizes_are_rejected_before_any_allocation(
         tracemalloc.stop()
     assert_exits_2(result, "code_embedding", str(2**40))
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# damaged archives: truncated or with a flipped byte, each exits 2 naming
+# the file, or 0 with finite metrics
+
+
+def damaged_copies(blob, stride):
+    """The blob cut short at every stride-th byte (the empty file first),
+    then with the bits of every stride-th byte flipped, from the middle
+    of the first stride on."""
+    yield from (blob[:end] for end in range(0, len(blob), stride))
+    for at in range(stride // 2, len(blob), stride):
+        yield blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+def test_damaged_checkpoint_files_exit_cleanly(tmp_path, trained):
+    root, paths = trained
+    bad = tmp_path / "damaged.npz"
+    exits = []
+    for blob in damaged_copies(paths["lr"].read_bytes(), 23):
+        bad.write_bytes(blob)
+        for args, metrics in ((["evaluate"], ("auc", "ap")),
+                              (["inspect", "--index", "0"], ("prediction",))):
+            code, out, err = run_cli(args + ["--data", str(root / "data.jsonl"),
+                                             "--ckpt", str(bad)])
+            exits.append(code)
+            if code:
+                assert code == 2, err
+                assert "error:" in err and str(bad) in err and "Traceback" not in err
+            else:
+                values = dict(line.split(" = ") for line in out.strip().splitlines())
+                assert all(math.isfinite(float(values[key])) for key in metrics)
+    assert exits.count(2) > exits.count(0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +289,7 @@ def break_array(arrays, name, fault):
 def test_mutated_checkpoints_exit_cleanly(tmp_path, trained, data):
     root, paths = trained
     kind = data.draw(st.sampled_from(ck.KINDS), label="kind")
-    arrays, meta = dc.load_checkpoint(paths[kind])
+    arrays, meta = ck.read_archive(paths[kind])
     if data.draw(st.booleans(), label="mutate metadata"):
         path = data.draw(st.sampled_from(meta_paths(meta)), label="entry")
         parent = meta

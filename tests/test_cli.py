@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from mrm import checkpoint as ck
 from mrm import cli
-from mrm import diffcore as dc
 from mrm import events as ev
 from mrm import model as mm
 
@@ -298,7 +298,7 @@ def test_log_level_env(monkeypatch, capsys):
 def test_checkpoint_missing_metadata_is_runtime_error(tmp_path, dataset, capsys,
                                                       meta, command):
     ckpt = tmp_path / "bare.npz"
-    dc.save_checkpoint(ckpt, {"weight": np.zeros(12)}, meta)
+    ck.write_archive(ckpt, {"weight": np.zeros(12)}, meta)
     args = [command, "--data", str(dataset), "--ckpt", str(ckpt)]
     if command == "inspect":
         args += ["--index", "0"]
@@ -311,7 +311,7 @@ def test_checkpoint_missing_metadata_is_runtime_error(tmp_path, dataset, capsys,
 def test_checkpoint_metadata_that_is_no_object_is_runtime_error(
         tmp_path, dataset, capsys, meta, command):
     ckpt = tmp_path / "bare.npz"
-    dc.save_checkpoint(ckpt, {"weight": np.zeros(12)}, meta)
+    ck.write_archive(ckpt, {"weight": np.zeros(12)}, meta)
     args = [command, "--data", str(dataset), "--ckpt", str(ckpt)]
     if command == "inspect":
         args += ["--index", "0"]
@@ -328,18 +328,18 @@ def test_evaluate_legacy_per_head_checkpoint(tmp_path, dataset, capsys):
     evaluate = ["evaluate", "--data", str(dataset), "--ckpt"]
     assert cli.main(evaluate + [str(ckpt)]) == 0
     printed = capsys.readouterr().out
-    arrays, meta = dc.load_checkpoint(ckpt)
+    arrays, meta = ck.read_archive(ckpt)
     queries, keys, values = np.split(arrays.pop("attention.qkv"), 3)
     for role, stack in (("query", queries), ("key", keys), ("value", values)):
         for h, w in enumerate(np.split(stack, 2)):
             arrays[f"head{h}.{role}_weight"] = w
     legacy = tmp_path / "legacy.npz"
-    dc.save_checkpoint(legacy, arrays, meta)
+    ck.write_archive(legacy, arrays, meta)
     assert cli.main(evaluate + [str(legacy)]) == 0
     assert capsys.readouterr().out == printed
     del arrays["head1.query_weight"], arrays["head1.key_weight"]
     del arrays["head1.value_weight"]
-    dc.save_checkpoint(legacy, arrays, meta)
+    ck.write_archive(legacy, arrays, meta)
     assert cli.main(evaluate + [str(legacy)]) == 2
     assert "N_h = 2" in capsys.readouterr().err
 
@@ -419,7 +419,7 @@ def _evaluate_exits_2(dataset, ckpt, capsys):
 @pytest.mark.parametrize("version", [np.array(1), np.array([1.5])])
 def test_checkpoint_version_that_is_no_one_element_integer_array_is_runtime_error(
         tmp_path, dataset, trained, capsys, version):
-    arrays, meta = dc.load_checkpoint(trained)
+    arrays, meta = ck.read_archive(trained)
     bad = tmp_path / "bad_version.npz"
     np.savez(bad, __format_version__=version, __meta__=np.array(json.dumps(meta)),
              **arrays)
@@ -430,19 +430,19 @@ def test_checkpoint_version_that_is_no_one_element_integer_array_is_runtime_erro
                                         ("T_r", "nan")])
 def test_checkpoint_model_metadata_of_a_wrong_type_is_runtime_error(
         tmp_path, dataset, trained, capsys, key, value):
-    arrays, meta = dc.load_checkpoint(trained)
+    arrays, meta = ck.read_archive(trained)
     meta["model"][key] = float(value) if value == "nan" else value
     bad = tmp_path / "bad_meta.npz"
-    dc.save_checkpoint(bad, arrays, meta)
+    ck.write_archive(bad, arrays, meta)
     _evaluate_exits_2(dataset, bad, capsys)
 
 
 def test_checkpoint_with_non_finite_parameters_is_runtime_error(
         tmp_path, dataset, trained, capsys):
-    arrays, meta = dc.load_checkpoint(trained)
+    arrays, meta = ck.read_archive(trained)
     arrays["output.bias"] = np.array(np.nan)
     bad = tmp_path / "nan_bias.npz"
-    dc.save_checkpoint(bad, arrays, meta)
+    ck.write_archive(bad, arrays, meta)
     assert "output.bias" in _evaluate_exits_2(dataset, bad, capsys)
 
 
@@ -450,9 +450,9 @@ def test_checkpoint_with_non_finite_parameters_is_runtime_error(
                                    [float("inf"), 1.0], [0.0]])
 def test_checkpoint_feature_stats_that_are_no_finite_pair_are_runtime_error(
         tmp_path, dataset, trained, capsys, entry):
-    arrays, meta = dc.load_checkpoint(trained)
+    arrays, meta = ck.read_archive(trained)
     assert meta["feature_stats"]
     meta["feature_stats"][next(iter(meta["feature_stats"]))] = entry
     bad = tmp_path / "bad_stats.npz"
-    dc.save_checkpoint(bad, arrays, meta)
+    ck.write_archive(bad, arrays, meta)
     assert "feature" in _evaluate_exits_2(dataset, bad, capsys)

@@ -1,9 +1,10 @@
 """Flat key-value files: the one reader and writer, the sidecar and the
-generator config through the CLI, and a property test of `generate`,
-`train`, `inspect` and `evaluate` on mutated files."""
+generator config through the CLI, and property tests of `generate`,
+`train`, `inspect` and `evaluate` on mutated config and dataset files."""
 
 import contextlib
 import io
+import json
 import math
 import shutil
 
@@ -272,3 +273,54 @@ def test_mutated_config_files_exit_cleanly(tmp_path, generated, data):
         assert_clean(run_cli(data_args(root, command, sidecar)))
     assert_clean(run_cli(data_args(root, "inspect", sidecar)
                          + ["--index", "0", "--ckpt", str(root / "mrm.npz")]))
+
+
+# ---------------------------------------------------------------------------
+# property: a dataset file with one mutated field exits 1 or 2, or 0 with
+# finite metrics
+
+# JSON tokens: wrong types, null, a negative number, NaN, infinities and a
+# number no float holds
+JSON_VALUES = ['"x"', "true", "1.5", "[]", "{}", "null", "-1", "NaN", "Infinity",
+               "-Infinity", "1e400"]
+FIELDS = ["code", "t", "cat", "cat item", "num", "num id", "num value", "label",
+          "events"]
+_MARK = "@@value@@"
+
+
+def mutated_line(line, field, event, token):
+    """line, a dataset record, with one field of its record or of event
+    number `event` set to the JSON token."""
+    record = json.loads(line)
+    if field in ("label", "events"):
+        record[field] = _MARK
+    else:
+        raw = record["events"][event % len(record["events"])]
+        if field == "cat item":
+            raw["cat"] = [_MARK, *raw["cat"][1:]]
+        elif field in ("num id", "num value"):
+            pair = raw["num"][0] if raw["num"] else [0, 1.0]
+            pair[field == "num value"] = _MARK
+            raw["num"] = [pair, *raw["num"][1:]]
+        else:
+            raw[field] = _MARK
+    return json.dumps(record).replace(json.dumps(_MARK), token) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_dataset_files_exit_cleanly(tmp_path, generated, data):
+    lines = (generated / "data.jsonl").read_text().splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[at] = mutated_line(lines[at], data.draw(st.sampled_from(FIELDS), label="field"),
+                             data.draw(st.integers(0, 7), label="event"),
+                             data.draw(st.sampled_from(JSON_VALUES), label="value"))
+    root = tmp_path / "case"
+    shutil.rmtree(root, ignore_errors=True)
+    root.mkdir()
+    shutil.copy(generated / "mrm.npz", root / "mrm.npz")
+    (root / "data.jsonl").write_text("".join(lines))
+    sidecar = generated / "data.jsonl.config"
+    for command in ("train", "inspect", "evaluate"):
+        assert_clean(run_cli(data_args(root, command, sidecar)))

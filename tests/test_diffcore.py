@@ -134,13 +134,15 @@ def _random_composite(seed):
     }
     idx = rng.integers(0, 5, size=4)
     ids = rng.integers(0, 4, size=6)
+    # CSR pointers of 6 entries over 4 rows: entry k goes to rows[k]
     rows = np.sort(rng.integers(0, 4, size=6))
+    ptr = np.searchsorted(rows, np.arange(5))
     factors = rng.normal(size=6)
 
     def forward():
         A, w, c, T, U = (params[k] for k in "AwcTU")
         m = dc.sigmoid(dc.add(dc.matmul(A, w), c))   # (m,k)@(k,), scalar bias
-        e = dc.embed(4, [(T, idx, None, None), (U, ids, rows, factors)])  # 4x3
+        e = dc.embed(4, [(T, idx, None, None), (U, ids, ptr, factors)])  # 4x3
         pooled = dc.maxpool_rows(dc.slice_rows(e, 1, 3))  # 3-vector
         grouped = dc.group_maxpool(e, [0, 2])        # 2x3
         mixed = dc.clip(dc.mul(m, pooled), -0.5, 0.5)
@@ -206,12 +208,13 @@ def test_embed_matches_loop_oracle_and_finite_differences(fd_grads, grad_rel_err
     codes = rng.integers(0, 7, size=n)
     cat_ids, cat_rows = [1, 1, 4, 0, 2], [0, 2, 2, 3, 5]
     num_ids, num_rows, num_w = [3, 0, 3], [1, 1, 4], rng.normal(size=3)
+    cat_ptr, num_ptr = [0, 1, 1, 3, 4, 4, 5], [0, 0, 2, 2, 2, 3, 3]
     probe = rng.normal(size=(n, d))
 
     def forward():
         return dc.embed(n, [(params["codes"], codes, None, None),
-                            (params["cat"], cat_ids, cat_rows, None),
-                            (params["num"], num_ids, num_rows, num_w)])
+                            (params["cat"], cat_ids, cat_ptr, None),
+                            (params["num"], num_ids, num_ptr, num_w)])
 
     want = params["codes"].data[codes].copy()
     for f, r in zip(cat_ids, cat_rows):
@@ -231,7 +234,7 @@ def test_embed_rejects_mismatched_rows():
     with pytest.raises(dc.ShapeError):
         dc.embed(3, [(table, [0, 1], None, None)])
     with pytest.raises(dc.ShapeError):
-        dc.embed(3, [(table, [0, 1, 2], None, None), (table, [1], [0, 1], None)])
+        dc.embed(3, [(table, [0, 1, 2], None, None), (table, [1], [0, 1, 1, 2], None)])
 
 
 def _offsets(lengths):
@@ -342,24 +345,3 @@ def test_clip_gradients_global_norm():
     assert abs(norm - 5.0) < 1e-12
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert abs(total - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    path = tmp_path / "ckpt.npz"
-    arrays = {"layer.weight": np.arange(6.0).reshape(2, 3), "bias": np.array(1.5)}
-    meta = {"kind": "demo", "dim": 3}
-    dc.save_checkpoint(path, arrays, meta)
-    loaded, meta2 = dc.load_checkpoint(path)
-    assert meta2 == meta
-    assert set(loaded) == set(arrays)
-    for k in arrays:
-        assert np.array_equal(loaded[k], arrays[k])
-
-
-def test_checkpoint_rejects_reserved_names(tmp_path):
-    with pytest.raises(ValueError):
-        dc.save_checkpoint(tmp_path / "x.npz", {"__meta__": np.zeros(1)})

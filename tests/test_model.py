@@ -6,7 +6,7 @@ from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from .conftest import head_weights, param_rel_err, topk_mask
+from .conftest import dense_weights, head_weights, param_rel_err, topk_mask
 
 
 def small_config(**overrides):
@@ -403,7 +403,7 @@ def test_attention_single_event_is_value_projection():
     params = mm.MrmParams.init(config, seed=4)
     seq = EventSequence("p", 0, [ClinicalEvent(3, 1.0, [], [])])
     x = mm.encode_events(seq, params, config)
-    v = mm.sparse_attention(x, seq.times(), params, config)
+    v, _ = mm.sparse_attention(x, seq.times(), params, config)
     expected = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
                                @ x.data[0] for h in range(config.n_heads)])
     assert np.allclose(v.data[0], expected, atol=1e-12)
@@ -415,8 +415,8 @@ def test_attention_identical_neighbors_share_weight_equally():
     seq = EventSequence("p", 0, [ClinicalEvent(3, 1.0, [], []),
                                  ClinicalEvent(3, 1.1, [], [])])
     x = mm.encode_events(seq, params, config)
-    v, weights = mm.sparse_attention(x, seq.times(), params, config,
-                                     return_weights=True)
+    v, kept = mm.sparse_attention(x, seq.times(), params, config)
+    weights = dense_weights(kept, len(seq))
     for w in weights:
         assert np.allclose(w, 0.5, atol=1e-12)
     single = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
@@ -432,7 +432,7 @@ def test_attention_matches_straight_line_oracle():
         params = mm.MrmParams.init(config, seed=trial)
         seq = random_sequence(rng, int(rng.integers(1, 9)), config)
         x = mm.encode_events(seq, params, config)
-        v = mm.sparse_attention(x, seq.times(), params, config)
+        v, _ = mm.sparse_attention(x, seq.times(), params, config)
         expected = oracle_attention(x.data, [e.t for e in seq.events],
                                     params.arrays(), config)
         assert np.max(np.abs(v.data - expected)) < 1e-10
@@ -444,8 +444,8 @@ def test_attention_rows_are_convex_combinations():
     rng = np.random.default_rng(7)
     seq = random_sequence(rng, 15, config)
     x = mm.encode_events(seq, params, config)
-    _, weights = mm.sparse_attention(x, seq.times(), params, config,
-                                     return_weights=True)
+    _, kept = mm.sparse_attention(x, seq.times(), params, config)
+    weights = dense_weights(kept, len(seq))
     for w in weights:
         assert np.all(w >= 0.0)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -462,8 +462,8 @@ def test_attention_matches_dense_reference_near_capacity():
     lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     assert np.mean(hi - lo > config.topk) > 0.5
     x = rng.normal(size=(n, config.model_dim))
-    v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
-                                     return_weights=True)
+    v, kept = mm.sparse_attention(dc.Tensor(x), times, params, config)
+    weights = dense_weights(kept, len(times))
     want_v, want_weights = dense_reference_attention(x, times, params, config)
     assert np.max(np.abs(v.data - want_v)) < 1e-10
     assert len(weights) == config.n_heads
@@ -502,8 +502,8 @@ def test_attention_exact_ties_keep_lowest_index():
         times = np.sort(rng.uniform(0.0, n / 6.0, size=n))
         x = rng.integers(-1, 2, size=(n, config.model_dim)).astype(np.float64)
         x[1::3] = x[0::3][:x[1::3].shape[0]]  # duplicated rows tie for sure
-        v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
-                                         return_weights=True)
+        v, kept = mm.sparse_attention(dc.Tensor(x), times, params, config)
+        weights = dense_weights(kept, len(times))
         want_v, want_weights = dense_reference_attention(x, times, params, config)
         assert np.max(np.abs(v.data - want_v)) < 1e-12
         for w, want in zip(weights, want_weights):
@@ -531,10 +531,10 @@ def test_attention_backward_matches_finite_differences(fd_grads):
         named = {"x": x, "attention.qkv": params.attention}
 
         def loss_value():
-            out = mm.sparse_attention(x, times, params, config)
+            out, _ = mm.sparse_attention(x, times, params, config)
             return float(np.sum(out.data * probe))
 
-        out = mm.sparse_attention(x, times, params, config)
+        out, _ = mm.sparse_attention(x, times, params, config)
         dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
         numeric = fd_grads(loss_value, named)
         for name, t in named.items():
@@ -580,13 +580,13 @@ def test_attention_backward_on_a_joined_batch_matches_finite_differences(fd_grad
         named = {"x": x, "attention.qkv": params.attention}
 
         def loss_value():
-            out = mm.sparse_attention(x, times, params, config, offsets=offsets)
+            out, _ = mm.sparse_attention(x, times, params, config, offsets=offsets)
             return float(np.sum(out.data * probe))
 
-        out = mm.sparse_attention(x, times, params, config, offsets=offsets)
+        out, _ = mm.sparse_attention(x, times, params, config, offsets=offsets)
         for a, b in zip(offsets[:-1], offsets[1:]):
-            alone = mm.sparse_attention(dc.Tensor(x.data[a:b]), times[a:b], params,
-                                        config)
+            alone, _ = mm.sparse_attention(dc.Tensor(x.data[a:b]), times[a:b],
+                                           params, config)
             assert np.max(np.abs(out.data[a:b] - alone.data)) < 1e-12
         dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
         numeric = fd_grads(loss_value, named)
@@ -614,8 +614,8 @@ def test_attention_weights_of_narrow_windows_match_dense_reference(times):
     for seed in range(5):
         params = mm.MrmParams.init(config, seed=seed)
         x = rng.normal(size=(len(times), config.model_dim))
-        v, weights = mm.sparse_attention(dc.Tensor(x), times, params, config,
-                                         return_weights=True)
+        v, kept = mm.sparse_attention(dc.Tensor(x), times, params, config)
+        weights = dense_weights(kept, len(times))
         want_v, want_weights = dense_reference_attention(x, times, params, config)
         assert np.max(np.abs(v.data - want_v)) < 1e-12
         for w, want in zip(weights, want_weights):
@@ -661,13 +661,13 @@ def test_attention_locality_outside_window():
                                  for t in times])
     x = mm.encode_events(seq, params, config)
     base_x = dc.Tensor(x.data.copy())
-    base_v = mm.sparse_attention(base_x, times, params, config).data
+    base_v = mm.sparse_attention(base_x, times, params, config)[0].data
     lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     for j in range(len(times)):
         for h_step in (1e-5, 1e-2):
             bumped = dc.Tensor(base_x.data.copy())
             bumped.data[j] += h_step * rng.normal(size=config.model_dim)
-            v2 = mm.sparse_attention(bumped, times, params, config).data
+            v2 = mm.sparse_attention(bumped, times, params, config)[0].data
             for i in range(len(times)):
                 if not lo[i] <= j < hi[i]:
                     assert np.max(np.abs(v2[i] - base_v[i])) <= 1e-14

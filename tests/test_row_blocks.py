@@ -124,22 +124,28 @@ def test_embed_sums_equal_np_add_at():
     table = dc.Tensor(rng.normal(size=(9, d)))
     counts = rng.integers(0, 4, size=n)
     rows = np.repeat(np.arange(n), counts)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
     ids = rng.integers(0, 9, size=rows.size)
     weights = rng.normal(size=rows.size)
     weights[::7] = -0.0
     want = np.zeros((n, d))
     np.add.at(want, rows, table.data[ids] * weights[:, None])
-    got = dc.embed(n, [(table, ids, rows, weights)]).data
+    got = dc.embed(n, [(table, ids, ptr, weights)]).data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_embed_rejects_rows_out_of_order():
+def test_embed_rejects_bad_pointers():
     table = dc.Tensor(np.zeros((4, 2)))
-    with pytest.raises(dc.ShapeError):
-        dc.embed(3, [(table, [0, 1], [2, 1], None)])
-    with pytest.raises(dc.ShapeError):
-        dc.embed(3, [(table, [0, 1], [0, 3], None)])
+    dc.embed(3, [(table, [0, 1], [0, 1, 1, 2], None)])
+    for ptr in ([0, 1, 2],        # one pointer short
+                [0, 0, 1, 2, 2],  # one pointer too many
+                [1, 1, 2, 2],     # does not start at 0
+                [0, 1, 1, 1],     # ends before the last id
+                [0, 1, 2, 3],     # ends after it
+                [0, 2, 1, 2]):    # decreases
+        with pytest.raises(dc.ShapeError):
+            dc.embed(3, [(table, [0, 1], ptr, None)])
 
 
 def _snapshot():
