@@ -68,7 +68,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--patience", type=int, default=None,
+                   help="epochs without a better validation AUC before stopping "
+                        "(default: 3, or max-epochs - 1 when that is less)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip", type=float, default=5.0, help="gradient-norm clip")
     p.add_argument("--l2", type=float, default=1e-4, help="L2 penalty (lr model)")
@@ -126,8 +128,9 @@ def _model_config(args, data_config) -> model_mod.MrmConfig:
 
 
 def cmd_train(args) -> int:
+    patience = min(3, args.max_epochs - 1) if args.patience is None else args.patience
     train_config = ev.TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                                  max_epochs=args.max_epochs, patience=args.patience,
+                                  max_epochs=args.max_epochs, patience=patience,
                                   seed=args.seed, clip_norm=args.clip)
     data_config = events_mod.load_sidecar_config(_sidecar_path(args))
     sequences = events_mod.load_dataset(args.data, data_config)

@@ -274,7 +274,8 @@ def embed(n_rows: int, lookups) -> Tensor:
     means 1. Each lookup is summed into its own block, a row's entries one
     after the other in entry order, and the blocks are added in order; the
     output rows are filled in row blocks (_row_blocks). Backward is one
-    np.add.at per table.
+    np.bincount per table over id * d + column, which adds each table
+    row's entries in entry order from zero, as np.add.at would.
     """
     terms = []
     for table, ids, ptr, weights in lookups:
@@ -319,9 +320,10 @@ def embed(n_rows: int, lookups) -> Tensor:
                 g_ids = g if ptr is None else np.repeat(g, np.diff(ptr), axis=0)
                 if weights is not None:
                     g_ids = g_ids * weights
-                gt = np.zeros_like(table.data)
-                np.add.at(gt, ids, g_ids)
-                _accum(table, gt)
+                d = table.data.shape[1]
+                gt = np.bincount((ids[:, None] * d + np.arange(d)).ravel(),
+                                 g_ids.ravel(), minlength=table.data.size)
+                _accum(table, gt.reshape(table.data.shape))
     return _node(out, "embed", tuple(t for t, *_ in terms), bwd)
 
 

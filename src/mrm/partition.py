@@ -2,18 +2,26 @@
 
 Splits L time-sorted events into at most ``max_groups`` contiguous groups
 of at most ``max_group_len`` events while minimizing the largest
-within-group time span. Solved exactly: binary search over the discrete
-list of time differences t[j] - t[i] with 0 <= j - i < max_group_len (the
-optimum is the span of a group, so always one of them) with a greedy
-left-to-right feasibility check at each threshold. The candidate list has
-O(L * max_group_len) entries.
+within-group time span. Solved exactly: binary search over the time
+differences t[j] - t[i] with 0 <= j - i < max_group_len (the optimum is
+the span of a group, so always one of them) with a greedy left-to-right
+feasibility check at each threshold.
+
+The candidates are the (L, max_group_len) lag matrix sorted once, with
+duplicates kept: O(L * max_group_len) memory and one sort. A greedy probe
+hops from group to group: it tests the event after a group's start
+exactly, and only when that event joins does it bisect for the group's
+end and settle it with the exact test, so a probe costs
+O(groups * log max_group_len) rather than O(L).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class InfeasiblePartitionError(ValueError):
@@ -44,31 +52,55 @@ def _check_sorted(times) -> np.ndarray:
 
 
 def _window_spans(t: np.ndarray, max_group_len: int) -> np.ndarray:
-    """Distinct differences t_j - t_i with 0 <= j - i < max_group_len, sorted.
+    """Differences t_j - t_i with 0 <= j - i < max_group_len, sorted, with
+    duplicates kept.
 
     A group holds at most max_group_len events, so every group span, and
-    hence the optimal minimax span, is in this list. O(L * max_group_len)
+    hence the optimal minimax span, is in this list. Row i of the lag
+    matrix is t[i:i + max_group_len] - t[i], padded past the end with
+    +inf (each entry the same float as t[k:] - t[:n - k]); the matrix is
+    sorted once and the infinite tail cut off. O(L * max_group_len)
     memory.
     """
     n = t.size
-    return np.unique(np.concatenate([t[k:] - t[:n - k]
-                                     for k in range(min(max_group_len, n))]))
+    w = min(max_group_len, n)
+    padded = np.concatenate([t, np.full(w - 1, np.inf)])
+    lags = np.sort(sliding_window_view(padded, w) - t[:, None], axis=None)
+    return lags[:n * w - w * (w - 1) // 2]
 
 
 def _greedy(times: list, threshold: float, max_group_len: int, limit=None):
     """The greedy groups over Python floats; None as soon as there are
-    more than ``limit`` of them."""
+    more than ``limit`` of them.
+
+    An event joins the open group while its time minus the group's first
+    time is at most ``threshold``. That test is monotone along the sorted
+    times, so a group's end is found by a bisect on first time plus
+    threshold and then settled by the exact test, stepping left or right,
+    because the sum can round either way. The event after the start is
+    tested exactly first, so a singleton group costs no bisect.
+    """
     groups = []
+    n = len(times)
+    if limit is None:
+        limit = n  # never reached before the last group
     start = 0
-    t_start = times[0]
-    for i in range(1, len(times)):
-        if i - start >= max_group_len or times[i] - t_start > threshold:
-            groups.append((start, i))
-            if limit is not None and len(groups) >= limit:
-                return None
-            start = i
-            t_start = times[i]
-    groups.append((start, len(times)))
+    while start < n:
+        t_start = times[start]
+        end = start + 1
+        if end < n and max_group_len > 1 and not times[end] - t_start > threshold:
+            cap = start + max_group_len
+            if cap > n:
+                cap = n
+            end = bisect_right(times, t_start + threshold, start + 2, cap)
+            while end > start + 2 and times[end - 1] - t_start > threshold:
+                end -= 1
+            while end < cap and not times[end] - t_start > threshold:
+                end += 1
+        groups.append((start, end))
+        if len(groups) >= limit and end < n:
+            return None
+        start = end
     return groups
 
 
@@ -107,9 +139,9 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
     groups = _greedy(tl, 0.0, max_group_len, max_groups)
     if groups is None:
         # a binary search reads a few dozen of the O(L * max_group_len)
-        # candidates, so they stay one numpy array
+        # candidates, so they stay one numpy array; the zeros just failed
         cands = _window_spans(t, max_group_len)
-        lo, hi = 1, cands.size - 1  # cands[0] == 0.0 just failed
+        lo, hi = int(np.searchsorted(cands, 0.0, side="right")), cands.size - 1
         while lo < hi:
             mid = (lo + hi) // 2
             if _greedy(tl, float(cands[mid]), max_group_len, max_groups) is not None:

@@ -91,6 +91,24 @@ def candidate_spans(times) -> np.ndarray:
     return np.unique(t[iu[1]] - t[iu[0]])
 
 
+def linear_greedy(times: list, threshold: float, max_group_len: int, limit=None):
+    """The greedy groups by a linear scan, one exact test per event; None
+    as soon as there are more than ``limit`` of them: the greedy probe
+    oracle."""
+    groups = []
+    start = 0
+    t_start = times[0]
+    for i in range(1, len(times)):
+        if i - start >= max_group_len or times[i] - t_start > threshold:
+            groups.append((start, i))
+            if limit is not None and len(groups) >= limit:
+                return None
+            start = i
+            t_start = times[i]
+    groups.append((start, len(times)))
+    return groups
+
+
 @pytest.fixture
 def fd_grads():
     return finite_difference_gradients

@@ -132,6 +132,29 @@ def test_train_rejects_hyperparameters_it_would_ignore(tmp_path, dataset, capsys
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("max_epochs", [1, 2, 3])
+def test_train_default_patience_fits_few_epochs(tmp_path, dataset, capsys, max_epochs):
+    # without --patience, any --max-epochs >= 1 is a legal run
+    ckpt = tmp_path / "m.npz"
+    args = train_args(dataset, ckpt)
+    del args[args.index("--patience"):args.index("--patience") + 2]
+    args[args.index("--max-epochs") + 1] = str(max_epochs)
+    assert cli.main(args) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert ck.read_checkpoint(str(ckpt)).train.patience == max_epochs - 1
+
+
+def test_train_explicit_patience_still_bounded_by_epochs(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "m.npz"
+    args = train_args(dataset, ckpt)
+    args[args.index("--max-epochs") + 1] = "3"
+    args[args.index("--patience") + 1] = "3"
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "patience=3 max_epochs=3" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 def test_train_lr_model_report_has_metric_keys(tmp_path, dataset, capsys):
     ckpt = tmp_path / "lr.npz"
     assert cli.main(["train", "--data", str(dataset), "--model", "lr",

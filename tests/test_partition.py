@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrm import partition
 from mrm.partition import InfeasiblePartitionError, greedy_feasible, optimal_partition
 
-from .conftest import candidate_spans
+from .conftest import candidate_spans, linear_greedy
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,51 @@ def test_greedy_feasibility_monotone_in_threshold(raw_times, max_group_len):
                     for s in spans]
         # once feasible, larger thresholds stay feasible
         assert all(b or not a for a, b in zip(feasible, feasible[1:]))
+
+
+def _sorted_floats(values, scale=1.0, offset=0.0):
+    return sorted(offset + v * scale for v in values)
+
+
+_probe_times = st.one_of(
+    st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1,
+             max_size=40).map(sorted),
+    st.lists(st.integers(0, 4), min_size=1, max_size=40).map(_sorted_floats),  # heavy ties
+    st.lists(st.integers(0, 30), min_size=1, max_size=40).map(
+        lambda v: _sorted_floats(v, 0.1)),  # multiples of 0.1
+    st.lists(st.integers(0, 30), min_size=1, max_size=40).map(
+        lambda v: _sorted_floats(v, 0.1, 0.1)),  # and shifted by 0.1
+    st.lists(st.integers(0, 6), min_size=1, max_size=40).map(
+        lambda v: _sorted_floats(v, 1e-17, 0.1)),  # steps below one ulp of 0.1
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_probe_times, st.integers(min_value=1, max_value=12), st.data())
+def test_hopping_greedy_matches_linear_scan(times, max_group_len, data):
+    threshold = float(data.draw(st.sampled_from(candidate_spans(times))))
+    limit = data.draw(st.integers(min_value=1, max_value=len(times)))
+    for lim in (None, limit):
+        assert partition._greedy(times, threshold, max_group_len, lim) == \
+            linear_greedy(times, threshold, max_group_len, lim)
+
+
+@pytest.mark.parametrize("ties", [0, 1, 3])
+@pytest.mark.parametrize("times, threshold, groups", [
+    # 0.1 + 0.2 rounds to 0.30000000000000004, so a bisect on the sum keeps
+    # the last event; its exact span 0.20000000000000004 exceeds 0.2
+    ([0.1, 0.30000000000000004], 0.2, [(0, 1), (1, 2)]),
+    # 0.315 + (0.882 - 0.315) rounds below 0.882, so a bisect on the sum
+    # drops the last event; its exact span is the threshold itself
+    ([0.315, 0.882], 0.882 - 0.315, [(0, 2)]),
+])
+def test_hopping_greedy_settles_rounded_ends_exactly(times, threshold, groups, ties):
+    # with no ties the event after the start is tested exactly, without a
+    # bisect; repeating the start first makes the bisect place the end
+    times = times[:1] * ties + times
+    want = [(0, groups[0][1] + ties)] + [(s + ties, e + ties) for s, e in groups[1:]]
+    assert linear_greedy(times, threshold, 8) == want
+    assert partition._greedy(times, threshold, 8) == want
 
 
 # ---------------------------------------------------------------------------

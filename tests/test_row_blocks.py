@@ -121,18 +121,26 @@ def test_many_blocks_under_fast_thread_switching_keep_every_row(monkeypatch):
 def test_embed_sums_equal_np_add_at():
     rng = np.random.default_rng(5)
     n, d = 1500, 6
-    table = dc.Tensor(rng.normal(size=(9, d)))
+    table = dc.Tensor(rng.normal(size=(12, d)), requires_grad=True)
     counts = rng.integers(0, 4, size=n)
     rows = np.repeat(np.arange(n), counts)
     ptr = np.concatenate([[0], np.cumsum(counts)])
-    ids = rng.integers(0, 9, size=rows.size)
+    ids = rng.integers(0, 9, size=rows.size)  # table rows 9..11 get no entry
     weights = rng.normal(size=rows.size)
     weights[::7] = -0.0
     want = np.zeros((n, d))
     np.add.at(want, rows, table.data[ids] * weights[:, None])
-    got = dc.embed(n, [(table, ids, ptr, weights)]).data
+    out = dc.embed(n, [(table, ids, ptr, weights)])
+    got = out.data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    # backward: the table gradient matches np.add.at byte for byte
+    probe = rng.normal(size=(n, d))
+    probe[::5] = -0.0
+    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    want_grad = np.zeros_like(table.data)
+    np.add.at(want_grad, ids, probe[rows] * weights[:, None])
+    assert table.grad.tobytes() == want_grad.tobytes()
 
 
 def test_embed_rejects_bad_pointers():
