@@ -231,6 +231,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, z / d)
 
 
+def _sigmoid_into(x: np.ndarray, out: np.ndarray):
+    """_sigmoid(x) written into out, bit for bit: one divide of 1 or z."""
+    z = np.exp(-np.abs(x))
+    d = 1.0 + z
+    np.divide(np.where(x >= 0, 1.0, z), d, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
 
@@ -403,20 +410,22 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     """Multi-head attention of every row of x over a contiguous window of rows.
 
     Row i attends to the rows [lo[i], hi[i]); lo and hi must be
-    non-decreasing with lo[i] <= i < hi[i]. w_qkv is the (3 * n_heads *
+    non-decreasing integer arrays of shape (n,) with 0 <= lo[i] <= i <
+    hi[i] <= n (ShapeError otherwise). w_qkv is the (3 * n_heads *
     head_dim, d) stack of every head's query weight, then every key
     weight, then every value weight. Per query and head only the topk
     largest dot-product scores survive (ties go to the lowest row index),
     the softmax runs over those and the value rows are summed with its
     weights; head outputs are concatenated in head order.
 
-    Selection first: the scores are computed on the padded (n, W) band of
-    every window, W = max(hi - lo), and the k = min(topk, W) kept entries
-    of each query and head are picked there. The softmax, the value
-    gather, the output and the whole backward then run over those
-    entries only, O(n * heads * k * head_dim). A window narrower than k
-    is filled up with padding entries of weight exactly 0 whose row is
-    lo[i].
+    Selection first, narrow windows first: with W = max(hi - lo) and k =
+    min(topk, W), every row scores the first k rows of its window, which
+    a window of at most k rows keeps whatever the scores; only the rows
+    with a wider window score their whole padded band and pick their k
+    kept entries there. The softmax, the value gather, the output and the
+    whole backward then run over the kept entries only, O(n * heads * k *
+    head_dim). A window narrower than k is filled up with padding entries
+    of weight exactly 0 whose row is lo[i].
 
     The queries, keys and values of all rows are projected first; the rest
     of the forward runs in row blocks (_row_blocks), each filling its own
@@ -434,44 +443,31 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
             or w_qkv.shape[0] % (3 * n_heads)):
         raise ShapeError(f"windowed_attention: x {x.shape} does not match the "
                          f"stacked weight {w_qkv.shape} of {n_heads} heads")
-    head_dim = w_qkv.shape[0] // (3 * n_heads)
     n = x.shape[0]
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    i = np.arange(n)
+    if not (n and lo.shape == hi.shape == (n,) and lo.dtype.kind in "iu"
+            and hi.dtype.kind in "iu" and np.all((lo >= 0) & (lo <= i) & (i < hi))
+            and hi[-1] <= n and np.all(lo[1:] >= lo[:-1]) and np.all(hi[1:] >= hi[:-1])):
+        raise ShapeError(f"windowed_attention: the windows [lo, hi) of the {n} rows "
+                         f"must be non-decreasing with 0 <= lo[i] <= i < hi[i] <= {n}")
+    lo, hi = lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False)
+    head_dim = w_qkv.shape[0] // (3 * n_heads)
     ha = n_heads * head_dim
     q, keys, values = (x.data @ w_qkv.data[role * ha:(role + 1) * ha].T
                        for role in range(3))
     q = q.reshape(n, n_heads, head_dim)
     size = hi - lo
-    width = int(np.max(size))
-    k = min(topk, width)
+    k = min(topk, int(np.max(size)))
     out = np.empty((n, n_heads, head_dim))
     rows = np.empty((n, n_heads, k), dtype=np.intp)
     p = np.empty((n, n_heads, k))
     v_kept = np.empty((n, n_heads, k, head_dim))
 
     def fill(r0, r1):
-        m, q_b = r1 - r0, q[r0:r1]
-        lo_b, size_b = lo[r0:r1, None, None], size[r0:r1]
-        band = np.minimum(lo_b[:, 0] + np.arange(width), hi[r0:r1, None] - 1)
-        scores = np.empty((m, n_heads, width))
-        # the band's key rows are the largest array here: gathered for
-        # _BAND_ROWS query rows at a time
-        for c in range(0, m, _BAND_ROWS):
-            chunk = slice(c, c + _BAND_ROWS)
-            band_keys = keys[band[chunk]].reshape(-1, width, n_heads, head_dim)
-            scores[chunk] = np.einsum("iha,iwha->ihw", q_b[chunk], band_keys)
-        # a window of at most k rows keeps them all, then padding: slots 0..k-1
-        slots = np.broadcast_to(np.arange(k), (m, n_heads, k)).copy()
-        s = scores[..., :k].copy()
-        wide = np.flatnonzero(size_b > k)
-        if wide.size:
-            # stable sort by (-score, slot): the lowest row wins a tie
-            wide_scores = scores[wide]
-            order = np.argsort(np.where(np.arange(width) < size_b[wide, None, None],
-                                        -wide_scores, np.inf), axis=-1, kind="stable")
-            wide_slots = np.sort(order[..., :k], axis=-1)
-            slots[wide] = wide_slots
-            s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
-        valid = slots < size_b[:, None, None]
+        lo_b = lo[r0:r1, None, None]
+        slots, s = _kept_slots(q[r0:r1], keys, lo[r0:r1], hi[r0:r1], k)
+        valid = slots < size[r0:r1, None, None]
         rows[r0:r1] = np.where(valid, lo_b + slots, lo_b)
         s[~valid] = -np.inf
         e = np.exp(s - _over_kept(np.maximum, s)[..., None])
@@ -500,6 +496,44 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
 
     return (_node(out.reshape(n, ha), "windowed_attention", (x, w_qkv), bwd),
             (rows, p))
+
+
+def _kept_slots(q, keys, lo, hi, k):
+    """The (m, heads, k) window slots that the query rows q (m, heads,
+    head_dim) keep in their windows [lo, hi), in slot order, and their
+    scores. A window of at most k rows keeps slots 0..k-1 (padding past
+    its end), so every row scores those k slots only; the rows with a
+    wider window score their whole band and keep its k best slots, a
+    stable sort by (-score, slot) so that the lowest row wins a tie."""
+    size = hi - lo
+    slots = np.broadcast_to(np.arange(k), (len(q), q.shape[1], k)).copy()
+    s = _window_scores(q, keys, lo, hi, k)
+    wide = np.flatnonzero(size > k)
+    if wide.size:
+        size_w = size[wide, None, None]
+        width = int(size_w.max())
+        scores = _window_scores(q[wide], keys, lo[wide], hi[wide], width)
+        order = np.argsort(np.where(np.arange(width) < size_w, -scores, np.inf),
+                           axis=-1, kind="stable")
+        wide_slots = np.sort(order[..., :k], axis=-1)
+        slots[wide] = wide_slots
+        s[wide] = np.take_along_axis(scores, wide_slots, axis=-1)
+    return slots, s
+
+
+def _window_scores(q, keys, lo, hi, width):
+    """The (m, heads, width) dot products of the query rows q (m, heads,
+    head_dim) with the key rows lo, lo + 1, ... of their windows, the last
+    row hi - 1 repeated past the window's end. The gathered keys are the
+    largest array here: _BAND_ROWS query rows at a time."""
+    m, n_heads, head_dim = q.shape
+    band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+    scores = np.empty((m, n_heads, width))
+    for c in range(0, m, _BAND_ROWS):
+        band_keys = keys[band[c:c + _BAND_ROWS]].reshape(-1, width, n_heads, head_dim)
+        np.einsum("iha,iwha->ihw", q[c:c + _BAND_ROWS], band_keys,
+                  out=scores[c:c + _BAND_ROWS])
+    return scores
 
 
 def _over_kept(ufunc, a):
@@ -565,26 +599,7 @@ def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
     src = offsets[order][jj] + tt  # the row of x at each layout row
     x_rows = x.data[src]
     pre = x_rows @ w_input.data.T + bias.data
-    gates = np.empty((total, four_h))  # activated i, f, g, o
-    c_out = np.empty((total, hid))     # the state leaving each layout row
-    h_out = np.empty((total, hid))
-    tanh_c = np.empty((total, hid))
-    w_hidden_t = w_hidden.data.T
-    for t in range(steps):
-        rows, n = slice(first[t], first[t + 1]), running[t]
-        z = pre[rows]
-        if t:  # the state entering step t left the first n rows of step t - 1
-            prev = slice(first[t - 1], first[t - 1] + n)
-            z = z + h_out[prev] @ w_hidden_t
-        a = _sigmoid(z)
-        a[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])
-        c = a[:, :hid] * a[:, 2 * hid:3 * hid]
-        if t:
-            c += a[:, hid:2 * hid] * c_out[prev]
-        gates[rows] = a
-        c_out[rows] = c
-        tanh_c[rows] = tc = np.tanh(c)
-        h_out[rows] = a[:, 3 * hid:] * tc
+    gates, c_out, tanh_c, h_out = _lstm_steps(pre, first, running, w_hidden.data)
     out = np.empty((batch, hid))
     out[order] = h_out[first[lengths - 1] + np.arange(batch)]
 
@@ -622,6 +637,38 @@ def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
             _accum(x, dx)
 
     return _node(out, "lstm", (x, w_input, w_hidden, bias), bwd)
+
+
+def _lstm_steps(pre, first, running, w_hidden):
+    """The forward loop of lstm over the step-major layout: the activated
+    gates i, f, g, o, the cell state, its tanh and the hidden state that
+    leave each layout row, each written straight into its rows. Step t's
+    rows are [first[t], first[t + 1]) with gate pre-activations pre[rows]
+    before the hidden term; the state entering its running[t] rows left
+    the first running[t] rows of step t - 1."""
+    total, four_h = pre.shape
+    hid = four_h // 4
+    gates = np.empty((total, four_h))
+    c_out = np.empty((total, hid))
+    tanh_c = np.empty((total, hid))
+    h_out = np.empty((total, hid))
+    w_hidden_t = w_hidden.T
+    first, running = first.tolist(), running.tolist()
+    for t in range(len(running)):
+        r0, r1 = first[t], first[t + 1]
+        a, c, tc = gates[r0:r1], c_out[r0:r1], tanh_c[r0:r1]
+        z = pre[r0:r1]
+        if t:
+            p0, p1 = first[t - 1], first[t - 1] + running[t]
+            z = z + h_out[p0:p1] @ w_hidden_t
+        _sigmoid_into(z, a)
+        np.tanh(z[:, 2 * hid:3 * hid], out=a[:, 2 * hid:3 * hid])
+        np.multiply(a[:, :hid], a[:, 2 * hid:3 * hid], out=c)
+        if t:
+            c += a[:, hid:2 * hid] * c_out[p0:p1]
+        np.tanh(c, out=tc)
+        np.multiply(a[:, 3 * hid:], tc, out=h_out[r0:r1])
+    return gates, c_out, tanh_c, h_out
 
 
 # ---------------------------------------------------------------------------

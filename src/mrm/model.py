@@ -272,10 +272,13 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     Scores are plain query-key dot products; per query only the topk
     largest in-window scores survive, the rest are masked before the
     softmax. Head outputs are concatenated back to model_dim. Windows are
-    contiguous in the sorted times, so one fused op scores the padded
-    (L, W) band of each query's window, W the widest window, and picks
-    the kept neighbors there; the softmax, the value sum and the backward
-    then run over the kept neighbors only, O(L * heads * topk) of them.
+    contiguous in the sorted times, so one fused op does it all: every
+    query scores the first topk events of its window, all that a window
+    of at most topk events keeps; only the queries with a wider window
+    score the padded band of it, as wide as the widest such window, and
+    pick the kept neighbors there. The softmax, the value sum and the
+    backward then run over the kept neighbors only, O(L * heads * topk)
+    of them.
     The top-k selection is treated as locally constant in backward.
     offsets marks several sequences back to back, as in
     neighborhood_bounds.

@@ -81,6 +81,63 @@ def topk_mask(scores, topk: int) -> np.ndarray:
     return mask
 
 
+def full_band_kept_slots(q, keys, lo, hi, k):
+    """The window slots that the query rows q (m, heads, head_dim) keep in
+    their windows [lo, hi), and their scores, each (m, heads, k), picked on
+    the full band: every row scores the key rows lo, lo + 1, ... of a band
+    as wide as the widest window (the last window row repeated past its
+    end), _BAND_ROWS rows at a time. A window of at most k rows keeps slots
+    0..k-1; a wider one its k best slots by a stable sort on (-score,
+    slot), in slot order. The selection oracle of diffcore._kept_slots."""
+    m, n_heads, head_dim = q.shape
+    size = hi - lo
+    width = int(size.max())
+    band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+    scores = np.empty((m, n_heads, width))
+    for c in range(0, m, diffcore._BAND_ROWS):
+        chunk = slice(c, c + diffcore._BAND_ROWS)
+        band_keys = keys[band[chunk]].reshape(-1, width, n_heads, head_dim)
+        scores[chunk] = np.einsum("iha,iwha->ihw", q[chunk], band_keys)
+    slots = np.broadcast_to(np.arange(k), (m, n_heads, k)).copy()
+    s = scores[..., :k].copy()
+    wide = np.flatnonzero(size > k)
+    if wide.size:
+        wide_scores = scores[wide]
+        order = np.argsort(np.where(np.arange(width) < size[wide, None, None],
+                                    -wide_scores, np.inf), axis=-1, kind="stable")
+        wide_slots = np.sort(order[..., :k], axis=-1)
+        slots[wide] = wide_slots
+        s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
+    return slots, s
+
+
+def lstm_steps_oracle(pre, first, running, w_hidden):
+    """The forward loop of diffcore.lstm, each step's values made as new
+    arrays and then copied into place: the oracle of diffcore._lstm_steps."""
+    total, four_h = pre.shape
+    hid = four_h // 4
+    gates = np.empty((total, four_h))
+    c_out = np.empty((total, hid))
+    h_out = np.empty((total, hid))
+    tanh_c = np.empty((total, hid))
+    for t in range(len(running)):
+        rows, n = slice(first[t], first[t + 1]), running[t]
+        z = pre[rows]
+        if t:
+            prev = slice(first[t - 1], first[t - 1] + n)
+            z = z + h_out[prev] @ w_hidden.T
+        a = diffcore._sigmoid(z)
+        a[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])
+        c = a[:, :hid] * a[:, 2 * hid:3 * hid]
+        if t:
+            c += a[:, hid:2 * hid] * c_out[prev]
+        gates[rows] = a
+        c_out[rows] = c
+        tanh_c[rows] = tc = np.tanh(c)
+        h_out[rows] = a[:, 3 * hid:] * tc
+    return gates, c_out, tanh_c, h_out
+
+
 def candidate_spans(times) -> np.ndarray:
     """All distinct pairwise differences t_j - t_i (j >= i) of sorted
     times, sorted. The optimal minimax span is the span of some contiguous

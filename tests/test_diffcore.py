@@ -3,6 +3,8 @@ import pytest
 
 from mrm import diffcore as dc
 
+from .conftest import lstm_steps_oracle
+
 
 def t(data, grad=True):
     return dc.Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
@@ -41,6 +43,19 @@ def test_sigmoid_extreme_inputs_stable():
     out = dc.sigmoid(t([-800.0, 800.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == 0.0 and out.data[1] == 1.0
+
+
+def test_sigmoid_into_writes_the_bytes_of_sigmoid():
+    tiny = 1e-310  # subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 745.0, -745.0, np.inf, -np.inf, np.nan,
+                  1.0, -1.0, 36.7, -36.7, 1e-300, -1e-300])
+    x = np.concatenate([x, np.random.default_rng(0).normal(scale=20.0, size=64)])
+    out = np.full_like(x, 7.0)
+    dc._sigmoid_into(x, out)
+    assert out.tobytes() == dc._sigmoid(x).tobytes()
+    strided = np.full((x.size, 3), 7.0)  # into a column, as into a gate block
+    dc._sigmoid_into(x[:, None], strided[:, 1:2])
+    assert strided[:, 1].tobytes() == out.tobytes()
 
 
 def test_maxpool_rows_coordinatewise():
@@ -261,6 +276,27 @@ def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
     numeric = fd_grads(lambda: forward().item(), params)
     for name, p in params.items():
         assert grad_rel_err(p.grad, numeric[name]) < 1e-6, name
+
+
+def _lstm_bytes(x, offsets, w_input, w_hidden, bias, probe):
+    ts = [t(a) for a in (x, w_input, w_hidden, bias)]
+    out = dc.lstm(ts[0], offsets, *ts[1:])
+    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    return [a.tobytes() for a in (out.data, *(p.grad for p in ts))]
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 40.0])  # 40: saturated gates
+def test_lstm_steps_in_place_give_the_bits_of_new_arrays(monkeypatch, scale):
+    rng = np.random.default_rng(int(scale * 10))
+    d, hid = 5, 6
+    for lengths in ([1], [7], [3, 1, 6, 2, 6, 4], [1, 30, 12] * 4):
+        arrays = (rng.normal(scale=scale, size=(sum(lengths), d)), _offsets(lengths),
+                  rng.normal(size=(4 * hid, d)), rng.normal(size=(4 * hid, hid)),
+                  rng.normal(size=4 * hid), rng.normal(size=(len(lengths), hid)))
+        got = _lstm_bytes(*arrays)
+        with monkeypatch.context() as patch:
+            patch.setattr(dc, "_lstm_steps", lstm_steps_oracle)
+            assert _lstm_bytes(*arrays) == got
 
 
 def test_lstm_rejects_mismatched_shapes():

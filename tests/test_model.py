@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrm import diffcore as dc
 from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from .conftest import dense_weights, head_weights, param_rel_err, topk_mask
+from .conftest import (dense_weights, full_band_kept_slots, head_weights,
+                       param_rel_err, topk_mask)
 
 
 def small_config(**overrides):
@@ -649,6 +652,81 @@ def test_windowed_attention_returns_kept_rows_and_weights(topk):
         assert np.all(weights[i, :, kept:] == 0.0)
     assert np.array_equal((weights > 0).sum(axis=-1),
                           np.broadcast_to(np.minimum(size, k)[:, None], (n, config.n_heads)))
+
+
+_LO = np.array([0, 0, 1, 2, 3, 4])
+_HI = np.array([2, 3, 4, 5, 6, 6])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (np.r_[-3, _LO[1:]], _HI),             # a negative lo would wrap to the last rows
+    (np.r_[_LO[:4], 5, 5], _HI),           # lo[4] == 5: the row is outside its window
+    (_LO, np.r_[1, 1, _HI[2:]]),           # hi[1] == 1: the row is outside its window
+    (_LO, np.r_[_HI[:-1], 7]),             # past the last row
+    (np.r_[0, 0, 2, 1, 3, 4], _HI),        # lo decreases
+    (_LO, np.r_[2, 4, 3, _HI[3:]]),        # hi decreases
+    (_LO[:-1], _HI[:-1]),                  # one window short
+    (_LO[None], _HI[None]),                # not one-dimensional
+    (_LO.astype(float), _HI),              # not integers
+    (_LO, _HI.astype(bool)),
+])
+def test_windowed_attention_rejects_windows_that_do_not_hold_their_row(lo, hi):
+    rng = np.random.default_rng(0)
+    x = dc.Tensor(rng.normal(size=(6, 4)))
+    w = dc.Tensor(rng.normal(size=(12, 4)))
+    dc.windowed_attention(x, w, 2, _LO, _HI, 2)
+    dc.windowed_attention(x, w, 2, _LO.astype(np.uint8), _HI.astype(np.int32), 2)
+    with pytest.raises(dc.ShapeError, match="windows"):
+        dc.windowed_attention(x, w, 2, lo, hi, 2)
+    with pytest.raises(dc.ShapeError, match="windows"):
+        dc.windowed_attention(dc.Tensor(np.zeros((0, 4))), w, 2, lo[:0], hi[:0], 2)
+
+
+def _attention_bytes(x, w, n_heads, lo, hi, topk, probe):
+    """out, rows, weights and both gradients of one windowed_attention
+    call, each as (shape, dtype, bytes)."""
+    xt, wt = dc.Tensor(x, requires_grad=True), dc.Tensor(w, requires_grad=True)
+    out, (rows, weights) = dc.windowed_attention(xt, wt, n_heads, lo, hi, topk)
+    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    return [(a.shape, a.dtype.str, a.tobytes())
+            for a in (out.data, rows, weights, xt.grad, wt.grad)]
+
+
+# Times are multiples of 0.1 h spread over `spread` steps: one step puts
+# every event of a sequence in every window of it, window 0 keeps only the
+# events of equal time. Integer-valued inputs give exactly tied scores.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       spread=st.sampled_from([1, 3, 10, 100]), window=st.sampled_from([0.0, 0.1, 0.5]),
+       topk=st.integers(1, 6), n_heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       tied=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(lengths=[30], spread=100, window=0.0, topk=3, n_heads=2, head_dim=2,
+         tied=False, seed=1)  # all narrow, W < topk
+@example(lengths=[4, 4], spread=1, window=0.0, topk=4, n_heads=2, head_dim=2,
+         tied=True, seed=2)  # every window W == topk rows
+@example(lengths=[10, 7], spread=1, window=0.0, topk=3, n_heads=2, head_dim=3,
+         tied=True, seed=3)  # all wide, tied at the k-th score, one seam
+@example(lengths=[40, 25, 1, 12], spread=10, window=0.1, topk=2, n_heads=3,
+         head_dim=2, tied=True, seed=4)  # mixed, seams
+def test_narrow_first_selection_gives_the_bits_of_the_full_band(
+        lengths, spread, window, topk, n_heads, head_dim, tied, seed):
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum([0, *lengths])
+    times = np.concatenate([np.sort(rng.integers(0, spread, size=n)) * 0.1
+                            for n in lengths])
+    lo, hi = mm.neighborhood_bounds(times, window, offsets)
+    d = 4
+    if tied:
+        x, w = (rng.integers(-1, 2, size=(m, d)).astype(float)
+                for m in (offsets[-1], 3 * n_heads * head_dim))
+    else:
+        x, w = rng.normal(size=(offsets[-1], d)), rng.normal(size=(3 * n_heads * head_dim, d))
+    probe = rng.normal(size=(offsets[-1], n_heads * head_dim))
+    got = _attention_bytes(x, w, n_heads, lo, hi, topk, probe)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_kept_slots", full_band_kept_slots)
+        want = _attention_bytes(x, w, n_heads, lo, hi, topk, probe)
+    assert got == want
 
 
 def test_attention_locality_outside_window():

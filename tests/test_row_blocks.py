@@ -16,6 +16,8 @@ import mrm
 from mrm import diffcore as dc
 from mrm import evalmetrics, events, model as mm, syngen
 
+from .conftest import full_band_kept_slots
+
 
 @pytest.fixture
 def submits(monkeypatch):
@@ -94,6 +96,29 @@ def test_two_workers_give_the_bits_of_one(monkeypatch, submits):
     assert split_grads.keys() == serial_grads.keys() and len(serial_grads) == 4
     for name, grad in serial_grads.items():
         assert np.array_equal(split_grads[name], grad), name
+
+
+def test_narrow_first_selection_gives_the_full_band_bits_with_one_and_two_workers(
+        monkeypatch):
+    seqs, config = _batch()
+    params = mm.MrmParams.init(config, seed=3)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(dc, "_WORKERS", workers)
+        runs["narrow first", workers] = _pipeline(seqs, config, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(dc, "_kept_slots", full_band_kept_slots)
+            runs["full band", workers] = _pipeline(seqs, config, params)
+    (x, *_), _, (lo, hi) = runs["full band", 1]
+    # both kinds of window, and kept entries picked among tied scores
+    assert len(lo) >= 1024 and 0 < np.mean(hi - lo > config.topk) < 1
+    assert _ties_at_the_last_kept(x, params.attention.data, config, lo, hi) > 0
+    _, (want, want_grads, _) = runs.popitem()
+    for got, grads, _ in runs.values():
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(got, want))
+        assert grads.keys() == want_grads.keys()
+        assert all(grads[name].tobytes() == g.tobytes() for name, g in want_grads.items())
 
 
 def test_many_blocks_under_fast_thread_switching_keep_every_row(monkeypatch):
