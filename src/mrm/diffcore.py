@@ -128,14 +128,17 @@ def _node(value, op: str, parents, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 # row-parallel kernels
 
-# Workers for row-separable forward kernels: the calling thread plus pool
+# Workers for row-separable kernels: the calling thread plus pool
 # threads, one per CPU this process may run on, at most two (the only count
 # measured). The pool exists from import on, so no module attribute changes
 # later, and it starts its thread on the first split only.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 _MIN_BLOCK_ROWS = 512  # smaller blocks lose more to the hand-off than they gain
-_BAND_ROWS = 256  # query rows whose window keys attention gathers at once
+# Attention scores its window slots one key gather and einsum at a time, or
+# a few slots at once while they hold at most this many query rows in all,
+# so that short inputs pay fewer numpy calls.
+_SLOT_ROWS = 256
 
 
 def _new_pool():
@@ -161,13 +164,28 @@ def _row_blocks(fn, n: int):
         fn(0, n)
         return
     cuts = [n * b // blocks for b in range(blocks + 1)]
-    futures = [_POOL.submit(fn, r0, r1) for r0, r1 in zip(cuts[1:-1], cuts[2:])]
+    _on_workers([(fn, cut) for cut in zip(cuts[:-1], cuts[1:])])
+
+
+def _both(f, g, n: int):
+    """(f(), g()): g on the pool when a call over n rows splits
+    (_row_blocks), else both on the calling thread. f and g keep to what
+    _row_blocks asks of fn."""
+    if min(_WORKERS, n // _MIN_BLOCK_ROWS) <= 1:
+        return f(), g()
+    return tuple(_on_workers([(f, ()), (g, ())]))
+
+
+def _on_workers(calls):
+    """[fn(*args) for fn, args in calls], the first call on the calling
+    thread and the others on the pool; returns once every call has ended."""
+    futures = [_POOL.submit(fn, *args) for fn, args in calls[1:]]
     try:
-        fn(cuts[0], cuts[1])
+        fn, args = calls[0]
+        first = fn(*args)
     finally:
-        wait(futures)  # no block may still write once this returns
-    for future in futures:
-        future.result()
+        wait(futures)  # no call may still write once this returns
+    return [first] + [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +437,17 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     weights; head outputs are concatenated in head order.
 
     Selection first, narrow windows first: with W = max(hi - lo) and k =
-    min(topk, W), every row scores the first k rows of its window, which
-    a window of at most k rows keeps whatever the scores; only the rows
-    with a wider window score their whole padded band and pick their k
-    kept entries there. The softmax, the value gather, the output and the
-    whole backward then run over the kept entries only, O(n * heads * k *
-    head_dim). A window narrower than k is filled up with padding entries
-    of weight exactly 0 whose row is lo[i].
+    min(topk, W), every row scores the first k slots (rows lo[i], ...,
+    lo[i] + k - 1) of its window, which a window of at most k rows keeps
+    whatever the scores; only the rows with a wider window also score
+    their slots k..W-1 and pick their k kept entries among all W. Scoring
+    goes one slot at a time, a gather of that slot's key rows and one
+    einsum (a few slots at once for short inputs), so no more than
+    max(n, _SLOT_ROWS) rows of keys are gathered at once. The
+    softmax, the value gather, the output and the whole backward then run
+    over the kept entries only, O(n * heads * k * head_dim). A window
+    narrower than k is filled up with padding entries of weight exactly 0
+    whose row is lo[i].
 
     The queries, keys and values of all rows are projected first; the rest
     of the forward runs in row blocks (_row_blocks), each filling its own
@@ -436,8 +458,12 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     tensor; rows[i, h] are the k rows that query i keeps in head h, in
     row order (padding last), and weights[i, h] their softmax weights,
     both (n, heads, k). The backward rule treats the selection as
-    constant. It scatters the key and value gradients of the kept entries
-    onto their rows with np.bincount.
+    constant. Its row-separable part (the query gradient and the score
+    gradients the other two need) runs in row blocks too; then it
+    scatters the key and the value gradients of the kept entries onto
+    their rows with np.bincount, the two scatters side by side when the
+    rows split (_both). No sum changes its order with the number of
+    workers.
     """
     if (w_qkv.data.ndim != 2 or w_qkv.shape[1] != x.shape[1]
             or w_qkv.shape[0] % (3 * n_heads)):
@@ -483,14 +509,23 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
 
     def bwd(g):
         g3 = g.reshape(n, n_heads, head_dim)
-        dp = np.einsum("iha,ihka->ihk", g3, v_kept)
-        ds = p * (dp - _over_kept(np.add, p * dp)[..., None])
         flat = rows * n_heads + np.arange(n_heads)[:, None]
-        k_kept = keys.reshape(n * n_heads, head_dim)[flat]
-        dq = np.einsum("ihk,ihka->iha", ds, k_kept).reshape(n, ha)
-        dk = _scatter_kept(flat, ds, q, n * n_heads).reshape(n, ha)
-        dv = _scatter_kept(flat, p, g3, n * n_heads).reshape(n, ha)
-        dproj = np.concatenate([dq, dk, dv], axis=1)
+        ds = np.empty((n, n_heads, k))
+        dq = np.empty((n, n_heads, head_dim))
+
+        def back(r0, r1):
+            dp = np.einsum("iha,ihka->ihk", g3[r0:r1], v_kept[r0:r1])
+            p_b = p[r0:r1]
+            np.multiply(p_b, dp - _over_kept(np.add, p_b * dp)[..., None], out=ds[r0:r1])
+            k_kept = np.take(keys.reshape(n * n_heads, head_dim), flat[r0:r1], axis=0)
+            np.einsum("ihk,ihka->iha", ds[r0:r1], k_kept, out=dq[r0:r1])
+
+        _row_blocks(back, n)
+        # the key and the value scatter sum over every row: one per worker
+        dk, dv = _both(lambda: _scatter_kept(flat, ds, q, n * n_heads),
+                       lambda: _scatter_kept(flat, p, g3, n * n_heads), n)
+        dproj = np.concatenate([dq.reshape(n, ha), dk.reshape(n, ha), dv.reshape(n, ha)],
+                               axis=1)
         _accum(x, dproj @ w_qkv.data)
         _accum(w_qkv, dproj.T @ x.data)
 
@@ -502,17 +537,18 @@ def _kept_slots(q, keys, lo, hi, k):
     """The (m, heads, k) window slots that the query rows q (m, heads,
     head_dim) keep in their windows [lo, hi), in slot order, and their
     scores. A window of at most k rows keeps slots 0..k-1 (padding past
-    its end), so every row scores those k slots only; the rows with a
-    wider window score their whole band and keep its k best slots, a
-    stable sort by (-score, slot) so that the lowest row wins a tie."""
+    its end), so every row scores those k slots; the rows with a wider
+    window score their other slots too and keep their k best, a stable
+    sort by (-score, slot) so that the lowest row wins a tie."""
     size = hi - lo
     slots = np.broadcast_to(np.arange(k), (len(q), q.shape[1], k)).copy()
-    s = _window_scores(q, keys, lo, hi, k)
+    s = _window_scores(q, keys, lo, hi, 0, k)
     wide = np.flatnonzero(size > k)
     if wide.size:
         size_w = size[wide, None, None]
         width = int(size_w.max())
-        scores = _window_scores(q[wide], keys, lo[wide], hi[wide], width)
+        scores = np.concatenate(
+            [s[wide], _window_scores(q[wide], keys, lo[wide], hi[wide], k, width)], axis=-1)
         order = np.argsort(np.where(np.arange(width) < size_w, -scores, np.inf),
                            axis=-1, kind="stable")
         wide_slots = np.sort(order[..., :k], axis=-1)
@@ -521,19 +557,22 @@ def _kept_slots(q, keys, lo, hi, k):
     return slots, s
 
 
-def _window_scores(q, keys, lo, hi, width):
-    """The (m, heads, width) dot products of the query rows q (m, heads,
-    head_dim) with the key rows lo, lo + 1, ... of their windows, the last
-    row hi - 1 repeated past the window's end. The gathered keys are the
-    largest array here: _BAND_ROWS query rows at a time."""
+def _window_scores(q, keys, lo, hi, j0, j1):
+    """The (m, heads, j1 - j0) dot products of the query rows q (m, heads,
+    head_dim) with the key rows lo + j0, ..., lo + j1 - 1 of their
+    windows, the last row hi - 1 repeated past the window's end: one key
+    gather and one einsum per window slot, or per few slots while they
+    hold at most _SLOT_ROWS query rows in all. The result is a transposed
+    view, each slot's scores contiguous."""
     m, n_heads, head_dim = q.shape
-    band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
-    scores = np.empty((m, n_heads, width))
-    for c in range(0, m, _BAND_ROWS):
-        band_keys = keys[band[c:c + _BAND_ROWS]].reshape(-1, width, n_heads, head_dim)
-        np.einsum("iha,iwha->ihw", q[c:c + _BAND_ROWS], band_keys,
-                  out=scores[c:c + _BAND_ROWS])
-    return scores
+    keys = keys.reshape(len(keys), n_heads, head_dim)
+    slot_rows = np.minimum(lo + np.arange(j0, j1)[:, None], hi - 1)
+    scores = np.empty((j1 - j0, m, n_heads))
+    per = max(1, _SLOT_ROWS // m)
+    for j in range(0, j1 - j0, per):
+        np.einsum("iha,jiha->jih", q, np.take(keys, slot_rows[j:j + per], axis=0),
+                  out=scores[j:j + per])
+    return scores.transpose(1, 2, 0)
 
 
 def _over_kept(ufunc, a):

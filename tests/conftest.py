@@ -81,21 +81,25 @@ def topk_mask(scores, topk: int) -> np.ndarray:
     return mask
 
 
+_BAND_ROWS = 256  # query rows whose band full_band_kept_slots gathers at once
+
+
 def full_band_kept_slots(q, keys, lo, hi, k):
     """The window slots that the query rows q (m, heads, head_dim) keep in
     their windows [lo, hi), and their scores, each (m, heads, k), picked on
     the full band: every row scores the key rows lo, lo + 1, ... of a band
     as wide as the widest window (the last window row repeated past its
-    end), _BAND_ROWS rows at a time. A window of at most k rows keeps slots
-    0..k-1; a wider one its k best slots by a stable sort on (-score,
-    slot), in slot order. The selection oracle of diffcore._kept_slots."""
+    end), _BAND_ROWS rows at a time, in one einsum over the band. A window
+    of at most k rows keeps slots 0..k-1; a wider one its k best slots by a
+    stable sort on (-score, slot), in slot order. The selection oracle of
+    diffcore._kept_slots."""
     m, n_heads, head_dim = q.shape
     size = hi - lo
     width = int(size.max())
     band = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
     scores = np.empty((m, n_heads, width))
-    for c in range(0, m, diffcore._BAND_ROWS):
-        chunk = slice(c, c + diffcore._BAND_ROWS)
+    for c in range(0, m, _BAND_ROWS):
+        chunk = slice(c, c + _BAND_ROWS)
         band_keys = keys[band[chunk]].reshape(-1, width, n_heads, head_dim)
         scores[chunk] = np.einsum("iha,iwha->ihw", q[chunk], band_keys)
     slots = np.broadcast_to(np.arange(k), (m, n_heads, k)).copy()
@@ -109,6 +113,38 @@ def full_band_kept_slots(q, keys, lo, hi, k):
         slots[wide] = wide_slots
         s[wide] = np.take_along_axis(wide_scores, wide_slots, axis=-1)
     return slots, s
+
+
+def attention_backward_oracle(x, w_qkv, n_heads, rows, weights, g):
+    """(dx, dw_qkv) of diffcore.windowed_attention for the output gradient
+    g, given the kept entries (rows, weights) of its forward: the whole
+    backward in one pass over all rows on one thread, the kept keys and
+    values gathered by fancy indexing, then dq, dk and dv one after the
+    other. The oracle of the split backward."""
+    n = len(x)
+    head_dim = w_qkv.shape[0] // (3 * n_heads)
+    ha = n_heads * head_dim
+    q, keys, values = (x @ w_qkv[role * ha:(role + 1) * ha].T for role in range(3))
+    q = q.reshape(n, n_heads, head_dim)
+    g3 = g.reshape(n, n_heads, head_dim)
+    flat = rows * n_heads + np.arange(n_heads)[:, None]
+    v_kept = values.reshape(n * n_heads, head_dim)[flat]
+    k_kept = keys.reshape(n * n_heads, head_dim)[flat]
+    dp = np.einsum("iha,ihka->ihk", g3, v_kept)
+    weighted = weights * dp
+    total = weighted[:, :, 0]
+    for j in range(1, weights.shape[2]):
+        total = total + weighted[:, :, j]
+    ds = weights * (dp - total[..., None])
+    dq = np.einsum("ihk,ihka->iha", ds, k_kept).reshape(n, ha)
+
+    def scatter(w, u):
+        return np.stack([np.bincount(flat.ravel(), (w * u[:, :, None, c]).ravel(),
+                                     minlength=n * n_heads)
+                         for c in range(head_dim)], axis=1).reshape(n, ha)
+
+    dproj = np.concatenate([dq, scatter(ds, q), scatter(weights, g3)], axis=1)
+    return dproj @ w_qkv, dproj.T @ x
 
 
 def lstm_steps_oracle(pre, first, running, w_hidden):

@@ -729,6 +729,39 @@ def test_narrow_first_selection_gives_the_bits_of_the_full_band(
     assert got == want
 
 
+@pytest.mark.parametrize("n", [20, 300])
+@pytest.mark.parametrize("head_dim", range(1, 17))
+def test_one_slot_at_a_time_scores_the_bits_of_the_band(head_dim, n):
+    # windowed_attention gathers the keys of one window slot, or of a few
+    # for short inputs (n = 20), and scores them in one einsum; the full
+    # band oracle scores every slot in one. Equal bytes rest on numpy
+    # reducing head_dim the same way in both, which a numpy upgrade could
+    # change.
+    rng = np.random.default_rng(head_dim)
+    n_heads, width, k = 3, 7, 3
+    lo = np.minimum(np.sort(rng.integers(0, n, size=n)), np.arange(n))
+    hi = np.maximum(np.minimum(lo + rng.integers(1, width + 1, size=n), n), np.arange(n) + 1)
+    band_rows = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+    for q, keys in (
+            # integer values: exactly tied scores, and exact sums
+            (rng.integers(-2, 3, size=(n, n_heads, head_dim)).astype(float),
+             rng.integers(-2, 3, size=(n, n_heads * head_dim)).astype(float)),
+            (rng.normal(size=(n, n_heads, head_dim)),
+             rng.normal(size=(n, n_heads * head_dim))
+             * 10.0 ** rng.integers(-8, 9, size=(n, n_heads * head_dim)))):
+        q[::4] = -0.0
+        q[1::4] = 0.0
+        keys[::5] = -0.0
+        band = keys[band_rows].reshape(n, width, n_heads, head_dim)
+        want = np.einsum("iha,iwha->ihw", q, band)
+        got = dc._window_scores(q, keys, lo, hi, 0, width)
+        assert got.tobytes(order="C") == want.tobytes()
+        split = np.concatenate([dc._window_scores(q, keys, lo, hi, 0, k),
+                                dc._window_scores(q, keys, lo, hi, k, width)], axis=-1)
+        assert split.tobytes() == want.tobytes()
+        assert np.any(want[:, :, 1:] == want[:, :, :-1])  # ties, if only 0 = 0
+
+
 def test_attention_locality_outside_window():
     # x_j with j outside Ne(i) must not move v_i at all
     config = small_config()

@@ -1,6 +1,6 @@
-"""Row-parallel forward kernels: results that do not depend on the number
-of workers, an unchanged set of module attributes, and the row floor
-below which no thread starts."""
+"""Row-parallel kernels: results that do not depend on the number of
+workers, an unchanged set of module attributes, and the row floor below
+which no thread starts."""
 
 import os
 import signal
@@ -16,7 +16,7 @@ import mrm
 from mrm import diffcore as dc
 from mrm import evalmetrics, events, model as mm, syngen
 
-from .conftest import full_band_kept_slots
+from .conftest import attention_backward_oracle, full_band_kept_slots
 
 
 @pytest.fixture
@@ -83,8 +83,10 @@ def test_two_workers_give_the_bits_of_one(monkeypatch, submits):
     split, split_grads, _ = _pipeline(seqs, config, params)
     n = len(lo)
     cut = n // 2
-    # embed and attention each split once, at the middle row
-    assert n >= 2 * dc._MIN_BLOCK_ROWS and submits == [(cut, n)] * 2
+    # the embed and attention forwards and the attention backward's rows
+    # each split once, at the middle row; then the value scatter runs on
+    # the pool while the key scatter runs here
+    assert n >= 2 * dc._MIN_BLOCK_ROWS and submits == [(cut, n)] * 3 + [()]
     # windows that straddle the cut, windows stopped at every seam, and
     # kept entries picked among tied scores
     assert np.any((lo < cut) & (hi > cut))
@@ -96,6 +98,44 @@ def test_two_workers_give_the_bits_of_one(monkeypatch, submits):
     assert split_grads.keys() == serial_grads.keys() and len(serial_grads) == 4
     for name, grad in serial_grads.items():
         assert np.array_equal(split_grads[name], grad), name
+
+
+def test_the_split_backward_gives_the_bits_of_one_pass(monkeypatch, submits):
+    seqs, config = _batch()
+    params = mm.MrmParams.init(config, seed=5)
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])])
+    lo, hi = mm.neighborhood_bounds(np.concatenate([s.times() for s in seqs]),
+                                    config.window_hours, offsets)
+    with dc.no_grad():
+        x = mm.encode_events(events.concatenate(seqs), params, config).data
+    w_qkv = params.attention.data
+    n = len(x)
+    cut = n // 2
+    # windows that straddle the cut, windows stopped at every seam, and
+    # kept entries picked among tied scores
+    assert n >= 2 * dc._MIN_BLOCK_ROWS and np.any((lo < cut) & (hi > cut))
+    assert np.all(hi[offsets[1:-1] - 1] == offsets[1:-1])
+    assert np.all(lo[offsets[1:-1]] == offsets[1:-1])
+    assert _ties_at_the_last_kept(x, w_qkv, config, lo, hi) > 0
+    probe = np.random.default_rng(1).normal(size=(n, config.n_heads * config.head_dim))
+    probe[::7] = -0.0
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(dc, "_WORKERS", workers)
+        submits.clear()
+        x_t = dc.Tensor(x.copy(), requires_grad=True)
+        w_t = dc.Tensor(w_qkv.copy(), requires_grad=True)
+        out, kept = dc.windowed_attention(x_t, w_t, config.n_heads, lo, hi, config.topk)
+        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        runs[workers] = (x_t.grad, w_t.grad), kept, list(submits)
+    # forward rows, backward rows, then the value scatter beside the key one
+    assert runs[1][2] == [] and runs[2][2] == [(cut, n), (cut, n), ()]
+    rows, weights = runs[1][1]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[2][1], runs[1][1]))
+    want = attention_backward_oracle(x, w_qkv, config.n_heads, rows, weights, probe)
+    for grads, _, _ in runs.values():
+        assert all(got.dtype == w.dtype and got.tobytes() == w.tobytes()
+                   for got, w in zip(grads, want))
 
 
 def test_narrow_first_selection_gives_the_full_band_bits_with_one_and_two_workers(
