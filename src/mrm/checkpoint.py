@@ -189,6 +189,6 @@ def checkpoint_scores(ckpt: Checkpoint, sequences) -> np.ndarray:
     under a checkpoint's model, in input order."""
     if ckpt.kind == "lr":
         fv = np.stack([frequency_vector(s, ckpt.dataset.n_codes) for s in sequences])
-        return ev.lr_scores(ckpt.params["weight"], float(ckpt.params["bias"]), fv)
+        return ev.lr_scores(ckpt.params["weight"], ckpt.params["bias"], fv)
     return ev.score_sequences(ckpt.kind, ckpt.params,
                               normalize_numeric(sequences, ckpt.dataset), ckpt.model)

@@ -18,7 +18,8 @@ from . import evalmetrics as ev
 from . import events as events_mod
 from . import model as model_mod
 from . import syngen as syngen_mod
-from .checkpoint import Checkpoint, checkpoint_scores, read_checkpoint, write_checkpoint
+from .checkpoint import (KINDS, Checkpoint, checkpoint_scores, read_checkpoint,
+                         write_checkpoint)
 from .partition import InfeasiblePartitionError, optimal_partition
 
 class _UsageError(Exception):
@@ -56,7 +57,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--data-config", default=None,
                    help="sidecar config path (default: <data>.config)")
-    p.add_argument("--model", required=True, choices=["mrm", "plain_lstm", "lr"])
+    p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--D_m", type=int, default=64, help="model dimension")
     p.add_argument("--N_h", type=int, default=8, help="attention head count")

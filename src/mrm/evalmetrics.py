@@ -101,12 +101,14 @@ class EvalReport:
 def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndarray:
     """Forward probabilities for a list of sequences, no graph kept.
 
-    The sequences are sorted by length and scored in chunks of at most
-    config.capacity() (truncated) events, one forward_batch call each, so
-    a chunk costs about as much memory as one sequence of maximal length
-    and the LSTM carries little padding. Scores come back in input
-    order.
+    kind must be params.kind (ConfigError otherwise). The sequences are
+    sorted by length and scored in chunks of at most config.capacity()
+    (truncated) events, one forward_batch call each, so a chunk costs
+    about as much memory as one sequence of maximal length and the LSTM
+    carries little padding. Scores come back in input order.
     """
+    if kind != params.kind:
+        raise ConfigError(f"cannot score {params.kind!r} params as a {kind!r} model")
     scores = np.empty(len(seqs))
     cap = config.capacity()
     lengths = [min(len(s), cap) for s in seqs]
@@ -127,20 +129,19 @@ def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndar
                                           None if parts is None else parts[0])[0]
             else:
                 y_hat = mrm_model.forward_batch([seqs[i] for i in chunk], params,
-                                                config, parts, kind=kind)
+                                                config, parts)
             scores[chunk] = y_hat.data
     return scores
 
 
-def _labels(seqs) -> np.ndarray:
-    return np.array([s.label for s in seqs], dtype=np.intp)
+_SPLITS = ("train", "valid", "test")
 
 
 def _check_splits(datasets):
     """Every split must hold both classes: the AUCs of model selection and
     of the report are undefined otherwise. Checked before the first step
     so a bad split fails fast instead of after an epoch of training."""
-    for name, seqs in zip(("train", "valid", "test"), datasets):
+    for name, seqs in zip(_SPLITS, datasets):
         n_pos = sum(s.label for s in seqs)
         if n_pos == 0 or n_pos == len(seqs):
             raise ValueError(
@@ -148,13 +149,19 @@ def _check_splits(datasets):
                 f"{len(seqs) - n_pos} negative of {len(seqs)} sequences")
 
 
-def _fit(named_params, batch_loss_fn, scorer, n_train, train_config):
-    """Shared early-stopping loop.
+def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalReport:
+    """Shared early-stopping loop and its report.
 
-    batch_loss_fn(indices) builds the mean-loss graph for a batch;
-    scorer(split) returns scores for "train"/"valid"/"test". Keeps the
-    best validation-AUC parameters and restores them before returning.
+    datasets are the (train, valid, test) splits; batch_loss_fn(indices,
+    labels) builds the mean-loss graph of the training sequences at
+    indices, whose labels are given; scores(split) returns the scores of
+    split "train", "valid" or "test". Keeps the best validation-AUC
+    parameters and restores them; only then are the test and training
+    splits scored for the report.
     """
+    labels = {name: np.array([s.label for s in seqs], dtype=np.intp)
+              for name, seqs in zip(_SPLITS, datasets)}
+    n_train = len(datasets[0])
     state = dc.AdamState(lr=train_config.lr)
     rng = np.random.default_rng(train_config.seed)
     trace = []
@@ -167,7 +174,7 @@ def _fit(named_params, batch_loss_fn, scorer, n_train, train_config):
         epoch_loss = 0.0
         for batch_id, start in enumerate(range(0, n_train, train_config.batch_size)):
             batch = order[start:start + train_config.batch_size]
-            total = batch_loss_fn(batch)
+            total = batch_loss_fn(batch, labels["train"][batch])
             if not np.isfinite(total.data):
                 raise TrainingDiverged(
                     f"non-finite loss in epoch {epoch}, batch {batch_id}")
@@ -184,7 +191,7 @@ def _fit(named_params, batch_loss_fn, scorer, n_train, train_config):
                     f"epoch {epoch}, batch {batch_id}: {err}") from None
             epoch_loss += float(total.data) * len(batch)
         train_loss = epoch_loss / n_train
-        valid_auc = scorer("valid")
+        valid_auc = auc(scores("valid"), labels["valid"])
         trace.append((epoch, train_loss, valid_auc))
         log.info("epoch %d: train_loss=%.4f valid_auc=%.4f", epoch, train_loss,
                  valid_auc)
@@ -201,20 +208,15 @@ def _fit(named_params, batch_loss_fn, scorer, n_train, train_config):
                 break
     for name, t in named_params.items():
         t.data = best_arrays[name]
-    return trace, best_auc, best_epoch
-
-
-def _report(scorer, labels_by_split, trace, best_auc, best_epoch) -> EvalReport:
-    test_scores = scorer("test")
-    train_scores = scorer("train")
-    y_test = labels_by_split["test"]
+    test_scores = scores("test")
+    train_scores = scores("train")
     return EvalReport(
-        auc=auc(test_scores, y_test),
-        ap=average_precision(test_scores, y_test),
-        n_pos=int((y_test == 1).sum()),
-        n_neg=int((y_test == 0).sum()),
-        train_auc=auc(train_scores, labels_by_split["train"]),
-        train_ap=average_precision(train_scores, labels_by_split["train"]),
+        auc=auc(test_scores, labels["test"]),
+        ap=average_precision(test_scores, labels["test"]),
+        n_pos=int((labels["test"] == 1).sum()),
+        n_neg=int((labels["test"] == 0).sum()),
+        train_auc=auc(train_scores, labels["train"]),
+        train_ap=average_precision(train_scores, labels["train"]),
         valid_auc=best_auc,
         best_epoch=best_epoch,
         loss_trace=trace,
@@ -231,45 +233,35 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
     Test data is only touched after selection finishes. Returns
     (params, EvalReport).
     """
-    if model_kind not in ("mrm", "plain_lstm"):
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    _check_splits(datasets)
-    train_seqs, valid_seqs, test_seqs = datasets
     params = mrm_model.MrmParams.init(model_config, seed=train_config.seed,
                                       kind=model_kind)
-    named = params.named()
-
-    splits = {"train": train_seqs, "valid": valid_seqs, "test": test_seqs}
-    labels_by_split = {k: _labels(v) for k, v in splits.items()}
+    _check_splits(datasets)
+    splits = dict(zip(_SPLITS, datasets))
     partitions = dict.fromkeys(splits)
     if model_kind == "mrm":
         # times never change, so the per-sequence partition is computed once
         partitions = {k: [mrm_model.sequence_partition(s, model_config) for s in v]
                       for k, v in splits.items()}
 
-    def batch_loss(indices):
-        parts = partitions["train"]
+    def batch_loss(indices, labels):
+        seqs, parts = splits["train"], partitions["train"]
         y_hat = mrm_model.forward_batch(
-            [train_seqs[i] for i in indices], params, model_config,
-            None if parts is None else [parts[i] for i in indices], kind=model_kind)
-        return mrm_model.loss(y_hat, labels_by_split["train"][indices])
+            [seqs[i] for i in indices], params, model_config,
+            None if parts is None else [parts[i] for i in indices])
+        return mrm_model.loss(y_hat, labels)
 
-    def scorer(split):
-        scores = score_sequences(model_kind, params, splits[split], model_config,
-                                 partitions[split])
-        if split == "valid":
-            return auc(scores, labels_by_split["valid"])
-        return scores
+    def scores(split):
+        return score_sequences(model_kind, params, splits[split], model_config,
+                               partitions[split])
 
-    trace, best_auc, best_epoch = _fit(named, batch_loss, scorer,
-                                       len(train_seqs), train_config)
-    return params, _report(scorer, labels_by_split, trace, best_auc, best_epoch)
+    return params, _fit(params.named(), batch_loss, scores, datasets, train_config)
 
 
-def lr_scores(weights: np.ndarray, bias: float, fv_matrix: np.ndarray) -> np.ndarray:
-    z = fv_matrix @ weights + bias
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def lr_scores(weights: np.ndarray, bias, fv_matrix: np.ndarray) -> np.ndarray:
+    """Logistic-regression probabilities of the rows of fv_matrix."""
+    with dc.no_grad():
+        return mrm_model.logistic(dc.Tensor(fv_matrix), dc.Tensor(weights),
+                                  dc.Tensor(bias)).data
 
 
 def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
@@ -280,33 +272,23 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
     params, EvalReport)."""
     check_number("l2", l2, 0)
     _check_splits(datasets)
-    train_seqs, valid_seqs, test_seqs = datasets
-    splits = {"train": train_seqs, "valid": valid_seqs, "test": test_seqs}
-    fv = {k: np.stack([frequency_vector(s, n_codes) for s in v])
-          for k, v in splits.items()}
-    labels_by_split = {k: _labels(v) for k, v in splits.items()}
-
+    fv = {name: np.stack([frequency_vector(s, n_codes) for s in seqs])
+          for name, seqs in zip(_SPLITS, datasets)}
     weight = dc.Tensor(np.zeros(n_codes), requires_grad=True)
     bias = dc.Tensor(0.0, requires_grad=True)
     named = {"weight": weight, "bias": bias}
 
-    def batch_loss(indices):
-        xb = dc.Tensor(fv["train"][indices])
-        mean = mrm_model.loss(dc.sigmoid(dc.add(dc.matmul(xb, weight), bias)),
-                              labels_by_split["train"][indices])
+    def batch_loss(indices, labels):
+        mean = mrm_model.loss(
+            mrm_model.logistic(dc.Tensor(fv["train"][indices]), weight, bias), labels)
         if l2 > 0:
             mean = dc.add(mean, dc.scale(dc.sum_all(dc.mul(weight, weight)), l2))
         return mean
 
-    def scorer(split):
-        scores = lr_scores(weight.data, bias.item(), fv[split])
-        if split == "valid":
-            return auc(scores, labels_by_split["valid"])
-        return scores
+    def scores(split):
+        return lr_scores(weight.data, bias.data, fv[split])
 
-    trace, best_auc, best_epoch = _fit(named, batch_loss, scorer,
-                                       len(train_seqs), train_config)
-    return named, _report(scorer, labels_by_split, trace, best_auc, best_epoch)
+    return named, _fit(named, batch_loss, scores, datasets, train_config)
 
 
 # ---------------------------------------------------------------------------

@@ -70,79 +70,49 @@ _ROLES = ("query", "key", "value")  # block order of the stacked attention weigh
 
 
 class MrmParams:
-    """All learnable weights, addressable by flat name for the optimizer
-    and checkpointing. kind is "mrm" or "plain_lstm" (no attention).
+    """All learnable weights of one model, kind "mrm" or "plain_lstm" (no
+    attention): tensors maps each name of param_shapes(config, kind) to its
+    Tensor, in that order, for the layers, the optimizer and checkpointing.
     from_arrays also loads the per-head head{h}.{query,key,value}_weight
     arrays of older checkpoints by stacking them."""
 
-    def __init__(self, kind, code_embedding, cat_embedding, num_projection,
-                 attention, lstm_w_input, lstm_w_hidden, lstm_bias, out_weight,
-                 out_bias):
+    def __init__(self, kind: str, tensors: dict):
         self.kind = kind
-        self.code_embedding = code_embedding
-        self.cat_embedding = cat_embedding
-        self.num_projection = num_projection
-        # (3 * n_heads * head_dim, model_dim): every head's query weight,
-        # then every key weight, then every value weight; None for plain_lstm
-        self.attention = attention
-        self.lstm_w_input = lstm_w_input      # (4H, model_dim), gate order i,f,g,o
-        self.lstm_w_hidden = lstm_w_hidden    # (4H, H)
-        self.lstm_bias = lstm_bias            # (4H,), forget slice starts at 1.0
-        self.out_weight = out_weight          # (model_dim,)
-        self.out_bias = out_bias              # scalar
+        self.tensors = tensors
 
     @classmethod
     def init(cls, config: MrmConfig, seed: int = 0, kind: str = "mrm"):
-        if kind not in ("mrm", "plain_lstm"):
-            raise ConfigError(f"unknown model kind {kind!r}")
+        shapes = param_shapes(config, kind)
         rng = np.random.default_rng(seed)
-        d, h = config.model_dim, config.model_dim
-        emb_scale = 1.0 / math.sqrt(d)
+        d = config.model_dim
 
-        def emb(n):
-            return dc.Tensor(rng.normal(0.0, emb_scale, size=(n, d)),
-                             requires_grad=True)
+        # drawn in the order of shapes; the biases draw nothing
+        def draw(name, shape):
+            if name in ("code_embedding", "cat_embedding", "num_projection"):
+                return rng.normal(0.0, 1.0 / math.sqrt(d), size=shape)
+            if name == "attention.qkv":
+                # drawn head by head (query, key, value), then stacked by role
+                heads = [[_glorot(rng, config.head_dim, d) for _ in _ROLES]
+                         for _ in range(config.n_heads)]
+                return np.concatenate([w for role in zip(*heads) for w in role])
+            if name == "lstm.bias":
+                bias = np.zeros(shape)
+                bias[d:2 * d] = 1.0  # forget gate starts open
+                return bias
+            if name == "output.weight":
+                return rng.uniform(-1, 1, size=shape) * math.sqrt(6.0 / (d + 1))
+            if name == "output.bias":
+                return np.zeros(shape)
+            return _glorot(rng, *shape)  # lstm.w_input, lstm.w_hidden
 
-        code_embedding = emb(config.n_codes)
-        cat_embedding = emb(config.n_features)
-        num_projection = emb(config.n_features)
-        attention = None
-        if kind == "mrm":
-            # drawn head by head (query, key, value), then stacked by role
-            heads = [[_glorot(rng, config.head_dim, d) for _ in _ROLES]
-                     for _ in range(config.n_heads)]
-            attention = dc.Tensor(np.concatenate([w for role in zip(*heads)
-                                                  for w in role]),
-                                  requires_grad=True)
-        lstm_w_input = dc.Tensor(_glorot(rng, 4 * h, d), requires_grad=True)
-        lstm_w_hidden = dc.Tensor(_glorot(rng, 4 * h, h), requires_grad=True)
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0  # forget gate starts open
-        lstm_bias = dc.Tensor(bias, requires_grad=True)
-        out_weight = dc.Tensor(rng.uniform(-1, 1, size=d) * math.sqrt(6.0 / (d + 1)),
-                               requires_grad=True)
-        out_bias = dc.Tensor(0.0, requires_grad=True)
-        return cls(kind, code_embedding, cat_embedding, num_projection,
-                   attention, lstm_w_input, lstm_w_hidden, lstm_bias,
-                   out_weight, out_bias)
+        return cls(kind, {name: dc.Tensor(draw(name, shape), requires_grad=True)
+                          for name, shape in shapes.items()})
 
     def named(self) -> dict:
-        out = {
-            "code_embedding": self.code_embedding,
-            "cat_embedding": self.cat_embedding,
-            "num_projection": self.num_projection,
-        }
-        if self.attention is not None:
-            out["attention.qkv"] = self.attention
-        out["lstm.w_input"] = self.lstm_w_input
-        out["lstm.w_hidden"] = self.lstm_w_hidden
-        out["lstm.bias"] = self.lstm_bias
-        out["output.weight"] = self.out_weight
-        out["output.bias"] = self.out_bias
-        return out
+        return self.tensors
 
     def arrays(self) -> dict:
-        return {name: t.data for name, t in self.named().items()}
+        return {name: t.data for name, t in self.tensors.items()}
 
     @classmethod
     def from_arrays(cls, arrays: dict, config: MrmConfig, kind: str = "mrm"):
@@ -150,10 +120,8 @@ class MrmParams:
         holds against param_shapes(config, kind)."""
         checked = check_arrays(cls._stack_legacy_heads(arrays, config),
                                param_shapes(config, kind))
-        t = {name: dc.Tensor(arr, requires_grad=True) for name, arr in checked.items()}
-        return cls(kind, t["code_embedding"], t["cat_embedding"], t["num_projection"],
-                   t.get("attention.qkv"), t["lstm.w_input"], t["lstm.w_hidden"],
-                   t["lstm.bias"], t["output.weight"], t["output.bias"])
+        return cls(kind, {name: dc.Tensor(arr, requires_grad=True)
+                          for name, arr in checked.items()})
 
     @staticmethod
     def _stack_legacy_heads(arrays: dict, config: MrmConfig) -> dict:
@@ -177,8 +145,12 @@ class MrmParams:
 
 
 def param_shapes(config: MrmConfig, kind: str = "mrm") -> dict:
-    """name -> shape of every parameter of kind "mrm" or "plain_lstm", in
-    the order of MrmParams.named(); nothing is allocated."""
+    """name -> shape of every parameter of kind "mrm" or "plain_lstm", the
+    one list of them; nothing is allocated. An unknown kind raises
+    ConfigError.
+
+    attention.qkv stacks every head's query weight, then every key weight,
+    then every value weight; the LSTM gates are in the order i, f, g, o."""
     if kind not in ("mrm", "plain_lstm"):
         raise ConfigError(f"unknown model kind {kind!r}")
     d = config.model_dim
@@ -235,10 +207,11 @@ def encode_events(seq: EventSequence, params: MrmParams, config: MrmConfig) -> d
                             ("numerical feature id", seq.num_ids, config.n_features)):
         if ids.size and (ids.min() < 0 or ids.max() >= size):
             raise ValueError(f"{what} outside [0, {size})")
+    w = params.named()
     return dc.embed(n, [
-        (params.code_embedding, seq.codes, None, None),
-        (params.cat_embedding, seq.cat_ids, seq.cat_ptr, None),
-        (params.num_projection, seq.num_ids, seq.num_ptr, seq.num_values),
+        (w["code_embedding"], seq.codes, None, None),
+        (w["cat_embedding"], seq.cat_ids, seq.cat_ptr, None),
+        (w["num_projection"], seq.num_ids, seq.num_ptr, seq.num_values),
     ])
 
 
@@ -275,8 +248,9 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     contiguous in the sorted times, so one fused op does it all: every
     query scores the first topk events of its window, all that a window
     of at most topk events keeps; only the queries with a wider window
-    score the padded band of it, as wide as the widest such window, and
-    pick the kept neighbors there. The softmax, the value sum and the
+    score its slots topk..W-1 too, W the widest window, one slot at a time
+    (a few at a time for short inputs), and pick the kept neighbors among
+    all of them. The softmax, the value sum and the
     backward then run over the kept neighbors only, O(L * heads * topk)
     of them.
     The top-k selection is treated as locally constant in backward.
@@ -291,8 +265,8 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
     if len(times) != n:
         raise ValueError(f"{n} event vectors but {len(times)} times")
     lo, hi = neighborhood_bounds(times, config.window_hours, offsets)
-    return dc.windowed_attention(x, params.attention, config.n_heads, lo, hi,
-                                 config.topk)
+    return dc.windowed_attention(x, params.named()["attention.qkv"], config.n_heads,
+                                 lo, hi, config.topk)
 
 
 # ---------------------------------------------------------------------------
@@ -327,32 +301,30 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
 
 
-def _head(params: MrmParams, h_last: dc.Tensor) -> dc.Tensor:
-    return dc.sigmoid(dc.add(dc.matmul(h_last, params.out_weight), params.out_bias))
+def logistic(x: dc.Tensor, w: dc.Tensor, b: dc.Tensor) -> dc.Tensor:
+    """sigmoid(x @ w + b) per row of x: the outcome head of both sequence
+    models and the whole logistic-regression baseline."""
+    return dc.sigmoid(dc.add(dc.matmul(x, w), b))
 
 
-def forward_batch(seqs, params: MrmParams, config: MrmConfig, partitions=None,
-                  kind: str = "mrm") -> dc.Tensor:
+def forward_batch(seqs, params: MrmParams, config: MrmConfig,
+                  partitions=None) -> dc.Tensor:
     """Outcome probabilities of a batch of sequences as a (B,) tensor.
 
     Every sequence is truncated to its most recent max_groups *
     max_group_len events, and the batch is encoded as one concatenated
-    sequence. kind "mrm" runs attention with windows that stop at the
-    seams and max-pools each group of every sequence's partition
-    (partitions[i], which must tile the truncated events, or computed when
-    partitions is None); kind "plain_lstm" feeds the event vectors
-    straight to the LSTM. One LSTM op then runs over the whole batch and
-    the sigmoid head scores its last hidden states.
+    sequence. params.kind selects the model: "mrm" runs attention with
+    windows that stop at the seams and max-pools each group of every
+    sequence's partition (partitions[i], which must tile the truncated
+    events, or computed when partitions is None); "plain_lstm" feeds the
+    event vectors straight to the LSTM. One LSTM op then runs over the
+    whole batch and the logistic head scores its last hidden states.
     """
-    if kind not in ("mrm", "plain_lstm"):
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if kind == "mrm" and params.kind != "mrm":
-        raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
     used = [_truncate(seq, config)[0] for seq in seqs]
     lengths = [len(seq) for seq in used]
     offsets = _offsets(lengths)
     x = encode_events(concatenate(used), params, config)
-    if kind == "mrm":
+    if params.kind == "mrm":
         times = [seq.times() for seq in used]
         x, _ = sparse_attention(x, np.concatenate(times), params, config,
                                 offsets=offsets)
@@ -363,9 +335,9 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig, partitions=None,
         x = dc.group_maxpool(x, np.concatenate(
             [np.add(s, offset) for s, offset in zip(starts, offsets)]))
         offsets = _offsets([len(s) for s in starts])
-    h_last = dc.lstm(x, offsets, params.lstm_w_input, params.lstm_w_hidden,
-                     params.lstm_bias)
-    return _head(params, h_last)
+    w = params.named()
+    h_last = dc.lstm(x, offsets, w["lstm.w_input"], w["lstm.w_hidden"], w["lstm.bias"])
+    return logistic(h_last, w["output.weight"], w["output.bias"])
 
 
 def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
@@ -375,8 +347,11 @@ def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
     The single-sequence case of forward_batch: sequences longer than
     max_groups * max_group_len are truncated to their most recent events
     first. A precomputed partition may be passed in; it must cover exactly
-    the post-truncation events (ValueError otherwise).
+    the post-truncation events (ValueError otherwise). params must be of
+    kind "mrm" (ConfigError otherwise).
     """
+    if params.kind != "mrm":
+        raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
     used, truncated = _truncate(seq, config)
     if partition is None:
         partition = optimal_partition(used.times(), config.max_groups,

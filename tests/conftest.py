@@ -221,7 +221,8 @@ def _selection_margins_ok(seq, params, config, margin):
         times = seq.times()
         lo, hi = model_mod.neighborhood_bounds(times, config.window_hours)
         for h in range(config.n_heads):
-            wq, wk, _ = head_weights(params.attention.data, config.n_heads, h)
+            wq, wk, _ = head_weights(params.named()["attention.qkv"].data,
+                                     config.n_heads, h)
             q = x.data @ wq.T
             k = x.data @ wk.T
             scores = q @ k.T

@@ -218,7 +218,7 @@ def test_score_sequences_chunks_by_capacity_and_keeps_input_order(monkeypatch):
             if kind == "mrm":
                 want = mm.forward(seq, params, config)[0].item()
             else:
-                want = mm.forward_batch([seq], params, config, kind="plain_lstm").data[0]
+                want = mm.forward_batch([seq], params, config).data[0]
             assert abs(score - want) < 1e-12, (kind, seq.patient_id)
         if kind == "mrm":
             parts = [mm.sequence_partition(s, config) for s in seqs]
@@ -226,6 +226,15 @@ def test_score_sequences_chunks_by_capacity_and_keeps_input_order(monkeypatch):
                                   scores)
         empty = em.score_sequences(kind, params, [], config)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_score_sequences_rejects_a_kind_other_than_the_params():
+    splits, data_cfg = tiny_dataset()
+    config = tiny_model_config(data_cfg)
+    for kind, other in (("mrm", "plain_lstm"), ("plain_lstm", "mrm"), ("mrm", "lr")):
+        params = mm.MrmParams.init(config, seed=9, kind=kind)
+        with pytest.raises(mm.ConfigError, match=other):
+            em.score_sequences(other, params, splits[2], config)
 
 
 def test_train_touches_test_split_only_after_selection(monkeypatch):
@@ -253,7 +262,7 @@ def test_train_touches_test_split_only_after_selection(monkeypatch):
 def test_train_reports_divergence_with_batch_id(monkeypatch):
     splits, data_cfg = tiny_dataset()
 
-    def nan_forward(seqs, params, config, partitions=None, kind="mrm"):
+    def nan_forward(seqs, params, config, partitions=None):
         return Tensor(np.full(len(seqs), np.nan))
 
     monkeypatch.setattr(mm, "forward_batch", nan_forward)
@@ -343,6 +352,18 @@ def test_lr_baseline_huge_l2_shrinks_weights_and_auc_is_half():
     scores = em.lr_scores(named["weight"].data, named["bias"].item(),
                           np.stack([ev.frequency_vector(s, 5) for s in full]))
     assert em.auc(scores, [s.label for s in full]) == 0.5
+
+
+def test_lr_scores_are_the_stable_sigmoid_of_the_logits():
+    rng = np.random.default_rng(11)
+    fv = rng.poisson(2.0, size=(40, 7)).astype(np.float64)
+    for scale in (0.1, 10.0, 1000.0):  # the last saturates both ways
+        weights, bias = rng.normal(0, scale, size=7), float(rng.normal(0, scale))
+        z = fv @ weights + bias
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = em.lr_scores(weights, bias, fv)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

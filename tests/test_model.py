@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -145,7 +147,8 @@ def dense_reference_attention(x, times, params, config):
     lo, hi = mm.neighborhood_bounds(times, config.window_hours)
     heads, weights = [], []
     for h in range(config.n_heads):
-        wq, wk, wv = head_weights(params.attention.data, config.n_heads, h)
+        wq, wk, wv = head_weights(params.named()["attention.qkv"].data,
+                                  config.n_heads, h)
         q = x @ wq.T
         k = x @ wk.T
         v = x @ wv.T
@@ -211,6 +214,23 @@ def test_params_roundtrip_through_arrays():
         assert np.array_equal(t.data, clone.named()[name].data)
 
 
+# sha256 of MrmParams.init(small_config(), seed=0, kind=kind): every array's
+# name, shape, dtype and bytes, in order
+INIT_DIGESTS = {
+    "mrm": "8ef42eee570d41b22cb1b451dc3d6b17b9f3579c18f1201b722cb7f5e2eea206",
+    "plain_lstm": "e10f05e325dcb915259472d649e201ec1bc985537874e978958d7837691859e2",
+}
+
+
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+def test_init_keeps_its_names_and_draw_order(kind):
+    digest = hashlib.sha256()
+    for name, arr in mm.MrmParams.init(small_config(), seed=0, kind=kind).arrays().items():
+        digest.update(f"{name}{arr.shape}{arr.dtype.str}".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[kind]
+
+
 @pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
 def test_param_shapes_are_those_of_init(kind):
     config = small_config()
@@ -229,7 +249,7 @@ def test_params_from_arrays_allocates_no_fresh_parameters(monkeypatch):
 
     monkeypatch.setattr(mm.MrmParams, "init", no_init)
     params = mm.MrmParams.from_arrays(arrays, config, kind="plain_lstm")
-    assert params.attention is None and params.kind == "plain_lstm"
+    assert "attention.qkv" not in params.named() and params.kind == "plain_lstm"
     assert all(t.requires_grad for t in params.named().values())
 
 
@@ -279,9 +299,11 @@ def test_params_load_legacy_per_head_arrays_bit_equal():
         arrays = legacy_arrays(config, 18)
         legacy = mm.MrmParams.from_arrays(arrays, config)
         assert list(legacy.named()) == list(params.named())
-        assert np.array_equal(legacy.attention.data, params.attention.data)
+        assert np.array_equal(legacy.named()["attention.qkv"].data,
+                              params.named()["attention.qkv"].data)
         for h in range(config.n_heads):
-            wq, wk, wv = head_weights(legacy.attention.data, config.n_heads, h)
+            wq, wk, wv = head_weights(legacy.named()["attention.qkv"].data,
+                                      config.n_heads, h)
             assert np.array_equal(wq, arrays[f"head{h}.query_weight"])
             assert np.array_equal(wk, arrays[f"head{h}.key_weight"])
             assert np.array_equal(wv, arrays[f"head{h}.value_weight"])
@@ -314,7 +336,7 @@ def test_encode_bare_event_is_code_embedding():
     params = mm.MrmParams.init(config, seed=1)
     seq = EventSequence("p", 0, [ClinicalEvent(5, 0.0, [], [])])
     x = mm.encode_events(seq, params, config)
-    assert np.array_equal(x.data[0], params.code_embedding.data[5])
+    assert np.array_equal(x.data[0], params.named()["code_embedding"].data[5])
 
 
 def test_encode_zero_valued_numeric_contributes_nothing():
@@ -407,8 +429,9 @@ def test_attention_single_event_is_value_projection():
     seq = EventSequence("p", 0, [ClinicalEvent(3, 1.0, [], [])])
     x = mm.encode_events(seq, params, config)
     v, _ = mm.sparse_attention(x, seq.times(), params, config)
-    expected = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
-                               @ x.data[0] for h in range(config.n_heads)])
+    w_qkv = params.named()["attention.qkv"].data
+    expected = np.concatenate([head_weights(w_qkv, config.n_heads, h)[2] @ x.data[0]
+                               for h in range(config.n_heads)])
     assert np.allclose(v.data[0], expected, atol=1e-12)
 
 
@@ -422,8 +445,9 @@ def test_attention_identical_neighbors_share_weight_equally():
     weights = dense_weights(kept, len(seq))
     for w in weights:
         assert np.allclose(w, 0.5, atol=1e-12)
-    single = np.concatenate([head_weights(params.attention.data, config.n_heads, h)[2]
-                             @ x.data[0] for h in range(config.n_heads)])
+    w_qkv = params.named()["attention.qkv"].data
+    single = np.concatenate([head_weights(w_qkv, config.n_heads, h)[2] @ x.data[0]
+                             for h in range(config.n_heads)])
     assert np.allclose(v.data[0], single, atol=1e-12)
     assert np.allclose(v.data[1], single, atol=1e-12)
 
@@ -482,7 +506,8 @@ def _topk_margin(x, times, params, config, offsets=None):
     lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
     gap = np.inf
     for h in range(config.n_heads):
-        wq, wk, _ = head_weights(params.attention.data, config.n_heads, h)
+        wq, wk, _ = head_weights(params.named()["attention.qkv"].data,
+                                 config.n_heads, h)
         scores = (x @ wq.T) @ (x @ wk.T).T
         for i in range(len(times)):
             window = np.sort(scores[i, lo[i]:hi[i]])[::-1]
@@ -531,7 +556,7 @@ def test_attention_backward_matches_finite_differences(fd_grads):
         lo, hi = mm.neighborhood_bounds(times, config.window_hours)
         assert np.mean(hi - lo > config.topk) > 0.8
         probe = rng.normal(size=(n, config.model_dim))
-        named = {"x": x, "attention.qkv": params.attention}
+        named = {"x": x, "attention.qkv": params.named()["attention.qkv"]}
 
         def loss_value():
             out, _ = mm.sparse_attention(x, times, params, config)
@@ -580,7 +605,7 @@ def test_attention_backward_on_a_joined_batch_matches_finite_differences(fd_grad
         if _topk_margin(x.data, times, params, config, offsets) < 1e-3:
             continue  # finite differences would cross a top-k boundary
         probe = rng.normal(size=(n, config.model_dim))
-        named = {"x": x, "attention.qkv": params.attention}
+        named = {"x": x, "attention.qkv": params.named()["attention.qkv"]}
 
         def loss_value():
             out, _ = mm.sparse_attention(x, times, params, config, offsets=offsets)
@@ -637,8 +662,8 @@ def test_windowed_attention_returns_kept_rows_and_weights(topk):
     size = hi - lo
     k = min(topk, int(size.max()))
     x = dc.Tensor(rng.normal(size=(n, config.model_dim)))
-    out, (rows, weights) = dc.windowed_attention(x, params.attention, config.n_heads,
-                                                 lo, hi, topk)
+    out, (rows, weights) = dc.windowed_attention(x, params.named()["attention.qkv"],
+                                                 config.n_heads, lo, hi, topk)
     assert out.shape == (n, config.model_dim)
     assert rows.shape == weights.shape == (n, config.n_heads, k)
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -805,16 +830,15 @@ def test_forward_single_event_matches_manual_pipeline():
 
 def test_forward_all_zero_parameters_gives_half():
     config = small_config()
-    params = mm.MrmParams.init(config, seed=10)
-    for t in params.named().values():
-        t.data = np.zeros_like(t.data)
+    params, plain = (mm.MrmParams.from_arrays(
+        {name: np.zeros(shape) for name, shape in mm.param_shapes(config, kind).items()},
+        config, kind) for kind in ("mrm", "plain_lstm"))
     rng = np.random.default_rng(10)
     for _ in range(5):
         seq = random_sequence(rng, int(rng.integers(1, 12)), config)
         y_hat, _ = mm.forward(seq, params, config)
         assert y_hat.item() == 0.5
-        plain = mm.forward_batch([seq], params, config, kind="plain_lstm")
-        assert plain.data[0] == 0.5
+        assert mm.forward_batch([seq], plain, config).data[0] == 0.5
 
 
 def test_forward_matches_straight_line_oracle():
@@ -833,7 +857,7 @@ def test_plain_lstm_matches_straight_line_oracle():
     for trial in range(10):
         params = mm.MrmParams.init(config, seed=200 + trial, kind="plain_lstm")
         seq = random_sequence(rng, int(rng.integers(1, 14)), config)
-        y_hat = mm.forward_batch([seq], params, config, kind="plain_lstm").data[0]
+        y_hat = mm.forward_batch([seq], params, config).data[0]
         assert 0.0 < y_hat < 1.0
         assert abs(y_hat - oracle_plain_lstm(seq, params.arrays(), config)) < 1e-10
 
@@ -886,8 +910,9 @@ def test_lstm_op_matches_oracle_step_loop():
     # one sequence, equal lengths, lengths 1..6 in unsorted order, length 1
     for lengths in ([5], [4, 4, 4], [3, 1, 6, 2, 5, 4], [1], [1, 7]):
         xs = [rng.normal(size=(n, config.model_dim)) for n in lengths]
+        w = params.named()
         out = dc.lstm(dc.Tensor(np.concatenate(xs)), np.cumsum([0, *lengths]),
-                      params.lstm_w_input, params.lstm_w_hidden, params.lstm_bias)
+                      w["lstm.w_input"], w["lstm.w_hidden"], w["lstm.bias"])
         assert out.shape == (len(lengths), config.model_dim)
         for row, x in zip(out.data, xs):
             h = c = np.zeros(config.model_dim)
@@ -915,9 +940,9 @@ def test_forward_batch_matches_per_sequence_forward():
     assert np.array_equal(mm.forward_batch(seqs, params, config, parts).data,
                           batch.data)
     plain = mm.MrmParams.init(config, seed=42, kind="plain_lstm")
-    batch = mm.forward_batch(seqs, plain, config, kind="plain_lstm")
+    batch = mm.forward_batch(seqs, plain, config)
     for p, seq in zip(batch.data, seqs):
-        one = mm.forward_batch([seq], plain, config, kind="plain_lstm")
+        one = mm.forward_batch([seq], plain, config)
         assert abs(p - one.data[0]) < 1e-12
 
 
@@ -942,8 +967,8 @@ def test_forward_batch_sequences_do_not_interact():
     near = on_grid(random_sequence(rng, 9, config), grid)
     for kind in ("mrm", "plain_lstm"):
         params = mm.MrmParams.init(config, seed=44, kind=kind)
-        before = mm.forward_batch([a, far, c], params, config, kind=kind).data
-        after = mm.forward_batch([a, near, c], params, config, kind=kind).data
+        before = mm.forward_batch([a, far, c], params, config).data
+        after = mm.forward_batch([a, near, c], params, config).data
         assert before[0] == after[0] and before[2] == after[2], kind
         assert before[1] != after[1], kind
 
@@ -956,13 +981,13 @@ def test_batch_loss_gradients_are_the_mean_of_per_sequence_gradients():
     for kind in ("mrm", "plain_lstm"):
         params = mm.MrmParams.init(config, seed=43, kind=kind)
         named = params.named()
-        mm.loss(mm.forward_batch(seqs, params, config, kind=kind), labels).backward()
+        mm.loss(mm.forward_batch(seqs, params, config), labels).backward()
         batched = {name: t.grad.copy() for name, t in named.items()}
         mean = {name: np.zeros_like(t.data) for name, t in named.items()}
         for seq in seqs:
             for t in named.values():
                 t.zero_grad()
-            mm.loss(mm.forward_batch([seq], params, config, kind=kind),
+            mm.loss(mm.forward_batch([seq], params, config),
                     [seq.label]).backward()
             for name, t in named.items():
                 if t.grad is not None:
@@ -998,8 +1023,8 @@ def test_forward_batch_rejects_mrm_kind_with_plain_params():
     seq = random_sequence(np.random.default_rng(17), 4, config)
     with pytest.raises(mm.ConfigError):
         mm.forward(seq, params, config)
-    with pytest.raises(mm.ConfigError):
-        mm.forward_batch([seq], params, config, kind="svm")
+    with pytest.raises(mm.ConfigError, match="svm"):
+        mm.MrmParams.init(config, seed=17, kind="svm")
 
 
 def test_loss_values():
@@ -1064,10 +1089,10 @@ def test_plain_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
     named = params.named()
 
     def loss_value():
-        return mm.loss(mm.forward_batch([seq], params, config, kind="plain_lstm"),
+        return mm.loss(mm.forward_batch([seq], params, config),
                        [1]).item()
 
-    total = mm.loss(mm.forward_batch([seq], params, config, kind="plain_lstm"), [1])
+    total = mm.loss(mm.forward_batch([seq], params, config), [1])
     total.backward()
     numeric = fd_grads(loss_value, named)
     for name in named:

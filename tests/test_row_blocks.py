@@ -52,8 +52,8 @@ def _pipeline(seqs, config, params):
     times = np.concatenate([s.times() for s in seqs])
     lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
     x = mm.encode_events(events.concatenate(seqs), params, config)
-    out, (rows, weights) = dc.windowed_attention(x, params.attention, config.n_heads,
-                                                 lo, hi, config.topk)
+    out, (rows, weights) = dc.windowed_attention(x, params.named()["attention.qkv"],
+                                                 config.n_heads, lo, hi, config.topk)
     probe = np.random.default_rng(0).normal(size=out.shape)
     dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
     grads = {name: t.grad for name, t in params.named().items() if t.grad is not None}
@@ -92,7 +92,8 @@ def test_two_workers_give_the_bits_of_one(monkeypatch, submits):
     assert np.any((lo < cut) & (hi > cut))
     seams = np.cumsum([len(s) for s in seqs])[:-1]
     assert np.all(hi[seams - 1] == seams) and np.all(lo[seams] == seams)
-    assert _ties_at_the_last_kept(serial[0], params.attention.data, config, lo, hi) > 0
+    w_qkv = params.named()["attention.qkv"].data
+    assert _ties_at_the_last_kept(serial[0], w_qkv, config, lo, hi) > 0
     for got, want in zip(split, serial):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert split_grads.keys() == serial_grads.keys() and len(serial_grads) == 4
@@ -108,7 +109,7 @@ def test_the_split_backward_gives_the_bits_of_one_pass(monkeypatch, submits):
                                     config.window_hours, offsets)
     with dc.no_grad():
         x = mm.encode_events(events.concatenate(seqs), params, config).data
-    w_qkv = params.attention.data
+    w_qkv = params.named()["attention.qkv"].data
     n = len(x)
     cut = n // 2
     # windows that straddle the cut, windows stopped at every seam, and
@@ -152,7 +153,8 @@ def test_narrow_first_selection_gives_the_full_band_bits_with_one_and_two_worker
     (x, *_), _, (lo, hi) = runs["full band", 1]
     # both kinds of window, and kept entries picked among tied scores
     assert len(lo) >= 1024 and 0 < np.mean(hi - lo > config.topk) < 1
-    assert _ties_at_the_last_kept(x, params.attention.data, config, lo, hi) > 0
+    w_qkv = params.named()["attention.qkv"].data
+    assert _ties_at_the_last_kept(x, w_qkv, config, lo, hi) > 0
     _, (want, want_grads, _) = runs.popitem()
     for got, grads, _ in runs.values():
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
