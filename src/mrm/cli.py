@@ -93,7 +93,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("inspect", help="summarize a dataset or one sequence")
     p.add_argument("--data", required=True)
     p.add_argument("--data-config", default=None)
-    p.add_argument("--ckpt", default=None, help="also score with this checkpoint")
+    p.add_argument("--ckpt", default=None,
+                   help="also score the --index sequence with this checkpoint")
     p.add_argument("--index", type=int, default=None, help="single sequence index")
     p.set_defaults(func=cmd_inspect)
     return parser
@@ -197,6 +198,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.ckpt is not None and args.index is None:
+        raise _UsageError("--ckpt needs --index: a checkpoint scores one sequence")
     sidecar = _sidecar_path(args)
     data_config = events_mod.load_sidecar_config(sidecar)
     sequences = events_mod.load_dataset(args.data, data_config)
@@ -214,13 +217,13 @@ def cmd_inspect(args) -> int:
         raise events_mod.DatasetError(
             f"--index {args.index} outside [0, {len(sequences)})")
     seq = sequences[args.index]
+    ckpt = None if args.ckpt is None else read_checkpoint(args.ckpt, data_config)
     print(f"patient_id = {seq.patient_id}")
     print(f"label = {seq.label}")
     print(f"n_events = {len(seq)}")
     print(f"t_first = {float(seq.times()[0])!r}")
     print(f"t_last = {float(seq.times()[-1])!r}")
-    if args.ckpt:
-        ckpt = read_checkpoint(args.ckpt, data_config)
+    if ckpt is not None:
         print(f"prediction = {float(checkpoint_scores(ckpt, [seq])[0])!r}")
         if ckpt.kind == "mrm":
             part = model_mod.sequence_partition(seq, ckpt.model)
@@ -241,6 +244,9 @@ def main(argv=None) -> int:
     except (events_mod.DatasetError, InfeasiblePartitionError, model_mod.ConfigError,
             ev.TrainingDiverged, OSError, ValueError) as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"{parser.prog}: error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

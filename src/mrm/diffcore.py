@@ -2,10 +2,11 @@
 
 Deliberately small: only the operations the model and its baselines
 call, each with an explicit backward rule; event encoding, attention,
-pooling and the LSTM are one fused op each. Graphs are built eagerly
-during the forward pass; a Tensor doubles as its graph node and is freed
-when the output goes out of scope. Everything is double precision so gradient
-checks against central finite differences are reliable.
+pooling, the LSTM, the outcome head and the loss are one fused op each.
+Graphs are built eagerly during the forward pass; a Tensor doubles as its
+graph node and is freed when the output goes out of scope. Everything is
+double precision so gradient checks against central finite differences
+are reliable.
 """
 
 from __future__ import annotations
@@ -47,13 +48,11 @@ class Tensor:
     during a backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "needs_grad", "op",
-                 "_parents", "_backward")
+    __slots__ = ("data", "grad", "needs_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self.needs_grad = requires_grad
         self.op = "leaf"
         self._parents = ()
@@ -189,28 +188,17 @@ def _on_workers(calls):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and linear-algebra operations
+# elementwise operations
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for equal shapes, or any a plus a scalar b."""
-    if a.shape == b.shape:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-    elif b.data.ndim == 0:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, np.sum(g))
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _node(a.data + b.data, "add", (a, b), bwd)
 
-
-def neg(a: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, -g)
-    return _node(-a.data, "neg", (a,), bwd)
+        _accum(a, g)
+        _accum(b, g)
+    return _node(a.data + b.data, "add", (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -231,58 +219,17 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _node(a.data * s, "scale", (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix-vector product (m,k)@(k,)->(m,), the only shape in use."""
-    ad, bd = a.data, b.data
-    if not (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]):
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accum(a, np.outer(g, bd))
-        _accum(b, ad.T @ g)
-    return _node(ad @ bd, "matmul", (a, b), bwd)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    d = 1.0 + z
-    return np.where(x >= 0, 1.0 / d, z / d)
-
-
-def _sigmoid_into(x: np.ndarray, out: np.ndarray):
-    """_sigmoid(x) written into out, bit for bit: one divide of 1 or z."""
-    z = np.exp(-np.abs(x))
-    d = 1.0 + z
-    np.divide(np.where(x >= 0, 1.0, z), d, out=out)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        _accum(a, g * out * (1.0 - out))
-    return _node(out, "sigmoid", (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, g / a.data)
-    return _node(np.log(a.data), "log", (a,), bwd)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes through the unclipped region only."""
-    keep = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(g):
-        _accum(a, np.where(keep, g, 0.0))
-    return _node(np.clip(a.data, lo, hi), "clip", (a,), bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, np.full(a.shape, float(g)))
     return _node(a.data.sum(), "sum_all", (a,), bwd)
+
+
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """The logistic function, stable at any magnitude: one divide of 1 (x
+    >= 0) or exp(-|x|) (x < 0) by 1 + exp(-|x|), into out when given."""
+    z = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, z), 1.0 + z, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +647,7 @@ def _lstm_steps(pre, first, running, w_hidden):
         if t:
             p0, p1 = first[t - 1], first[t - 1] + running[t]
             z = z + h_out[p0:p1] @ w_hidden_t
-        _sigmoid_into(z, a)
+        _sigmoid(z, out=a)
         np.tanh(z[:, 2 * hid:3 * hid], out=a[:, 2 * hid:3 * hid])
         np.multiply(a[:, :hid], a[:, 2 * hid:3 * hid], out=c)
         if t:
@@ -708,6 +655,49 @@ def _lstm_steps(pre, first, running, w_hidden):
         np.tanh(c, out=tc)
         np.multiply(a[:, 3 * hid:], tc, out=h_out[r0:r1])
     return gates, c_out, tanh_c, h_out
+
+
+# ---------------------------------------------------------------------------
+# outcome head and loss
+
+
+def logistic(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """sigmoid(x @ w + b) for each row of the (m, k) tensor x, with w of
+    shape (k,) and a scalar b: m probabilities in one node. Backward forms
+    the logit gradient g * p * (1 - p) once and sends it to x, w and b."""
+    xd, wd = x.data, w.data
+    if not (xd.ndim == 2 and wd.ndim == 1 and xd.shape[1] == wd.shape[0]
+            and b.data.ndim == 0):
+        raise ShapeError(f"logistic: incompatible shapes {x.shape}, {w.shape} "
+                         f"and {b.shape}")
+    p = _sigmoid(xd @ wd + b.data)
+
+    def bwd(g):
+        dz = g * p * (1.0 - p)
+        _accum(x, np.outer(dz, wd))
+        _accum(w, xd.T @ dz)
+        _accum(b, np.sum(dz))
+    return _node(p, "logistic", (x, w, b), bwd)
+
+
+def cross_entropy(p: Tensor, labels, clamp: float) -> Tensor:
+    """Mean binary cross entropy -(y ln q + (1 - y) ln(1 - q)) over the
+    probabilities p, a scalar or a vector, and the labels y in {0, 1} of
+    the same shape, with q = p clamped to [clamp, 1 - clamp], in one node.
+    The gradient reaches p only where it lies inside that range."""
+    labels = np.asarray(labels)
+    if labels.shape != p.shape:
+        raise ShapeError(f"cross_entropy: labels of shape {labels.shape} for "
+                         f"probabilities of shape {p.shape}")
+    keep = (p.data >= clamp) & (p.data <= 1.0 - clamp)
+    sign = 2.0 * labels - 1.0
+    # q where y = 1 and 1 - q where y = 0, both exact
+    likelihood = sign * np.clip(p.data, clamp, 1.0 - clamp) + (1.0 - labels)
+    inv_n = 1.0 / labels.size
+
+    def bwd(g):
+        _accum(p, np.where(keep, -float(g * inv_n) / likelihood * sign, 0.0))
+    return _node((-np.log(likelihood)).sum() * inv_n, "cross_entropy", (p,), bwd)
 
 
 # ---------------------------------------------------------------------------

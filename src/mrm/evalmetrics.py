@@ -260,8 +260,8 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
 def lr_scores(weights: np.ndarray, bias, fv_matrix: np.ndarray) -> np.ndarray:
     """Logistic-regression probabilities of the rows of fv_matrix."""
     with dc.no_grad():
-        return mrm_model.logistic(dc.Tensor(fv_matrix), dc.Tensor(weights),
-                                  dc.Tensor(bias)).data
+        return dc.logistic(dc.Tensor(fv_matrix), dc.Tensor(weights),
+                           dc.Tensor(bias)).data
 
 
 def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
@@ -280,7 +280,7 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
 
     def batch_loss(indices, labels):
         mean = mrm_model.loss(
-            mrm_model.logistic(dc.Tensor(fv["train"][indices]), weight, bias), labels)
+            dc.logistic(dc.Tensor(fv["train"][indices]), weight, bias), labels)
         if l2 > 0:
             mean = dc.add(mean, dc.scale(dc.sum_all(dc.mul(weight, weight)), l2))
         return mean

@@ -343,7 +343,7 @@ def load_dataset(path, config: DatasetConfig):
     """Parse a line-delimited dataset file, validating against config.
 
     Events come back sorted by time (stable for ties). Errors name the
-    offending 1-based line number.
+    offending 1-based line number; a file without records is an error.
     """
     sequences = []
     with open(path, encoding="utf-8") as fh:
@@ -356,6 +356,8 @@ def load_dataset(path, config: DatasetConfig):
             except json.JSONDecodeError as err:
                 raise DatasetError(f"line {ln}: invalid JSON: {err.msg}") from None
             sequences.append(_parse_record(obj, config, f"line {ln}"))
+    if not sequences:
+        raise DatasetError(f"{path}: no records")
     return sequences
 
 

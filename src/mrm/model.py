@@ -7,7 +7,8 @@ with the minimax-span partition and per-group max pooling, then run an
 LSTM over the group vectors and squash the last hidden state into an
 outcome probability. forward_batch runs a whole batch as one concatenated
 sequence: one encoding node, one attention node whose windows stop at the
-seams, one pooling node and one LSTM node, whatever the batch size.
+seams, one pooling node, one LSTM node and one head node, whatever the
+batch size; the loss adds one more.
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
 
 
-def logistic(x: dc.Tensor, w: dc.Tensor, b: dc.Tensor) -> dc.Tensor:
-    """sigmoid(x @ w + b) per row of x: the outcome head of both sequence
-    models and the whole logistic-regression baseline."""
-    return dc.sigmoid(dc.add(dc.matmul(x, w), b))
-
-
 def forward_batch(seqs, params: MrmParams, config: MrmConfig,
                   partitions=None) -> dc.Tensor:
     """Outcome probabilities of a batch of sequences as a (B,) tensor.
@@ -318,7 +313,7 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig,
     sequence's partition (partitions[i], which must tile the truncated
     events, or computed when partitions is None); "plain_lstm" feeds the
     event vectors straight to the LSTM. One LSTM op then runs over the
-    whole batch and the logistic head scores its last hidden states.
+    whole batch and one logistic op scores its last hidden states.
     """
     used = [_truncate(seq, config)[0] for seq in seqs]
     lengths = [len(seq) for seq in used]
@@ -337,7 +332,7 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig,
         offsets = _offsets([len(s) for s in starts])
     w = params.named()
     h_last = dc.lstm(x, offsets, w["lstm.w_input"], w["lstm.w_hidden"], w["lstm.bias"])
-    return logistic(h_last, w["output.weight"], w["output.bias"])
+    return dc.logistic(h_last, w["output.weight"], w["output.bias"])
 
 
 def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
@@ -371,15 +366,10 @@ _CLAMP = 1e-7
 
 def loss(y_hat: dc.Tensor, y) -> dc.Tensor:
     """Mean cross entropy -(y ln p + (1-y) ln(1-p)) over the probabilities
-    in y_hat (a scalar or a vector, y of the same shape), with p clamped
-    away from {0, 1} for stability."""
+    in y_hat (a scalar or a vector, y of the same shape, ShapeError
+    otherwise), with p clamped away from {0, 1} for stability: one
+    cross_entropy op."""
     labels = np.asarray(y)
-    if labels.shape != y_hat.shape:
-        raise dc.ShapeError(f"loss: labels of shape {labels.shape} for "
-                            f"probabilities of shape {y_hat.shape}")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {y!r}")
-    p = dc.clip(y_hat, _CLAMP, 1.0 - _CLAMP)
-    # p where y = 1 and 1 - p where y = 0, both exact
-    likelihood = dc.add(dc.mul(dc.Tensor(2 * labels - 1), p), dc.Tensor(1 - labels))
-    return dc.scale(dc.sum_all(dc.neg(dc.log(likelihood))), 1.0 / labels.size)
+    return dc.cross_entropy(y_hat, labels, _CLAMP)

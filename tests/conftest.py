@@ -147,6 +147,53 @@ def attention_backward_oracle(x, w_qkv, n_heads, rows, weights, g):
     return dproj @ w_qkv, dproj.T @ x
 
 
+def sigmoid_oracle(x):
+    """The stable logistic function with one divide per branch, 1 / (1 + z)
+    for x >= 0 and z / (1 + z) below, z = exp(-|x|): the byte oracle of
+    diffcore._sigmoid, which divides once."""
+    z = np.exp(-np.abs(x))
+    d = 1.0 + z
+    return np.where(x >= 0, 1.0 / d, z / d)
+
+
+def head_loss_oracle(x, w, b, labels, clamp, l2=0.0, one_sequence=False):
+    """(loss, dx, dw, db) of the mean clamped cross entropy of
+    sigmoid(x @ w + b) against labels, plus l2 * sum(w * w) when l2 > 0,
+    in the float order of the micro-op graph that model.loss and the
+    outcome head once built: matmul, add, sigmoid, clip, mul, add, log,
+    neg, sum_all and scale, each gradient pushed as those ops' backward
+    rules pushed it. one_sequence sums the single probability to a scalar
+    first, as model.forward does. The oracle of diffcore.logistic and
+    diffcore.cross_entropy."""
+    labels = np.asarray(labels)
+    out = sigmoid_oracle(x @ w + b)
+    p = out.sum() if one_sequence else out
+    keep = (p >= clamp) & (p <= 1.0 - clamp)
+    sign = np.asarray(2 * labels - 1, dtype=np.float64)
+    likelihood = sign * np.clip(p, clamp, 1.0 - clamp) + np.asarray(1 - labels,
+                                                                     dtype=np.float64)
+    inv_n = float(1.0 / labels.size)
+    loss = (-np.log(likelihood)).sum() * inv_n
+    dw = None
+    if l2 > 0:
+        loss = loss + (w * w).sum() * float(l2)
+        g_square = np.full(w.shape, float(np.asarray(1.0) * float(l2)))
+        dw = np.array(g_square * w)
+        dw += g_square * w
+    # scale, sum_all, neg, log, mul and clip, one after the other
+    g = np.full(np.shape(p), float(np.asarray(1.0) * inv_n))
+    g = np.where(keep, (-g / likelihood) * sign, 0.0)
+    if one_sequence:
+        g = np.full(out.shape, float(g))
+    dz = g * out * (1.0 - out)
+    dx, dw_head, db = np.outer(dz, w), x.T @ dz, np.array(np.sum(dz))
+    if dw is None:
+        dw = np.array(dw_head)
+    else:
+        dw += dw_head
+    return loss, dx, dw, db
+
+
 def lstm_steps_oracle(pre, first, running, w_hidden):
     """The forward loop of diffcore.lstm, each step's values made as new
     arrays and then copied into place: the oracle of diffcore._lstm_steps."""
@@ -162,7 +209,7 @@ def lstm_steps_oracle(pre, first, running, w_hidden):
         if t:
             prev = slice(first[t - 1], first[t - 1] + n)
             z = z + h_out[prev] @ w_hidden.T
-        a = diffcore._sigmoid(z)
+        a = sigmoid_oracle(z)
         a[:, 2 * hid:3 * hid] = np.tanh(z[:, 2 * hid:3 * hid])
         c = a[:, :hid] * a[:, 2 * hid:3 * hid]
         if t:

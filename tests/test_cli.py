@@ -251,6 +251,65 @@ def test_inspect_index_out_of_range(dataset, capsys):
     assert cli.main(["inspect", "--data", str(dataset), "--index", "999"]) == 2
 
 
+def test_inspect_checkpoint_without_index_is_usage_error(tmp_path, dataset, capsys):
+    # the checkpoint was once ignored, even a missing one, and inspect exited 0
+    code = cli.main(["inspect", "--data", str(dataset),
+                     "--ckpt", str(tmp_path / "absent.npz")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--ckpt needs --index" in captured.err
+
+
+@pytest.mark.parametrize("name", ["absent.npz", ""])
+def test_inspect_with_an_unreadable_checkpoint_prints_nothing(tmp_path, dataset, capsys,
+                                                               name):
+    # an empty --ckpt was once ignored, and a missing file failed only after
+    # the sequence was printed
+    ckpt = str(tmp_path / name) if name else ""
+    code = cli.main(["inspect", "--data", str(dataset), "--ckpt", ckpt, "--index", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate mrm", "evaluate lr", "inspect"])
+def test_a_dataset_file_without_records_exits_2(tmp_path, dataset, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    (tmp_path / "empty.jsonl.config").write_text(
+        (tmp_path / "data.jsonl.config").read_text())
+    if command == "train":
+        argv = train_args(empty, tmp_path / "m.npz")
+    elif command == "inspect":
+        argv = ["inspect", "--data", str(empty)]
+    else:
+        ckpt = tmp_path / "m.npz"
+        assert cli.main(train_args(dataset, ckpt, model=command.split()[1])) == 0
+        capsys.readouterr()
+        argv = ["evaluate", "--data", str(empty), "--ckpt", str(ckpt)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {empty}: no records" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("message, printed", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+     "error: Unable to allocate 74.5 GiB"),
+    ("", "error: out of memory")])
+def test_out_of_memory_exits_2_with_its_message(tmp_path, dataset, capsys, monkeypatch,
+                                                message, printed):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(mm.MrmParams, "init", no_memory)
+    assert cli.main(train_args(dataset, tmp_path / "m.npz")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and printed in captured.err
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["partition", "--times", "0,1", "--M", "1", "--L_G", "2",

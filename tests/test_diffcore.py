@@ -3,7 +3,7 @@ import pytest
 
 from mrm import diffcore as dc
 
-from .conftest import lstm_steps_oracle
+from .conftest import lstm_steps_oracle, sigmoid_oracle
 
 
 def t(data, grad=True):
@@ -14,35 +14,43 @@ def t(data, grad=True):
 # forward semantics
 
 
-def test_matmul_ones():
-    a = t(np.ones((2, 3)))
-    b = t(np.ones(3))
-    out = dc.matmul(a, b)
+def test_logistic_of_ones():
+    out = dc.logistic(t(np.ones((2, 3))), t(np.ones(3)), t(0.0))
     assert out.shape == (2,)
-    assert np.all(out.data == 3.0)
+    assert np.all(out.data == sigmoid_oracle(3.0))
 
 
-def test_matmul_shape_error_reports_both_shapes():
+def test_logistic_shape_error_reports_the_shapes():
     with pytest.raises(dc.ShapeError) as exc:
-        dc.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+        dc.logistic(t(np.ones((2, 3))), t(np.ones((2, 3))), t(0.0))
     assert "(2, 3)" in str(exc.value)
+    for x, w, b in ((np.ones(3), np.ones(3), 0.0), (np.ones((2, 3)), np.ones(2), 0.0),
+                    (np.ones((2, 3)), np.ones(3), [0.0])):
+        with pytest.raises(dc.ShapeError):
+            dc.logistic(t(x), t(w), t(b))
 
 
 def test_add_shape_error():
     with pytest.raises(dc.ShapeError) as exc:
         dc.add(t(np.ones(3)), t(np.ones(4)))
     assert "(3,)" in str(exc.value) and "(4,)" in str(exc.value)
+    with pytest.raises(dc.ShapeError):  # no broadcasting, not even of a scalar
+        dc.add(t(np.ones(3)), t(1.0))
 
 
 def test_sigmoid_at_zero():
-    out = dc.sigmoid(t(0.0))
-    assert out.item() == 0.5
+    assert dc._sigmoid(np.zeros(2)).tolist() == [0.5, 0.5]
+    assert dc.logistic(t(np.ones((1, 2))), t([1.0, -1.0]), t(0.0)).data[0] == 0.5
 
 
 def test_sigmoid_extreme_inputs_stable():
-    out = dc.sigmoid(t([-800.0, 800.0]))
-    assert np.all(np.isfinite(out.data))
+    x = t([[-800.0], [800.0]])
+    w, b = t([1.0]), t(0.0)
+    out = dc.logistic(x, w, b)
     assert out.data[0] == 0.0 and out.data[1] == 1.0
+    dc.sum_all(out).backward()
+    for p in (x, w, b):
+        assert np.all(p.grad == 0.0)
 
 
 def test_sigmoid_into_writes_the_bytes_of_sigmoid():
@@ -50,12 +58,14 @@ def test_sigmoid_into_writes_the_bytes_of_sigmoid():
     x = np.array([0.0, -0.0, tiny, -tiny, 745.0, -745.0, np.inf, -np.inf, np.nan,
                   1.0, -1.0, 36.7, -36.7, 1e-300, -1e-300])
     x = np.concatenate([x, np.random.default_rng(0).normal(scale=20.0, size=64)])
+    want = sigmoid_oracle(x).tobytes()
+    assert dc._sigmoid(x).tobytes() == want
     out = np.full_like(x, 7.0)
-    dc._sigmoid_into(x, out)
-    assert out.tobytes() == dc._sigmoid(x).tobytes()
+    assert dc._sigmoid(x, out=out) is out
+    assert out.tobytes() == want
     strided = np.full((x.size, 3), 7.0)  # into a column, as into a gate block
-    dc._sigmoid_into(x[:, None], strided[:, 1:2])
-    assert strided[:, 1].tobytes() == out.tobytes()
+    dc._sigmoid(x[:, None], out=strided[:, 1:2])
+    assert strided[:, 1].tobytes() == want
 
 
 def test_maxpool_rows_coordinatewise():
@@ -118,10 +128,13 @@ def test_group_maxpool_rejects_starts_that_do_not_split_the_rows(starts):
 
 
 def test_clip_passes_gradient_only_inside_range():
-    x = t([-2.0, 0.5, 2.0])
-    out = dc.sum_all(dc.clip(x, 0.0, 1.0))
+    # the loss clamps p to [0.25, 0.75]: -ln 0.25, -ln 0.5 and -ln 0.25
+    p = t([0.1, 0.5, 0.9])
+    out = dc.cross_entropy(p, [1, 0, 0], 0.25)
+    assert abs(out.item() - (2 * np.log(4.0) + np.log(2.0)) / 3) < 1e-15
     out.backward()
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+    assert p.grad[0] == 0.0 and p.grad[2] == 0.0
+    assert abs(p.grad[1] - 2.0 / 3) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +151,7 @@ def test_diamond_graph_accumulates():
 
 def _random_composite(seed):
     """A small randomly-shaped pipeline through every elementwise,
-    linear-algebra, embedding and pooling op."""
+    embedding, pooling, head and loss op."""
     rng = np.random.default_rng(seed)
     params = {
         "A": dc.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
@@ -153,17 +166,20 @@ def _random_composite(seed):
     rows = np.sort(rng.integers(0, 4, size=6))
     ptr = np.searchsorted(rows, np.arange(5))
     factors = rng.normal(size=6)
+    labels = rng.integers(0, 2, size=4)
 
     def forward():
         A, w, c, T, U = (params[k] for k in "AwcTU")
-        m = dc.sigmoid(dc.add(dc.matmul(A, w), c))   # (m,k)@(k,), scalar bias
+        m = dc.logistic(A, w, c)                      # (m,k)@(k,), scalar bias
         e = dc.embed(4, [(T, idx, None, None), (U, ids, ptr, factors)])  # 4x3
         pooled = dc.maxpool_rows(dc.slice_rows(e, 1, 3))  # 3-vector
         grouped = dc.group_maxpool(e, [0, 2])        # 2x3
-        mixed = dc.clip(dc.mul(m, pooled), -0.5, 0.5)
         squares = dc.add(dc.mul(grouped, grouped), dc.Tensor(np.ones((2, 3))))
-        total = dc.add(dc.sum_all(mixed), dc.scale(dc.sum_all(dc.log(squares)), 0.5))
-        return dc.add(total, dc.neg(dc.sum_all(dc.matmul(e, m))))
+        total = dc.add(dc.sum_all(dc.mul(m, pooled)), dc.scale(dc.sum_all(squares), 0.5))
+        mean_m = dc.scale(dc.sum_all(m), 1.0 / 3)     # a scalar probability
+        total = dc.add(total, dc.cross_entropy(mean_m, labels[0], 1e-7))
+        # c feeds both heads: its gradient is the sum of both
+        return dc.add(total, dc.cross_entropy(dc.logistic(e, m, c), labels, 1e-7))
 
     return params, forward
 
@@ -189,9 +205,8 @@ def test_matrix_vector_and_scalar_bias_gradients(fd_grads, grad_rel_err):
     }
 
     def forward():
-        row_scores = dc.matmul(params["M"], params["v"])        # (m,k)@(k,)
-        scores = dc.matmul(params["X"], row_scores)             # (m,k)@(k,)
-        return dc.sum_all(dc.sigmoid(dc.add(scores, params["b"])))  # scalar bias
+        row_scores = dc.logistic(params["M"], params["v"], params["b"])
+        return dc.sum_all(dc.logistic(params["X"], row_scores, params["b"]))
 
     loss = forward()
     loss.backward()

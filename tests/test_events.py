@@ -132,6 +132,15 @@ def test_load_rejects_bool_label(tmp_path, label):
     assert "label" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_load_rejects_a_file_without_records(tmp_path, text):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text)
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    assert str(exc.value) == f"{path}: no records"
+
+
 def test_write_load_roundtrip(tmp_path):
     seqs = [ev.EventSequence("p7", 1, [
         ev.ClinicalEvent(2, 0.25, [1], [(0, -3.5)]),

@@ -10,8 +10,8 @@ from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from .conftest import (dense_weights, full_band_kept_slots, head_weights,
-                       param_rel_err, topk_mask)
+from .conftest import (dense_weights, full_band_kept_slots, head_loss_oracle,
+                       head_weights, param_rel_err, topk_mask)
 
 
 def small_config(**overrides):
@@ -250,7 +250,7 @@ def test_params_from_arrays_allocates_no_fresh_parameters(monkeypatch):
     monkeypatch.setattr(mm.MrmParams, "init", no_init)
     params = mm.MrmParams.from_arrays(arrays, config, kind="plain_lstm")
     assert "attention.qkv" not in params.named() and params.kind == "plain_lstm"
-    assert all(t.requires_grad for t in params.named().values())
+    assert all(t.needs_grad for t in params.named().values())
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -1047,6 +1047,79 @@ def test_loss_rejects_bad_label():
         mm.loss(dc.Tensor([0.5, 0.5]), [1, 2])
     with pytest.raises(dc.ShapeError):
         mm.loss(dc.Tensor([0.5, 0.5, 0.5]), [0, 1])
+    with pytest.raises(dc.ShapeError):  # a scalar probability, one label in a list
+        mm.loss(dc.Tensor(0.5), [1])
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-4, 0.37])
+@pytest.mark.parametrize("one_sequence", [False, True])
+def test_head_and_loss_give_the_bits_of_the_micro_op_graph(one_sequence, l2):
+    # the loss and the gradients of x, w and b of the fused logistic and
+    # cross_entropy ops against the composite they replace, for the (B,)
+    # probabilities of forward_batch and the scalar one of forward, with
+    # and without the lr baseline's L2 term; logits up to |z| = 800
+    rng = np.random.default_rng(int(one_sequence) * 10 + int(l2 * 1000))
+    clamped = 0
+    for trial in range(300):
+        n_rows = 1 if one_sequence else int(rng.integers(1, 41))
+        k = int(rng.integers(1, 9))
+        x = rng.normal(size=(n_rows, k)) * float(rng.choice([0.1, 1.0, 10.0, 300.0]))
+        w = rng.normal(size=k)
+        b = float(rng.normal() * rng.choice([0.0, 1.0, 100.0]))
+        if trial % 10 == 0:  # exact saturation and exact zeros
+            x = np.round(rng.uniform(-800, 800, size=(n_rows, k)) / 200) * 200
+            w = np.eye(k)[0] * rng.choice([-1.0, 1.0])
+        labels = rng.integers(0, 2, size=n_rows)
+        if one_sequence:
+            labels = int(labels[0])
+        tx, tw, tb = (dc.Tensor(a, requires_grad=True) for a in (x, w, b))
+        y_hat = dc.logistic(tx, tw, tb)
+        if one_sequence:
+            y_hat = dc.sum_all(y_hat)  # as forward does
+        total = mm.loss(y_hat, labels)
+        if l2 > 0:  # as the lr baseline's batch loss adds it
+            total = dc.add(total, dc.scale(dc.sum_all(dc.mul(tw, tw)), l2))
+        total.backward()
+        want = head_loss_oracle(x, w, b, labels, mm._CLAMP, l2, one_sequence)
+        got = (total.data, tx.grad, tw.grad, tb.grad)
+        for name, a, o in zip(("loss", "x", "w", "b"), got, want):
+            assert np.shape(a) == np.shape(o), name
+            assert np.asarray(a).tobytes() == np.asarray(o).tobytes(), (trial, name)
+        clamped += np.any((y_hat.data < mm._CLAMP) | (y_hat.data > 1 - mm._CLAMP))
+    assert clamped >= 20
+
+
+def _graph_ops(out):
+    """The op tags of the nodes reachable from out, leaves left out, and
+    the number of those nodes with the leaves, by a walk over _parents."""
+    seen, stack, ops = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.op != "leaf":
+                ops.append(node.op)
+            stack.extend(node._parents)
+    return ops, len(seen)
+
+
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+@pytest.mark.parametrize("grouped", [True, False])
+def test_a_training_batch_is_one_node_per_layer(kind, grouped):
+    rng = np.random.default_rng(46)
+    config = small_config(max_groups=3 if grouped else 64, max_group_len=8)
+    seqs = [random_sequence(rng, n, config, t_span=50.0) for n in (9, 1, 14)]
+    parts = [mm.sequence_partition(seq, config) for seq in seqs]
+    assert any(e - s > 1 for p in parts for s, e in p.groups) == grouped
+    params = mm.MrmParams.init(config, seed=46, kind=kind)
+    total = mm.loss(mm.forward_batch(seqs, params, config),
+                    np.array([s.label for s in seqs]))
+    ops, n_nodes = _graph_ops(total)
+    want = ["embed", "lstm", "logistic", "cross_entropy"]
+    if kind == "mrm":
+        want[1:1] = ["windowed_attention"] + (["group_maxpool"] if grouped else [])
+    assert ops[::-1] == want
+    assert n_nodes == len(want) + len(params.named())
 
 
 def test_loss_of_a_vector_is_the_mean_of_scalar_losses():
