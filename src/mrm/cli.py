@@ -59,21 +59,24 @@ def _build_parser() -> _Parser:
                    help="sidecar config path (default: <data>.config)")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--D_m", type=int, default=64, help="model dimension")
-    p.add_argument("--N_h", type=int, default=8, help="attention head count")
-    p.add_argument("--D_a", type=int, default=8, help="per-head dimension")
-    p.add_argument("--topk", type=int, default=4, help="kept neighbors per query")
-    p.add_argument("--T_r", type=float, default=0.5, help="attention half-window, hours")
-    p.add_argument("--M", type=int, default=64, help="max event groups")
-    p.add_argument("--L_G", type=int, default=32, help="max events per group")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=20)
+    model, train = model_mod.MrmConfig, ev.TrainConfig  # the defaults' one home
+    p.add_argument("--D_m", type=int, default=model.model_dim, help="model dimension")
+    p.add_argument("--N_h", type=int, default=model.n_heads, help="attention head count")
+    p.add_argument("--D_a", type=int, default=model.head_dim, help="per-head dimension")
+    p.add_argument("--topk", type=int, default=model.topk, help="kept neighbors per query")
+    p.add_argument("--T_r", type=float, default=model.window_hours,
+                   help="attention half-window, hours")
+    p.add_argument("--M", type=int, default=model.max_groups, help="max event groups")
+    p.add_argument("--L_G", type=int, default=model.max_group_len,
+                   help="max events per group")
+    p.add_argument("--lr", type=float, default=train.lr)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--max-epochs", type=int, default=train.max_epochs)
     p.add_argument("--patience", type=int, default=None,
-                   help="epochs without a better validation AUC before stopping "
-                        "(default: 3, or max-epochs - 1 when that is less)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=float, default=5.0, help="gradient-norm clip")
+                   help=f"epochs without a better validation AUC before stopping "
+                        f"(default: {train.patience}, or max-epochs - 1 when that is less)")
+    p.add_argument("--seed", type=int, default=train.seed)
+    p.add_argument("--clip", type=float, default=train.clip_norm, help="gradient-norm clip")
     p.add_argument("--l2", type=float, default=1e-4, help="L2 penalty (lr model)")
     p.set_defaults(func=cmd_train)
 
@@ -130,7 +133,8 @@ def _model_config(args, data_config) -> model_mod.MrmConfig:
 
 
 def cmd_train(args) -> int:
-    patience = min(3, args.max_epochs - 1) if args.patience is None else args.patience
+    patience = (min(ev.TrainConfig.patience, args.max_epochs - 1)
+                if args.patience is None else args.patience)
     train_config = ev.TrainConfig(lr=args.lr, batch_size=args.batch_size,
                                   max_epochs=args.max_epochs, patience=patience,
                                   seed=args.seed, clip_norm=args.clip)
@@ -172,11 +176,12 @@ def cmd_evaluate(args) -> int:
     sequences = events_mod.load_dataset(args.data, ckpt.dataset)
     scores = checkpoint_scores(ckpt, sequences)
     labels = [s.label for s in sequences]
+    auc, ap = ev.auc(scores, labels), ev.average_precision(scores, labels)  # may raise
     print(f"n_sequences = {len(sequences)}")
     print(f"n_pos = {sum(labels)}")
     print(f"n_neg = {len(labels) - sum(labels)}")
-    print(f"auc = {ev.auc(scores, labels)!r}")
-    print(f"ap = {ev.average_precision(scores, labels)!r}")
+    print(f"auc = {auc!r}")
+    print(f"ap = {ap!r}")
     return 0
 
 

@@ -704,14 +704,14 @@ def cross_entropy(p: Tensor, labels, clamp: float) -> Tensor:
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment accumulators and hyperparameters for a named parameter set."""
+    """Adam moment accumulators and learning rate for a named parameter set."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -727,8 +727,8 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -738,12 +738,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             m = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:

@@ -231,48 +231,92 @@ class DatasetConfig:
             check_number(f"feature_stats[{fid}] std", std, 0, strict=True)
 
 
-def _validate_event(ev: ClinicalEvent, config: DatasetConfig, where: str):
-    if not (0 <= ev.code < config.n_codes):
-        raise DatasetError(f"{where}: code {ev.code} outside [0, {config.n_codes})")
-    if not math.isfinite(ev.t):
-        raise DatasetError(f"{where}: non-finite time {ev.t!r}")
-    if len(ev.cat_features) + len(ev.num_features) > config.max_features:
-        raise DatasetError(
-            f"{where}: {len(ev.cat_features)} categorical + "
-            f"{len(ev.num_features)} numerical features exceed maxFeat="
-            f"{config.max_features}")
-    for fid in ev.cat_features:
-        if not (0 <= fid < config.n_features):
-            raise DatasetError(f"{where}: categorical feature id {fid} outside "
-                               f"[0, {config.n_features})")
-    for fid, value in ev.num_features:
-        if not (0 <= fid < config.n_features):
-            raise DatasetError(f"{where}: numerical feature id {fid} outside "
-                               f"[0, {config.n_features})")
-        if not math.isfinite(value):
-            raise DatasetError(f"{where}: non-finite value for feature {fid}")
+def _first_fault(rules):
+    """The message of the first rule broken, or None. A rule is (values, ok,
+    message): ok tests a list of values at once, and message(i) names
+    values[i], the first value that fails ok on its own."""
+    for values, ok, message in rules:
+        if not ok(values):
+            return message(next(i for i in range(len(values)) if not ok(values[i:i + 1])))
+    return None
 
 
-def _valid(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values,
-           config: DatasetConfig) -> bool:
-    """Whether every event passes _validate_event, from columns given as
-    Python lists."""
-    n_f = config.n_features
-    per_event = [c + n for c, n in zip(cat_ptr, num_ptr)]
-    return (0 <= min(codes) and max(codes) < config.n_codes
-            and all(map(math.isfinite, times))
-            and max(map(operator.sub, per_event[1:], per_event)) <= config.max_features
-            and (not cat_ids or (0 <= min(cat_ids) and max(cat_ids) < n_f))
-            and (not num_ids or (0 <= min(num_ids) and max(num_ids) < n_f))
-            and all(map(math.isfinite, num_values)))
+def _integers(values) -> bool:
+    return set(map(type, values)) <= {int}
+
+
+def _numbers(values) -> bool:
+    """Whether every value is a number a float can hold."""
+    kinds = set(map(type, values))
+    return kinds <= {float} or kinds <= {int, float} and all(
+        abs(v) <= sys.float_info.max for v in values if type(v) is int)
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _type_fault(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values):
+    """The message of the first type rule the columns break, or None: codes
+    and feature ids are JSON integers, times and values are JSON numbers a
+    float can hold, and a bool is neither."""
+    integer, number = "must be an integer, got", "must be a finite number, got"
+    return _first_fault((
+        (codes, _integers, lambda i: f"code {integer} {codes[i]!r}"),
+        (times, _numbers, lambda i: f"t {number} {times[i]!r}"),
+        (cat_ids, _integers, lambda i: f"categorical feature id {integer} {cat_ids[i]!r}"),
+        (num_ids, _integers, lambda i: f"numerical feature id {integer} {num_ids[i]!r}"),
+        (num_values, _numbers,
+         lambda i: f"value of feature {num_ids[i]!r} {number} {num_values[i]!r}")))
+
+
+def _range_fault(config, codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values):
+    """The message of the first range rule of config the columns break, or
+    None; every value is of its type already."""
+    def below(end):
+        return lambda values: not values or (0 <= min(values) and max(values) < end)
+
+    n_c, n_f, max_f = config.n_codes, config.n_features, config.max_features
+    per_event = list(map(operator.add, cat_ptr, num_ptr))
+    counts = list(map(operator.sub, per_event[1:], per_event))
+    return _first_fault((
+        (codes, below(n_c), lambda i: f"code {codes[i]} outside [0, {n_c})"),
+        (times, _finite, lambda i: f"non-finite time {times[i]!r}"),
+        (counts, lambda values: max(values) <= max_f,
+         lambda i: f"{cat_ptr[i + 1] - cat_ptr[i]} categorical + "
+                   f"{num_ptr[i + 1] - num_ptr[i]} numerical features exceed "
+                   f"maxFeat={max_f}"),
+        (cat_ids, below(n_f),
+         lambda i: f"categorical feature id {cat_ids[i]} outside [0, {n_f})"),
+        (num_ids, below(n_f),
+         lambda i: f"numerical feature id {num_ids[i]} outside [0, {n_f})"),
+        (num_values, _finite, lambda i: f"non-finite value for feature {num_ids[i]}")))
+
+
+def _check(fault, columns, where):
+    """Raise DatasetError when fault(*columns) finds a fault, naming the
+    first event k that has one (as where(k)) and the message fault gives
+    for that event alone."""
+    if fault(*columns) is None:
+        return
+    codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = columns
+    for k in range(len(codes)):
+        (c0, c1), (n0, n1) = cat_ptr[k:k + 2], num_ptr[k:k + 2]
+        message = fault(codes[k:k + 1], times[k:k + 1], [0, c1 - c0], cat_ids[c0:c1],
+                        [0, n1 - n0], num_ids[n0:n1], num_values[n0:n1])
+        if message is not None:
+            raise DatasetError(f"{where(k)}: {message}")
 
 
 def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
+    if not isinstance(obj, dict):
+        raise DatasetError(f"{where}: record must be a JSON object, got "
+                           f"{type(obj).__name__}")
     try:
         patient_id = str(obj["patient_id"])
         label = obj["label"]
         raw_events = obj["events"]
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise DatasetError(f"{where}: missing key {err}") from None
     if isinstance(label, bool) or label not in (0, 1):  # True == 1 in Python
         raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
@@ -295,48 +339,16 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
             raise DatasetError(f"{where}: bad event {k}: {err}") from None
         cat_ptr.append(len(cat_ids))
         num_ptr.append(len(num_ids))
-    # ids are JSON integers, times and values JSON numbers; bools are neither
-    id_types = {*map(type, codes), *map(type, cat_ids), *map(type, num_ids)}
-    number_types = {*map(type, times), *map(type, num_values)}
-    if not (id_types <= {int} and number_types <= {int, float}):
-        raise _bad_number(raw_events, where)
-    if int in number_types:
-        try:
-            times, num_values = list(map(float, times)), list(map(float, num_values))
-        except OverflowError:
-            raise _bad_number(raw_events, where) from None
     columns = (codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values)
-    if not _valid(*columns, config):
-        # name the first bad event, with the message of its first bad field
-        for k, row in enumerate(_rows(*columns)):
-            _validate_event(ClinicalEvent(*row), config, f"{where} event {k}")
+    # every type fault before any range fault: the range rules compare values
+    _check(_type_fault, columns, lambda k: f"{where}: bad event {k}")
+    _check(lambda *c: _range_fault(config, *c), columns, lambda k: f"{where} event {k}")
     seq = EventSequence.from_columns(
         patient_id, int(label), *(np.array(c, dtype=dtype)
                                   for c, dtype in zip(columns, _DTYPES)))
-    if not all(map(operator.le, times, times[1:])):
+    if (seq.times()[1:] < seq.times()[:-1]).any():
         seq = seq.take(np.argsort(seq.times(), kind="stable"))  # ties keep file order
     return seq
-
-
-def _bad_number(raw_events, where: str) -> DatasetError:
-    """The error naming the first event with a code or feature id that is
-    not an integer, or a time or value that is not a number a float can
-    hold."""
-    for k, raw in enumerate(raw_events):
-        fields = [("code", raw["code"], int), ("t", raw["t"], float)]
-        fields += [("categorical feature id", fid, int) for fid in raw.get("cat", [])]
-        for fid, v in raw.get("num", []):
-            fields += [("numerical feature id", fid, int),
-                       (f"value of feature {fid!r}", v, float)]
-        for name, value, kind in fields:
-            if kind is int and type(value) is not int:
-                return DatasetError(f"{where}: bad event {k}: {name} must be an "
-                                    f"integer, got {value!r}")
-            if kind is float and not (type(value) is float or type(value) is int
-                                      and abs(value) <= sys.float_info.max):
-                return DatasetError(f"{where}: bad event {k}: {name} must be a "
-                                    f"finite number, got {value!r}")
-    raise AssertionError("no event has a field of a wrong type")
 
 
 def load_dataset(path, config: DatasetConfig):

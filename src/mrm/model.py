@@ -241,26 +241,12 @@ def neighborhood_bounds(times, window_hours: float, offsets=None):
 
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
                      offsets=None):
-    """Multi-head attention over time-windowed, top-k-masked neighbors.
-
-    Scores are plain query-key dot products; per query only the topk
-    largest in-window scores survive, the rest are masked before the
-    softmax. Head outputs are concatenated back to model_dim. Windows are
-    contiguous in the sorted times, so one fused op does it all: every
-    query scores the first topk events of its window, all that a window
-    of at most topk events keeps; only the queries with a wider window
-    score its slots topk..W-1 too, W the widest window, one slot at a time
-    (a few at a time for short inputs), and pick the kept neighbors among
-    all of them. The softmax, the value sum and the
-    backward then run over the kept neighbors only, O(L * heads * topk)
-    of them.
-    The top-k selection is treated as locally constant in backward.
-    offsets marks several sequences back to back, as in
-    neighborhood_bounds.
-
-    Returns what dc.windowed_attention returns, (out, (rows, weights)):
-    the (L, model_dim) tensor, and per query and head the rows it keeps
-    and their softmax weights, each (L, n_heads, k).
+    """Multi-head top-k attention of every event over the events within
+    config.window_hours of its time: dc.windowed_attention (which holds the
+    algorithm) with the attention.qkv weights over the windows of
+    neighborhood_bounds, which stop at the seams offsets marks. Returns
+    what dc.windowed_attention returns; ValueError unless times has one
+    entry per row of x.
     """
     n = x.shape[0]
     if len(times) != n:

@@ -21,9 +21,6 @@ import numpy as np
 from .events import (ConfigError, DatasetConfig, DatasetError, EventSequence,
                      build_config, check_number, event_columns, read_keyvalue_file)
 
-# the generator's faults are ConfigErrors like every config's; the old name stays
-SynthConfigError = ConfigError
-
 # Times are hours. A background stream spans about seq_len_max / base_rate
 # hours and the signal window is t_signal; both stay within MAX_HOURS, so
 # every time is a finite float, and t_signal is at least MIN_SIGNAL_HOURS,

@@ -294,6 +294,23 @@ def test_a_dataset_file_without_records_exits_2(tmp_path, dataset, capsys, comma
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("model", ["mrm", "lr"])
+def test_evaluate_on_one_class_exits_2_before_printing(tmp_path, dataset, capsys, model):
+    ckpt = tmp_path / "m.npz"
+    assert cli.main(train_args(dataset, ckpt, model=model)) == 0
+    capsys.readouterr()
+    positives = [line for line in dataset.read_text().splitlines()
+                 if json.loads(line)["label"] == 1][:3]
+    one_class = tmp_path / "pos.jsonl"
+    one_class.write_text("\n".join(positives) + "\n")
+    (tmp_path / "pos.jsonl.config").write_text(
+        (tmp_path / "data.jsonl.config").read_text())
+    assert cli.main(["evaluate", "--data", str(one_class), "--ckpt", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: auc needs both classes" in captured.err
+
+
 @pytest.mark.parametrize("message, printed", [
     ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
      "error: Unable to allocate 74.5 GiB"),

@@ -141,6 +141,123 @@ def test_load_rejects_a_file_without_records(tmp_path, text):
     assert str(exc.value) == f"{path}: no records"
 
 
+@pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"x"', "str")])
+def test_load_rejects_a_record_that_is_no_object(tmp_path, line, kind):
+    path = tmp_path / "d.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    assert str(exc.value) == f"line 1: record must be a JSON object, got {kind}"
+
+
+def load_error(path, events):
+    write_lines(path, [record([{"code": 0, "t": 0.0}]), record(events)])
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    return str(exc.value)
+
+
+def plain(n):
+    return [{"code": 1, "t": float(k), "cat": [], "num": []} for k in range(n)]
+
+
+def test_load_names_the_earlier_of_two_bad_events(tmp_path):
+    events = plain(5)
+    events[3]["code"], events[1]["cat"] = 9, [7]
+    assert load_error(tmp_path / "d.jsonl", events) == (
+        "line 2 event 1: categorical feature id 7 outside [0, 5)")
+    events = plain(5)
+    events[4]["t"], events[2]["num"] = "x", [[0, None]]
+    assert load_error(tmp_path / "d.jsonl", events) == (
+        "line 2: bad event 2: value of feature 0 must be a finite number, got None")
+
+
+def test_load_names_a_type_fault_before_an_earlier_range_fault(tmp_path):
+    events = plain(4)
+    events[0]["code"], events[3]["cat"] = -1, [True]
+    assert load_error(tmp_path / "d.jsonl", events) == (
+        "line 2: bad event 3: categorical feature id must be an integer, got True")
+
+
+@pytest.mark.parametrize("num, message", [
+    # the value of the first pair is bad, and so is the id of the second
+    ([[1, float("nan")], [9, 1.0]], "line 2 event 0: numerical feature id 9 outside [0, 5)"),
+    ([[1, "x"], [1.5, 1.0]],
+     "line 2: bad event 0: numerical feature id must be an integer, got 1.5"),
+])
+def test_load_checks_every_id_of_an_event_before_its_values(tmp_path, num, message):
+    # the rules run in a fixed order, every id of the event before its values,
+    # so the second pair's bad id comes before the first pair's bad value
+    assert load_error(tmp_path / "d.jsonl", [{"code": 1, "t": 0.0, "num": num}]) == message
+
+
+# rule -> (values that break it, how one of them breaks an event, and the
+# message of the error it makes); the type rules, then the range rules of CFG
+BIG = 10 ** 400  # a JSON integer no float holds
+TYPE_FAULTS = {
+    "code": (st.sampled_from([1.5, True, "1", None, []]), lambda e, v: e.update(code=v),
+             lambda v: f"code must be an integer, got {v!r}"),
+    "t": (st.sampled_from(["1.0", False, None, {}, BIG, -BIG]), lambda e, v: e.update(t=v),
+          lambda v: f"t must be a finite number, got {v!r}"),
+    "cat id": (st.sampled_from([2.0, True, "3", None]), lambda e, v: e["cat"].append(v),
+               lambda v: f"categorical feature id must be an integer, got {v!r}"),
+    "num id": (st.sampled_from([0.0, False, "0", None, [0]]),
+               lambda e, v: e["num"].append([v, 1.0]),
+               lambda v: f"numerical feature id must be an integer, got {v!r}"),
+    "num value": (st.sampled_from(["0.5", True, None, [], BIG]),
+                  lambda e, v: e["num"].append([4, v]),
+                  lambda v: f"value of feature 4 must be a finite number, got {v!r}"),
+}
+RANGE_FAULTS = {
+    "code": (st.sampled_from([-1, 8, 9, BIG]), lambda e, v: e.update(code=v),
+             lambda v: f"code {v} outside [0, 8)"),
+    "t": (st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+          lambda e, v: e.update(t=v), lambda v: f"non-finite time {v!r}"),
+    "feature count": (st.integers(0, 4),
+                      lambda e, v: e.update(cat=[0] * v, num=[[1, 0.5]] * (4 - v)),
+                      lambda v: f"{v} categorical + {4 - v} numerical features exceed "
+                                f"maxFeat=3"),
+    "cat id": (st.sampled_from([-1, 5, BIG]), lambda e, v: e["cat"].append(v),
+               lambda v: f"categorical feature id {v} outside [0, 5)"),
+    "num id": (st.sampled_from([-2, 5, -BIG]), lambda e, v: e["num"].append([v, 1.0]),
+               lambda v: f"numerical feature id {v} outside [0, 5)"),
+    "num value": (st.sampled_from([float("nan"), float("inf")]),
+                  lambda e, v: e["num"].append([3, v]),
+                  lambda v: "non-finite value for feature 3"),
+}
+
+# a valid event with at most two features, so that one more fits in maxFeat=3
+VALID_EVENT = st.fixed_dictionaries({
+    "code": st.integers(0, 7),
+    "t": st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000)),
+    "cat": st.lists(st.integers(0, 4), max_size=1),
+    "num": st.lists(st.tuples(st.integers(0, 4),
+                              st.one_of(st.floats(-1e3, 1e3), st.integers(-9, 9)))
+                    .map(list), max_size=1)})
+
+
+@pytest.mark.parametrize("kind, rule", [*(("type", r) for r in TYPE_FAULTS),
+                                        *(("range", r) for r in RANGE_FAULTS)])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_names_the_line_event_and_rule_of_a_single_fault(tmp_path_factory, data,
+                                                               kind, rule):
+    values, spoil, message = (TYPE_FAULTS if kind == "type" else RANGE_FAULTS)[rule]
+    records = data.draw(st.lists(st.lists(VALID_EVENT, min_size=1, max_size=6),
+                                 min_size=1, max_size=3), label="records")
+    line = data.draw(st.integers(0, len(records) - 1), label="line")
+    k = data.draw(st.integers(0, len(records[line]) - 1), label="event")
+    value = data.draw(values, label="value")
+    spoil(records[line][k], value)
+    path = tmp_path_factory.mktemp("fault") / "d.jsonl"
+    write_lines(path, [record(events) for events in records])
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    where = (f"line {line + 1}: bad event {k}" if kind == "type"
+             else f"line {line + 1} event {k}")
+    assert str(exc.value) == f"{where}: {message(value)}"
+
+
 def test_write_load_roundtrip(tmp_path):
     seqs = [ev.EventSequence("p7", 1, [
         ev.ClinicalEvent(2, 0.25, [1], [(0, -3.5)]),

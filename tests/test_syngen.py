@@ -11,22 +11,22 @@ BASE = dict(n_sequences=50, vocab_size=20, seq_len_range=(10, 24),
 
 
 def test_config_rejects_duplicate_markers():
-    with pytest.raises(syngen.SynthConfigError):
+    with pytest.raises(ev.ConfigError):
         syngen.SynthConfig(**{**BASE, "marker_b": 0})
 
 
 def test_config_rejects_marker_outside_vocab():
-    with pytest.raises(syngen.SynthConfigError):
+    with pytest.raises(ev.ConfigError):
         syngen.SynthConfig(**{**BASE, "marker_d": 20})
 
 
 def test_config_rejects_short_sequences():
-    with pytest.raises(syngen.SynthConfigError):
+    with pytest.raises(ev.ConfigError):
         syngen.SynthConfig(**{**BASE, "seq_len_range": (4, 10)})
 
 
 def test_config_rejects_degenerate_fraction():
-    with pytest.raises(syngen.SynthConfigError):
+    with pytest.raises(ev.ConfigError):
         syngen.SynthConfig(**{**BASE, "positive_fraction": 1.0})
 
 
@@ -38,7 +38,7 @@ def test_config_rejects_degenerate_fraction():
     ("base_rate", 1e-310), ("t_signal", 1e308), ("t_signal", 1e-300),
 ])
 def test_config_rejects_a_bad_field_naming_it(field, value):
-    with pytest.raises(syngen.SynthConfigError) as err:
+    with pytest.raises(ev.ConfigError) as err:
         syngen.SynthConfig(**{**BASE, field: value})
     assert err.value.field == field
 
@@ -46,7 +46,7 @@ def test_config_rejects_a_bad_field_naming_it(field, value):
 def test_config_names_the_end_of_a_bad_length_range():
     for bounds, field in (((7, 10), "seq_len_min"), ((10, 9), "seq_len_max"),
                           ((8, 9.5), "seq_len_max")):
-        with pytest.raises(syngen.SynthConfigError) as err:
+        with pytest.raises(ev.ConfigError) as err:
             syngen.SynthConfig(**{**BASE, "seq_len_range": bounds})
         assert err.value.field == field
 
