@@ -293,6 +293,23 @@ def _range_fault(config, codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_v
         (num_values, _finite, lambda i: f"non-finite value for feature {num_ids[i]}")))
 
 
+def _shape_fault(raw):
+    """The message of the first shape rule event ``raw`` breaks, or None: an
+    event is an object with a code and a t, its cat a list of ids and its
+    num a list of [id, value] pairs."""
+    if type(raw) is not dict:
+        return f"event must be a JSON object, got {type(raw).__name__}"
+    for key in ("code", "t"):
+        if key not in raw:
+            return f"missing key {key!r}"
+    if type(raw.get("cat", [])) is not list:
+        return f"cat must be a list of feature ids, got {raw['cat']!r}"
+    num = raw.get("num", [])
+    if type(num) is not list or not all(type(p) is list and len(p) == 2 for p in num):
+        return f"num must be a list of [id, value] pairs, got {num!r}"
+    return None
+
+
 def _check(fault, columns, where):
     """Raise DatasetError when fault(*columns) finds a fault, naming the
     first event k that has one (as where(k)) and the message fault gives
@@ -325,22 +342,27 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
                            f"{type(raw_events).__name__}")
     if not raw_events:
         raise DatasetError(f"{where}: empty event list")
-    codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = (
-        [], [], [0], [], [0], [], [])
-    for k, raw in enumerate(raw_events):
-        try:
+    codes, times, cat_ptr, cat_ids, num_ptr, pairs = [], [], [0], [], [0], []
+    try:
+        for raw in raw_events:
             codes.append(raw["code"])
             times.append(raw["t"])
-            cat_ids.extend(raw.get("cat", []))
-            for fid, v in raw.get("num", []):
-                num_ids.append(fid)
-                num_values.append(v)
-        except (KeyError, TypeError, ValueError) as err:
-            raise DatasetError(f"{where}: bad event {k}: {err}") from None
-        cat_ptr.append(len(cat_ids))
-        num_ptr.append(len(num_ids))
-    columns = (codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values)
-    # every type fault before any range fault: the range rules compare values
+            cat, num = raw.get("cat", []), raw.get("num", [])
+            if type(cat) is not list or type(num) is not list:
+                raise TypeError
+            cat_ids.extend(cat)
+            pairs.extend(num)
+            cat_ptr.append(len(cat_ids))
+            num_ptr.append(len(pairs))
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+            raise TypeError
+    except (KeyError, TypeError):  # some event breaks a shape rule: name the first
+        k, message = next((k, m) for k, m in enumerate(map(_shape_fault, raw_events)) if m)
+        raise DatasetError(f"{where}: bad event {k}: {message}") from None
+    columns = (codes, times, cat_ptr, cat_ids, num_ptr,
+               [fid for fid, _ in pairs], [v for _, v in pairs])
+    # every shape fault before any type fault, and every type fault before
+    # any range fault: the range rules compare values
     _check(_type_fault, columns, lambda k: f"{where}: bad event {k}")
     _check(lambda *c: _range_fault(config, *c), columns, lambda k: f"{where} event {k}")
     seq = EventSequence.from_columns(
@@ -367,6 +389,8 @@ def load_dataset(path, config: DatasetConfig):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DatasetError(f"line {ln}: invalid JSON: {err.msg}") from None
+            except ValueError as err:  # an integer past int's digit limit
+                raise DatasetError(f"line {ln}: {err}") from None
             sequences.append(_parse_record(obj, config, f"line {ln}"))
     if not sequences:
         raise DatasetError(f"{path}: no records")

@@ -2,26 +2,32 @@
 
 Splits L time-sorted events into at most ``max_groups`` contiguous groups
 of at most ``max_group_len`` events while minimizing the largest
-within-group time span. Solved exactly: binary search over the time
-differences t[j] - t[i] with 0 <= j - i < max_group_len (the optimum is
-the span of a group, so always one of them) with a greedy left-to-right
-feasibility check at each threshold.
+within-group time span. Solved exactly: the optimum is the smallest
+threshold at which a greedy left-to-right grouping needs at most
+``max_groups`` groups, and the greedy only changes where the threshold
+passes a lag t[j] - t[i] with 0 <= j - i < max_group_len, so the optimum
+is one of those lags.
 
-The candidates are the (L, max_group_len) lag matrix sorted once, with
-duplicates kept: O(L * max_group_len) memory and one sort. A greedy probe
-hops from group to group: it tests the event after a group's start
-exactly, and only when that event joins does it bisect for the group's
-end and settle it with the exact test, so a probe costs
-O(groups * log max_group_len) rather than O(L).
+The search bisects over threshold values and snaps every probe to a lag.
+A feasible probe gives the same groups at its widest group span, which
+becomes the upper end; an infeasible probe gives the same groups up to
+the smallest lag that closed one of its groups, which becomes the lower
+end. The midpoint is taken over the floats' bit patterns, so the search
+ends within 64 probes at any scale of the times, and no candidate list is
+built or sorted. A greedy probe hops from group to group: it tests the
+event after a group's start exactly, and only when that event joins does
+it bisect for the group's end and settle it with the exact test, so a
+probe costs O(groups * log max_group_len) rather than O(L).
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class InfeasiblePartitionError(ValueError):
@@ -51,27 +57,9 @@ def _check_sorted(times) -> np.ndarray:
     return t
 
 
-def _window_spans(t: np.ndarray, max_group_len: int) -> np.ndarray:
-    """Differences t_j - t_i with 0 <= j - i < max_group_len, sorted, with
-    duplicates kept.
-
-    A group holds at most max_group_len events, so every group span, and
-    hence the optimal minimax span, is in this list. Row i of the lag
-    matrix is t[i:i + max_group_len] - t[i], padded past the end with
-    +inf (each entry the same float as t[k:] - t[:n - k]); the matrix is
-    sorted once and the infinite tail cut off. O(L * max_group_len)
-    memory.
-    """
-    n = t.size
-    w = min(max_group_len, n)
-    padded = np.concatenate([t, np.full(w - 1, np.inf)])
-    lags = np.sort(sliding_window_view(padded, w) - t[:, None], axis=None)
-    return lags[:n * w - w * (w - 1) // 2]
-
-
 def _greedy(times: list, threshold: float, max_group_len: int, limit=None):
-    """The greedy groups over Python floats; None as soon as there are
-    more than ``limit`` of them.
+    """The greedy groups over Python floats, as (groups, widest,
+    next_lag); groups is None as soon as there are more than ``limit``.
 
     An event joins the open group while its time minus the group's first
     time is at most ``threshold``. That test is monotone along the sorted
@@ -79,11 +67,20 @@ def _greedy(times: list, threshold: float, max_group_len: int, limit=None):
     threshold and then settled by the exact test, stepping left or right,
     because the sum can round either way. The event after the start is
     tested exactly first, so a singleton group costs no bisect.
+
+    ``widest`` is the largest span of the groups made: a probe that placed
+    every event makes the same groups at threshold ``widest``. When the
+    probe stops at ``limit``, ``next_lag`` is the smallest t[end] - t[start]
+    of its groups that the span test closed, not the size cap: the probe
+    stops in the same groups at every threshold from ``threshold`` up to,
+    not including, ``next_lag``. It is None when every event was placed,
+    so a feasible probe does no work for it.
     """
     groups = []
     n = len(times)
     if limit is None:
         limit = n  # never reached before the last group
+    widest = 0.0  # the span of a singleton
     start = 0
     while start < n:
         t_start = times[start]
@@ -97,11 +94,27 @@ def _greedy(times: list, threshold: float, max_group_len: int, limit=None):
                 end -= 1
             while end < cap and not times[end] - t_start > threshold:
                 end += 1
+            span = times[end - 1] - t_start
+            if span > widest:
+                widest = span
         groups.append((start, end))
         if len(groups) >= limit and end < n:
-            return None
+            # every group ended before n, so the span test closed those
+            # shorter than max_group_len
+            next_lag = math.inf
+            for s, e in groups:
+                if e - s < max_group_len and times[e] - times[s] < next_lag:
+                    next_lag = times[e] - times[s]
+            return None, widest, next_lag
         start = end
-    return groups
+    return groups, widest, None
+
+
+def _bisect_float(lo: float, hi: float) -> float:
+    """The float halfway between 0 <= lo < hi in order: the mean of their
+    bit patterns, which sort as non-negative floats do, so lo <= mid < hi."""
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+    return struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
 
 
 def greedy_feasible(times, threshold: float, max_groups: int, max_group_len: int):
@@ -114,19 +127,21 @@ def greedy_feasible(times, threshold: float, max_groups: int, max_group_len: int
     Returns (feasible, groups) with groups as [start, end) index pairs.
     """
     t = _check_sorted(times)
-    groups = _greedy(t.tolist(), float(threshold), max_group_len)
+    groups = _greedy(t.tolist(), float(threshold), max_group_len)[0]
     return len(groups) <= max_groups, groups
 
 
 def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
     """Exact minimax-span partition of sorted times.
 
-    Binary search for the smallest candidate span (see _window_spans) the
-    greedy can satisfy with at most max_groups groups; the groups returned
-    are the canonical greedy grouping at that threshold, so the result is
-    deterministic. The smallest candidate is always 0.0 and feasibility is
-    monotone in the threshold, so when the greedy at 0.0 is feasible it is
-    the answer and the candidate list is never built.
+    The answer is the canonical greedy grouping at the smallest threshold
+    the greedy can satisfy with at most max_groups groups, so the result
+    is deterministic. Feasibility is monotone in the threshold, so when
+    the greedy at 0.0 is feasible it is the answer. Otherwise the search
+    keeps lo <= optimum <= hi, from the 0.0 probe's next lag and the
+    total span, and probes between them (see _bisect_float): a feasible
+    probe sets hi to its widest span and keeps its groups, an infeasible
+    one sets lo to its next lag, until lo == hi.
     """
     if max_groups < 1 or max_group_len < 1:
         raise ValueError("max_groups and max_group_len must be >= 1")
@@ -136,18 +151,18 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
             f"{t.size} events cannot fit into {max_groups} groups of "
             f"at most {max_group_len}")
     tl = t.tolist()
-    groups = _greedy(tl, 0.0, max_group_len, max_groups)
+    groups, _, lo = _greedy(tl, 0.0, max_group_len, max_groups)
     if groups is None:
-        # a binary search reads a few dozen of the O(L * max_group_len)
-        # candidates, so they stay one numpy array; the zeros just failed
-        cands = _window_spans(t, max_group_len)
-        lo, hi = int(np.searchsorted(cands, 0.0, side="right")), cands.size - 1
+        # only max_group_len binds at the total span, which is feasible
+        hi = tl[-1] - tl[0]
         while lo < hi:
-            mid = (lo + hi) // 2
-            if _greedy(tl, float(cands[mid]), max_group_len, max_groups) is not None:
-                hi = mid
+            probe, widest, next_lag = _greedy(
+                tl, _bisect_float(lo, hi), max_group_len, max_groups)
+            if probe is None:
+                lo = next_lag
             else:
-                lo = mid + 1
-        groups = _greedy(tl, float(cands[lo]), max_group_len)
+                groups, hi = probe, widest
+        if groups is None:
+            groups = _greedy(tl, hi, max_group_len)[0]
     spans = tuple(tl[e - 1] - tl[s] for s, e in groups)
     return Partition(groups=tuple(groups), spans=spans, minimax_span=max(spans))

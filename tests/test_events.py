@@ -191,6 +191,38 @@ def test_load_checks_every_id_of_an_event_before_its_values(tmp_path, num, messa
     assert load_error(tmp_path / "d.jsonl", [{"code": 1, "t": 0.0, "num": num}]) == message
 
 
+@pytest.mark.parametrize("event, message", [
+    ([1, 2], "event must be a JSON object, got list"),
+    ("x", "event must be a JSON object, got str"),
+    ({"t": 0.0}, "missing key 'code'"),
+    ({"code": 1, "t": 0.0, "cat": "12"}, "cat must be a list of feature ids, got '12'"),
+    ({"code": 1, "t": 0.0, "cat": None}, "cat must be a list of feature ids, got None"),
+    ({"code": 1, "t": 0.0, "num": [[1]]},
+     "num must be a list of [id, value] pairs, got [[1]]"),
+    ({"code": 1, "t": 0.0, "num": [[1, 0.5, 2]]},
+     "num must be a list of [id, value] pairs, got [[1, 0.5, 2]]"),
+    ({"code": 1, "t": 0.0, "num": ["ab"]},
+     "num must be a list of [id, value] pairs, got ['ab']"),
+    ({"code": 1, "t": 0.0, "num": 5}, "num must be a list of [id, value] pairs, got 5"),
+])
+def test_load_names_the_event_and_rule_of_a_malformed_event(tmp_path, event, message):
+    # a shape fault comes before the type fault of an earlier event
+    events = plain(3)
+    events[0]["code"], events[2] = "1", event
+    assert load_error(tmp_path / "d.jsonl", events) == f"line 2: bad event 2: {message}"
+
+
+def test_load_names_the_line_of_an_integer_past_the_digit_limit(tmp_path):
+    # json.loads refuses to convert an integer of more than 4300 digits
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([{"code": 0, "t": 0.0}])])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"patient_id": "a", "label": 0, "events": [{"code": 1%s, "t": 0}]}\n'
+                 % ("0" * 5000))
+    with pytest.raises(ev.DatasetError, match="^line 2: .*4300 digits"):
+        ev.load_dataset(path, CFG)
+
+
 # rule -> (values that break it, how one of them breaks an event, and the
 # message of the error it makes); the type rules, then the range rules of CFG
 BIG = 10 ** 400  # a JSON integer no float holds

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrm import partition
@@ -178,7 +178,7 @@ def test_hopping_greedy_matches_linear_scan(times, max_group_len, data):
     threshold = float(data.draw(st.sampled_from(candidate_spans(times))))
     limit = data.draw(st.integers(min_value=1, max_value=len(times)))
     for lim in (None, limit):
-        assert partition._greedy(times, threshold, max_group_len, lim) == \
+        assert partition._greedy(times, threshold, max_group_len, lim)[0] == \
             linear_greedy(times, threshold, max_group_len, lim)
 
 
@@ -197,7 +197,30 @@ def test_hopping_greedy_settles_rounded_ends_exactly(times, threshold, groups, t
     times = times[:1] * ties + times
     want = [(0, groups[0][1] + ties)] + [(s + ties, e + ties) for s, e in groups[1:]]
     assert linear_greedy(times, threshold, 8) == want
-    assert partition._greedy(times, threshold, 8) == want
+    assert partition._greedy(times, threshold, 8)[0] == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_probe_times, st.integers(min_value=1, max_value=12), st.data())
+def test_greedy_widest_and_next_lag_match_linear_scan(times, max_group_len, data):
+    # the values the search steps by, recomputed from the oracle's groups,
+    # and the property each one is used for
+    spans = candidate_spans(times)
+    threshold = float(data.draw(st.sampled_from(spans)))
+    limit = data.draw(st.integers(min_value=1, max_value=len(times)))
+    full = linear_greedy(times, threshold, max_group_len)
+    made = full[:limit]
+    groups, widest, next_lag = partition._greedy(times, threshold, max_group_len, limit)
+    assert widest == max(times[e - 1] - times[s] for s, e in made)
+    if len(full) <= limit:
+        assert groups == full and next_lag is None
+        assert linear_greedy(times, widest, max_group_len) == full
+        return
+    assert groups is None
+    closed = [times[e] - times[s] for s, e in made if e - s < max_group_len]
+    assert next_lag == min(closed, default=np.inf)
+    below = spans[(spans >= threshold) & (spans < next_lag)]
+    assert linear_greedy(times, float(below[-1]), max_group_len)[:limit] == made
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +361,58 @@ def test_zero_threshold_fast_path_matches_binary_search():
         assert (part.groups, part.spans, part.minimax_span) == \
             all_pairs_partition(t, m, lg), (trial, n, lg, m)
     assert 300 < fast < 900
+
+
+_mixed_scales = st.lists(
+    st.builds(lambda sign, digit, exp: sign * digit * 10.0 ** exp,
+              st.sampled_from([-1.0, 1.0]), st.integers(1, 9), st.integers(-300, 300)),
+    min_size=1, max_size=40).map(sorted)
+
+
+@st.composite
+def _partition_cases(draw):
+    times = draw(_mixed_scales if draw(st.booleans()) else _probe_times)
+    max_group_len = draw(st.integers(min_value=1, max_value=12))
+    # at capacity, M is the fewest groups of max_group_len that hold the times
+    max_groups = -(-len(times) // max_group_len) + draw(st.integers(0, 3))
+    return times, max_groups, max_group_len
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_partition_cases())
+def test_threshold_search_matches_all_pairs_search(case):
+    times, m, lg = case
+    part = optimal_partition(times, m, lg)
+    assert (part.groups, part.spans, part.minimax_span) == \
+        all_pairs_partition(times, m, lg)
+
+
+def _float_gap(lo, hi):
+    return int(np.array([hi]).view(np.int64)[0] - np.array([lo]).view(np.int64)[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_partition_cases())
+# candidates spread over 120 binary orders, each probe's widest span just
+# below its threshold: a bisection by value would take a probe per order
+@example(([2.0 ** k for k in range(-60, 61)], 120, 121))
+def test_threshold_search_probes_halve_the_float_gap(case):
+    # each search probe at least halves the count of floats between the
+    # bounds, which starts below 2**63, so a call makes at most 65 probes
+    times, m, lg = case
+    calls = []
+    real = partition._greedy
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_greedy", counted)
+        optimal_partition(times, m, lg)
+    first_lag = calls[0][2]
+    if first_lag is None:
+        assert len(calls) == 1
+    else:
+        gap = _float_gap(first_lag, times[-1] - times[0])
+        assert len(calls) <= 2 + gap.bit_length() <= 65
