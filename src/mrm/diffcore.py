@@ -602,17 +602,20 @@ def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
         entering = np.where(tt > 0, first[tt - 1] + jj, -1)
         h_in = np.concatenate([h_out, np.zeros((1, hid))])[entering]
         c_in = np.concatenate([c_out, np.zeros((1, hid))])[entering]
+        tanh_deriv = 1.0 - tanh_c * tanh_c
         for t in range(steps - 1, -1, -1):
             rows, n = slice(first[t], first[t + 1]), running[t]
             a = gates[rows]
-            tc = tanh_c[rows]
             dh_t = dh[:n]
-            dc_t = dc[:n] + dh_t * a[:, 3 * hid:] * (1.0 - tc * tc)
-            da = np.concatenate([dc_t * a[:, 2 * hid:3 * hid], dc_t * c_in[rows],
-                                 dc_t * a[:, :hid], dh_t * tc], axis=1)
-            dz = da * deriv[rows]
-            dpre[rows] = dz
-            dh[:n] = dz @ w_hidden.data
+            dc_t = dc[:n] + dh_t * a[:, 3 * hid:] * tanh_deriv[rows]
+            # the gate gradients, written straight into their dpre rows
+            dz = dpre[rows]
+            np.multiply(dc_t, a[:, 2 * hid:3 * hid], out=dz[:, :hid])
+            np.multiply(dc_t, c_in[rows], out=dz[:, hid:2 * hid])
+            np.multiply(dc_t, a[:, :hid], out=dz[:, 2 * hid:3 * hid])
+            np.multiply(dh_t, tanh_c[rows], out=dz[:, 3 * hid:])
+            dz *= deriv[rows]
+            np.matmul(dz, w_hidden.data, out=dh[:n])
             dc[:n] = dc_t * a[:, hid:2 * hid]
         _accum(w_input, dpre.T @ x_rows)
         _accum(w_hidden, dpre.T @ h_in)

@@ -101,14 +101,26 @@ class EvalReport:
 def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndarray:
     """Forward probabilities for a list of sequences, no graph kept.
 
-    kind must be params.kind (ConfigError otherwise). The sequences are
-    sorted by length and scored in chunks of at most config.capacity()
-    (truncated) events, one forward_batch call each, so a chunk costs
-    about as much memory as one sequence of maximal length and the LSTM
-    carries little padding. Scores come back in input order.
+    kind must be params.kind (ConfigError otherwise). One mrm sequence
+    goes through model.forward, the single-sequence entry point. Otherwise
+    scoring takes two passes. The sequences are sorted by length and their
+    per-event layers (model.group_vectors) run in chunks of at most
+    config.capacity() truncated events, so a chunk costs about as much
+    memory as one sequence of maximal length. The pooled rows of
+    consecutive chunks are then buffered and scored by one model.outcome
+    call (one LSTM and head) per at most config.capacity() rows, which
+    bounds the LSTM's buffers the same way. An mrm chunk has at most
+    max_groups rows per sequence, so many chunks share one LSTM call; a
+    plain_lstm chunk has one row per event and is scored alone. Scores
+    come back in input order.
     """
     if kind != params.kind:
         raise ConfigError(f"cannot score {params.kind!r} params as a {kind!r} model")
+    if kind == "mrm" and len(seqs) == 1:
+        with dc.no_grad():
+            y_hat, _ = mrm_model.forward(seqs[0], params, config,
+                                         None if partitions is None else partitions[0])
+        return y_hat.data.reshape(1)
     scores = np.empty(len(seqs))
     cap = config.capacity()
     lengths = [min(len(s), cap) for s in seqs]
@@ -120,18 +132,35 @@ def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndar
         chunks[-1].append(i)
         size += lengths[i]
     with dc.no_grad():
+        pending, rows = [], 0  # (chunk, pooled rows, offsets) awaiting the LSTM
         for chunk in chunks:
             parts = None if partitions is None else [partitions[i] for i in chunk]
-            # one mrm sequence goes through forward, the single-sequence
-            # entry point, which perfbench's tracer times per call
-            if kind == "mrm" and len(chunk) == 1:
-                y_hat = mrm_model.forward(seqs[chunk[0]], params, config,
-                                          None if parts is None else parts[0])[0]
-            else:
-                y_hat = mrm_model.forward_batch([seqs[i] for i in chunk], params,
-                                                config, parts)
-            scores[chunk] = y_hat.data
+            x, offsets = mrm_model.group_vectors([seqs[i] for i in chunk], params,
+                                                 config, parts)
+            if rows + x.shape[0] > cap:  # never on the first: a chunk fits
+                _score_pooled(pending, params, scores)
+                pending, rows = [], 0
+            pending.append((chunk, x, offsets))
+            rows += x.shape[0]
+        if pending:
+            _score_pooled(pending, params, scores)
     return scores
+
+
+def _score_pooled(pending, params, scores):
+    """One model.outcome call over the pooled rows of the pending (chunk,
+    rows, offsets) triples; writes the scores of their sequences."""
+    # one chunk (a small cohort, or any plain_lstm chunk) is scored from its
+    # rows as they are: the copy and the offset list cost short cohorts ~2 %
+    if len(pending) == 1:
+        index, x, ends = pending[0]
+    else:
+        index = [i for chunk, _, _ in pending for i in chunk]
+        ends = [0]
+        for _, _, offsets in pending:
+            ends.extend(offsets[1:] + ends[-1])
+        x = dc.Tensor(np.concatenate([rows.data for _, rows, _ in pending]))
+    scores[index] = mrm_model.outcome(x, ends, params).data
 
 
 _SPLITS = ("train", "valid", "test")

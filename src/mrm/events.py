@@ -389,7 +389,9 @@ def load_dataset(path, config: DatasetConfig):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DatasetError(f"line {ln}: invalid JSON: {err.msg}") from None
-            except ValueError as err:  # an integer past int's digit limit
+            # an integer past int's digit limit, or nesting past the
+            # interpreter's recursion limit
+            except (ValueError, RecursionError) as err:
                 raise DatasetError(f"line {ln}: {err}") from None
             sequences.append(_parse_record(obj, config, f"line {ln}"))
     if not sequences:

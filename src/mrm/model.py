@@ -5,10 +5,12 @@ it with multi-head attention restricted to events within window_hours
 (keeping only the topk strongest scores per query), compress the sequence
 with the minimax-span partition and per-group max pooling, then run an
 LSTM over the group vectors and squash the last hidden state into an
-outcome probability. forward_batch runs a whole batch as one concatenated
-sequence: one encoding node, one attention node whose windows stop at the
-seams, one pooling node, one LSTM node and one head node, whatever the
-batch size; the loss adds one more.
+outcome probability. group_vectors runs the per-event layers of a whole
+batch as one concatenated sequence: one encoding node, one attention node
+whose windows stop at the seams and one pooling node. outcome runs one
+LSTM node and one head node over the group vectors of any number of
+sequences. forward_batch is the two in a row, so a batch is one node per
+layer whatever its size; the loss adds one more.
 """
 
 from __future__ import annotations
@@ -288,18 +290,17 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
 
 
-def forward_batch(seqs, params: MrmParams, config: MrmConfig,
-                  partitions=None) -> dc.Tensor:
-    """Outcome probabilities of a batch of sequences as a (B,) tensor.
+def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
+    """The per-event layers of a batch -> (x, offsets): the rows the LSTM
+    reads, sequence b at x[offsets[b]:offsets[b + 1]].
 
     Every sequence is truncated to its most recent max_groups *
     max_group_len events, and the batch is encoded as one concatenated
     sequence. params.kind selects the model: "mrm" runs attention with
     windows that stop at the seams and max-pools each group of every
     sequence's partition (partitions[i], which must tile the truncated
-    events, or computed when partitions is None); "plain_lstm" feeds the
-    event vectors straight to the LSTM. One LSTM op then runs over the
-    whole batch and one logistic op scores its last hidden states.
+    events, or computed when partitions is None), one row per group;
+    "plain_lstm" returns the event vectors, one row per event.
     """
     used = [_truncate(seq, config)[0] for seq in seqs]
     lengths = [len(seq) for seq in used]
@@ -316,9 +317,25 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig,
         x = dc.group_maxpool(x, np.concatenate(
             [np.add(s, offset) for s, offset in zip(starts, offsets)]))
         offsets = _offsets([len(s) for s in starts])
+    return x, offsets
+
+
+def outcome(x: dc.Tensor, offsets, params: MrmParams) -> dc.Tensor:
+    """Outcome probabilities of the sequences whose rows x holds, split at
+    offsets as group_vectors returns them, as a (B,) tensor: one LSTM op
+    over all of them and one logistic op on its last hidden states."""
     w = params.named()
     h_last = dc.lstm(x, offsets, w["lstm.w_input"], w["lstm.w_hidden"], w["lstm.bias"])
     return dc.logistic(h_last, w["output.weight"], w["output.bias"])
+
+
+def forward_batch(seqs, params: MrmParams, config: MrmConfig,
+                  partitions=None) -> dc.Tensor:
+    """Outcome probabilities of a batch of sequences as a (B,) tensor:
+    outcome of group_vectors, so a batch is one graph of one node per
+    layer (embed, windowed_attention and group_maxpool for "mrm", then
+    lstm and logistic)."""
+    return outcome(*group_vectors(seqs, params, config, partitions), params)
 
 
 def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,

@@ -221,6 +221,49 @@ def lstm_steps_oracle(pre, first, running, w_hidden):
     return gates, c_out, tanh_c, h_out
 
 
+def lstm_backward_oracle(x, offsets, w_input, w_hidden, bias, g):
+    """(dx, dw_input, dw_hidden, dbias) of diffcore.lstm's (B, H) output
+    for its gradient g: backprop through time over the step-major layout,
+    from lstm_steps_oracle's forward values, each step's gate gradients
+    made as new arrays, joined by one concatenate and copied into place.
+    The byte oracle of lstm's backward."""
+    offsets = np.asarray(offsets)
+    lengths = np.diff(offsets)
+    hid = w_hidden.shape[1]
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    steps = int(lengths[0])
+    running = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
+    first = np.concatenate([[0], np.cumsum(running)])
+    tt, jj = np.nonzero(np.arange(steps)[:, None] < lengths[None, :])
+    src = offsets[order][jj] + tt
+    x_rows = x[src]
+    gates, c_out, tanh_c, h_out = lstm_steps_oracle(x_rows @ w_input.T + bias, first,
+                                                    running, w_hidden)
+    dh = g[order]
+    dc = np.zeros_like(dh)
+    dpre = np.empty((len(src), 4 * hid))
+    deriv = gates * (1.0 - gates)
+    g_gate = gates[:, 2 * hid:3 * hid]
+    deriv[:, 2 * hid:3 * hid] = 1.0 - g_gate * g_gate
+    entering = np.where(tt > 0, first[tt - 1] + jj, -1)
+    h_in = np.concatenate([h_out, np.zeros((1, hid))])[entering]
+    c_in = np.concatenate([c_out, np.zeros((1, hid))])[entering]
+    for t in range(steps - 1, -1, -1):
+        rows, n = slice(first[t], first[t + 1]), running[t]
+        a, tc = gates[rows], tanh_c[rows]
+        dc_t = dc[:n] + dh[:n] * a[:, 3 * hid:] * (1.0 - tc * tc)
+        da = np.concatenate([dc_t * a[:, 2 * hid:3 * hid], dc_t * c_in[rows],
+                             dc_t * a[:, :hid], dh[:n] * tc], axis=1)
+        dz = da * deriv[rows]
+        dpre[rows] = dz
+        dh[:n] = dz @ w_hidden
+        dc[:n] = dc_t * a[:, hid:2 * hid]
+    dx = np.empty_like(x)
+    dx[src] = dpre @ w_input
+    return dx, dpre.T @ x_rows, dpre.T @ h_in, dpre.sum(axis=0)
+
+
 def candidate_spans(times) -> np.ndarray:
     """All distinct pairwise differences t_j - t_i (j >= i) of sorted
     times, sorted. The optimal minimax span is the span of some contiguous

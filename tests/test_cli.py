@@ -294,6 +294,22 @@ def test_a_dataset_file_without_records_exits_2(tmp_path, dataset, capsys, comma
     assert "Traceback" not in captured.err
 
 
+def test_inspect_on_json_nested_past_the_recursion_limit_exits_2(tmp_path, dataset,
+                                                                 capsys):
+    deep = tmp_path / "deep.jsonl"
+    depth = 200_000
+    deep.write_text(dataset.read_text().splitlines()[0] + "\n"
+                    + '{"patient_id": "a", "label": 0, "events": %s%s}\n'
+                    % ("[" * depth, "]" * depth))
+    (tmp_path / "deep.jsonl.config").write_text(
+        (tmp_path / "data.jsonl.config").read_text())
+    assert cli.main(["inspect", "--data", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: line 2: maximum recursion depth exceeded" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("model", ["mrm", "lr"])
 def test_evaluate_on_one_class_exits_2_before_printing(tmp_path, dataset, capsys, model):
     ckpt = tmp_path / "m.npz"

@@ -3,7 +3,7 @@ import pytest
 
 from mrm import diffcore as dc
 
-from .conftest import lstm_steps_oracle, sigmoid_oracle
+from .conftest import lstm_backward_oracle, lstm_steps_oracle, sigmoid_oracle
 
 
 def t(data, grad=True):
@@ -312,6 +312,18 @@ def test_lstm_steps_in_place_give_the_bits_of_new_arrays(monkeypatch, scale):
         with monkeypatch.context() as patch:
             patch.setattr(dc, "_lstm_steps", lstm_steps_oracle)
             assert _lstm_bytes(*arrays) == got
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 40.0])  # 40: saturated gates
+def test_lstm_backward_gives_the_bits_of_the_oracle(scale):
+    rng = np.random.default_rng(int(scale * 10) + 1)
+    d, hid = 5, 6
+    for lengths in ([1], [7], [3, 1, 6, 2, 6, 4], [1, 30, 12] * 4):
+        arrays = (rng.normal(scale=scale, size=(sum(lengths), d)), _offsets(lengths),
+                  rng.normal(size=(4 * hid, d)), rng.normal(size=(4 * hid, hid)),
+                  rng.normal(size=4 * hid), rng.normal(size=(len(lengths), hid)))
+        want = [a.tobytes() for a in lstm_backward_oracle(*arrays)]
+        assert _lstm_bytes(*arrays)[1:] == want
 
 
 def test_lstm_rejects_mismatched_shapes():

@@ -186,46 +186,119 @@ def test_train_returns_params_usable_for_scoring():
     assert report.n_pos + report.n_neg == len(splits[2])
 
 
+def _scoring_config(max_groups=3, max_group_len=4):
+    return mm.MrmConfig(n_codes=12, n_features=6, max_features=3, model_dim=8,
+                        n_heads=2, head_dim=4, topk=2, window_hours=0.5,
+                        max_groups=max_groups, max_group_len=max_group_len)
+
+
+def _scoring_sequence(rng, n, name):
+    times = np.sort(np.round(rng.uniform(0.0, 4.0, size=n), 1))  # some ties
+    return ev.EventSequence(name, int(n % 2), [
+        ev.ClinicalEvent(int(rng.integers(0, 12)), float(t), [int(rng.integers(0, 6))],
+                         [(int(rng.integers(0, 6)), float(rng.normal()))])
+        for t in times])
+
+
+def _spy_on_the_two_passes(monkeypatch):
+    """Record the sequences of every model.group_vectors call, the rows of
+    every model.outcome call and the sequence of every model.forward
+    call."""
+    chunks, rows, forwards = [], [], []
+    group_vectors, outcome, forward = mm.group_vectors, mm.outcome, mm.forward
+
+    def group_vectors_spy(batch, *args, **kwargs):
+        chunks.append(list(batch))
+        return group_vectors(batch, *args, **kwargs)
+
+    def outcome_spy(x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return outcome(x, *args, **kwargs)
+
+    def forward_spy(seq, *args, **kwargs):
+        forwards.append(seq)
+        return forward(seq, *args, **kwargs)
+
+    monkeypatch.setattr(mm, "group_vectors", group_vectors_spy)
+    monkeypatch.setattr(mm, "outcome", outcome_spy)
+    monkeypatch.setattr(mm, "forward", forward_spy)
+    return chunks, rows, forwards
+
+
+def _check_two_passes(kind, seqs, config, spies, seed=8):
+    """score_sequences on seqs: each sequence in one event chunk of at most
+    capacity() truncated events, at most capacity() rows per outcome call,
+    mrm scores within 1e-12 of forward, plain_lstm scores the bytes of
+    forward_batch over each chunk, and a one-sequence mrm call one forward
+    call and its bytes. Returns the number of event chunks and of outcome
+    calls."""
+    cap = config.capacity()
+    params = mm.MrmParams.init(config, seed=seed, kind=kind)
+    for spy in spies:
+        spy.clear()
+    scores = em.score_sequences(kind, params, seqs, config)
+    seen_chunks, seen_rows, seen_forwards = map(list, spies)
+    assert scores.shape == (len(seqs),)
+    if len(seqs) == 1 and kind == "mrm":
+        assert seen_forwards == seqs
+        want = mm.forward(seqs[0], params, config)[0].data
+        assert scores.tobytes() == want.reshape(1).tobytes()
+        return len(seen_chunks), len(seen_rows)
+    assert seen_forwards == []
+    assert sorted(id(s) for chunk in seen_chunks for s in chunk) == sorted(map(id, seqs))
+    assert all(sum(min(len(s), cap) for s in chunk) <= cap for chunk in seen_chunks)
+    assert all(n <= cap for n in seen_rows), seen_rows
+    position = {id(s): i for i, s in enumerate(seqs)}
+    for chunk in seen_chunks:
+        index = [position[id(s)] for s in chunk]
+        if kind == "mrm":
+            for i in index:
+                want = mm.forward(seqs[i], params, config)[0].item()
+                assert abs(scores[i] - want) < 1e-12, seqs[i].patient_id
+        else:
+            want = mm.forward_batch(chunk, params, config).data
+            assert scores[index].tobytes() == want.tobytes()
+    if kind == "mrm":
+        parts = [mm.sequence_partition(s, config) for s in seqs]
+        assert np.array_equal(em.score_sequences(kind, params, seqs, config, parts),
+                              scores)
+    return len(seen_chunks), len(seen_rows)
+
+
 def test_score_sequences_chunks_by_capacity_and_keeps_input_order(monkeypatch):
     # capacity 12 against lengths 1..20 in shuffled order (some truncated):
-    # many chunks, each scored by one forward_batch call
-    config = mm.MrmConfig(n_codes=12, n_features=6, max_features=3, model_dim=8,
-                          n_heads=2, head_dim=4, topk=2, window_hours=0.5,
-                          max_groups=3, max_group_len=4)
+    # many event chunks; mrm pools them into few outcome calls, plain_lstm
+    # scores each chunk alone
+    config = _scoring_config()
     rng = np.random.default_rng(8)
-    seqs = []
-    for n in rng.permutation(np.arange(1, 21)):
-        times = np.sort(rng.uniform(0.0, 4.0, size=n))
-        seqs.append(ev.EventSequence(f"p{n}", int(n % 2), [
-            ev.ClinicalEvent(int(rng.integers(0, 12)), float(t), [int(rng.integers(0, 6))],
-                             [(int(rng.integers(0, 6)), float(rng.normal()))])
-            for t in times]))
-    calls = []
-    real = mm.forward_batch
-
-    def spy(batch, *args, **kwargs):
-        calls.append(sum(min(len(s), config.capacity()) for s in batch))
-        return real(batch, *args, **kwargs)
-
-    monkeypatch.setattr(mm, "forward_batch", spy)
+    seqs = [_scoring_sequence(rng, int(n), f"p{n}")
+            for n in rng.permutation(np.arange(1, 21))]
+    spies = _spy_on_the_two_passes(monkeypatch)
+    n_chunks, n_calls = _check_two_passes("mrm", seqs, config, spies)
+    assert n_chunks >= 3 and n_calls < n_chunks
+    n_chunks, n_calls = _check_two_passes("plain_lstm", seqs, config, spies)
+    assert n_chunks >= 3 and n_calls == n_chunks
     for kind in ("mrm", "plain_lstm"):
+        _check_two_passes(kind, seqs[:1], config, spies)
         params = mm.MrmParams.init(config, seed=8, kind=kind)
-        calls.clear()
-        scores = em.score_sequences(kind, params, seqs, config)
-        assert len(calls) >= 3 and max(calls) <= config.capacity(), calls
-        assert sum(calls) == sum(min(len(s), config.capacity()) for s in seqs)
-        for score, seq in zip(scores, seqs):
-            if kind == "mrm":
-                want = mm.forward(seq, params, config)[0].item()
-            else:
-                want = mm.forward_batch([seq], params, config).data[0]
-            assert abs(score - want) < 1e-12, (kind, seq.patient_id)
-        if kind == "mrm":
-            parts = [mm.sequence_partition(s, config) for s in seqs]
-            assert np.array_equal(em.score_sequences(kind, params, seqs, config, parts),
-                                  scores)
         empty = em.score_sequences(kind, params, [], config)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("max_groups, max_group_len", [(1, 1), (1, 4), (3, 1), (3, 4)])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_two_pass_scoring_of_random_cohorts(max_groups, max_group_len, data):
+    # lengths up to three capacities; capacity 1 makes every event a chunk
+    config = _scoring_config(max_groups, max_group_len)
+    cap = config.capacity()
+    lengths = data.draw(st.lists(st.integers(1, 3 * cap), min_size=1, max_size=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    seqs = [_scoring_sequence(rng, n, f"p{i}") for i, n in enumerate(lengths)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spies = _spy_on_the_two_passes(monkeypatch)
+        for kind in ("mrm", "plain_lstm"):
+            _check_two_passes(kind, seqs, config, spies)
 
 
 def test_score_sequences_rejects_a_kind_other_than_the_params():

@@ -223,6 +223,18 @@ def test_load_names_the_line_of_an_integer_past_the_digit_limit(tmp_path):
         ev.load_dataset(path, CFG)
 
 
+def test_load_names_the_line_of_json_nested_past_the_recursion_limit(tmp_path):
+    # json.loads raises RecursionError on a line nested 200,000 arrays deep
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([{"code": 0, "t": 0.0}])])
+    depth = 200_000
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"patient_id": "a", "label": 0, "events": %s%s}\n'
+                 % ("[" * depth, "]" * depth))
+    with pytest.raises(ev.DatasetError, match="^line 2: .*recursion"):
+        ev.load_dataset(path, CFG)
+
+
 # rule -> (values that break it, how one of them breaks an event, and the
 # message of the error it makes); the type rules, then the range rules of CFG
 BIG = 10 ** 400  # a JSON integer no float holds

@@ -946,6 +946,30 @@ def test_forward_batch_matches_per_sequence_forward():
         assert abs(p - one.data[0]) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+def test_forward_batch_is_the_outcome_of_the_group_vectors(kind):
+    rng = np.random.default_rng(47)
+    config = small_config(max_groups=3, max_group_len=4)
+    seqs = _mixed_batch(rng, config)
+    labels = np.array([s.label for s in seqs])
+    x, offsets = mm.group_vectors(seqs, mm.MrmParams.init(config, seed=47, kind=kind),
+                                  config)
+    rows = ([len(mm.sequence_partition(s, config).groups) for s in seqs]
+            if kind == "mrm" else [min(len(s), config.capacity()) for s in seqs])
+    assert x.shape == (sum(rows), config.model_dim)
+    assert np.diff(offsets).tolist() == rows
+    runs = []
+    for build in (lambda p: mm.forward_batch(seqs, p, config),
+                  lambda p: mm.outcome(*mm.group_vectors(seqs, p, config), p)):
+        params = mm.MrmParams.init(config, seed=47, kind=kind)
+        y_hat = build(params)
+        total = mm.loss(y_hat, labels)
+        total.backward()
+        runs.append([y_hat.data.tobytes(), total.data.tobytes()]
+                    + [t.grad.tobytes() for t in params.named().values()])
+    assert runs[0] == runs[1]
+
+
 def test_forward_batch_sequences_do_not_interact():
     # b's events first sit 1000 h after a's, then exactly on a's times, with
     # other codes and features; a's and c's probabilities must not move by
