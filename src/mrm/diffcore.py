@@ -354,7 +354,7 @@ def group_maxpool(x: Tensor, starts) -> Tensor:
         raise ShapeError(f"group_maxpool: need a matrix, got shape {x.shape}")
     n = x.shape[0]
     if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
-            or starts[-1] >= n or np.any(np.diff(starts) <= 0)):
+            or starts[-1] >= n or (starts[1:] <= starts[:-1]).any()):
         raise ShapeError(f"group_maxpool: {starts.size} group starts do not "
                          f"split the {n} rows of x in order")
     if starts.size == n:
@@ -420,8 +420,8 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     lo, hi = np.asarray(lo), np.asarray(hi)
     i = np.arange(n)
     if not (n and lo.shape == hi.shape == (n,) and lo.dtype.kind in "iu"
-            and hi.dtype.kind in "iu" and np.all((lo >= 0) & (lo <= i) & (i < hi))
-            and hi[-1] <= n and np.all(lo[1:] >= lo[:-1]) and np.all(hi[1:] >= hi[:-1])):
+            and hi.dtype.kind in "iu" and ((lo >= 0) & (lo <= i) & (i < hi)).all()
+            and hi[-1] <= n and (lo[1:] >= lo[:-1]).all() and (hi[1:] >= hi[:-1]).all()):
         raise ShapeError(f"windowed_attention: the windows [lo, hi) of the {n} rows "
                          f"must be non-decreasing with 0 <= lo[i] <= i < hi[i] <= {n}")
     lo, hi = lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False)
@@ -431,7 +431,7 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
                        for role in range(3))
     q = q.reshape(n, n_heads, head_dim)
     size = hi - lo
-    k = min(topk, int(np.max(size)))
+    k = min(topk, int(size.max()))
     out = np.empty((n, n_heads, head_dim))
     rows = np.empty((n, n_heads, k), dtype=np.intp)
     p = np.empty((n, n_heads, k))
@@ -566,10 +566,10 @@ def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
     offsets = np.asarray(offsets, dtype=np.intp)
     four_h, d = w_input.shape
     hid = four_h // 4
-    lengths = np.diff(offsets)
+    lengths = offsets[1:] - offsets[:-1]
     if (x.data.ndim != 2 or x.shape[1] != d or offsets.ndim != 1
             or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != x.shape[0]
-            or np.any(lengths < 1) or four_h != 4 * hid
+            or (lengths < 1).any() or four_h != 4 * hid
             or w_hidden.shape != (four_h, hid) or bias.shape != (four_h,)):
         raise ShapeError(f"lstm: input {x.shape} split at {offsets.tolist()} does "
                          f"not match the weights {w_input.shape}, "
@@ -580,7 +580,8 @@ def lstm(x: Tensor, offsets, w_input: Tensor, w_hidden: Tensor,
     steps = int(lengths[0])
     # step t's rows in the step-major layout are [first[t], first[t + 1])
     running = (lengths[None, :] > np.arange(steps)[:, None]).sum(axis=1)
-    first = np.concatenate([[0], np.cumsum(running)])
+    first = np.zeros(steps + 1, dtype=running.dtype)
+    np.cumsum(running, out=first[1:])
     tt, jj = np.nonzero(np.arange(steps)[:, None] < lengths[None, :])
     src = offsets[order][jj] + tt  # the row of x at each layout row
     x_rows = x.data[src]

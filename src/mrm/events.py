@@ -200,11 +200,16 @@ def concatenate(sequences) -> EventSequence:
     if len(sequences) == 1:
         return sequences[0]
     cols = list(zip(*(s.columns() for s in sequences)))
+    sizes = [len(s) for s in sequences]
 
     def pointers(ptrs):
-        shift = np.cumsum([0] + [p[-1] for p in ptrs[:-1]])
-        return np.concatenate([np.zeros(1, dtype=np.int32)]
-                              + [p[1:] + s for p, s in zip(ptrs, shift)])
+        # sequence b's pointers shift by the items of the sequences before it
+        shift = np.zeros(len(ptrs), dtype=np.int64)
+        np.cumsum([p[-1] for p in ptrs[:-1]], out=shift[1:])
+        out = np.zeros(sum(sizes) + 1, dtype=np.int64)
+        np.concatenate([p[1:] for p in ptrs], out=out[1:])
+        out[1:] += np.repeat(shift, sizes)
+        return out
 
     codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = cols
     return EventSequence.from_columns(
@@ -229,6 +234,14 @@ class DatasetConfig:
         for fid, (mean, std) in (self.feature_stats or {}).items():
             check_number(f"feature_stats[{fid}] mean", mean)
             check_number(f"feature_stats[{fid}] std", std, 0, strict=True)
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, cut to its first 80 characters
+    plus "…" when longer, so a huge or deeply nested value in a file makes
+    a short message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "…"
 
 
 def _first_fault(rules):
@@ -262,12 +275,14 @@ def _type_fault(codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values):
     float can hold, and a bool is neither."""
     integer, number = "must be an integer, got", "must be a finite number, got"
     return _first_fault((
-        (codes, _integers, lambda i: f"code {integer} {codes[i]!r}"),
-        (times, _numbers, lambda i: f"t {number} {times[i]!r}"),
-        (cat_ids, _integers, lambda i: f"categorical feature id {integer} {cat_ids[i]!r}"),
-        (num_ids, _integers, lambda i: f"numerical feature id {integer} {num_ids[i]!r}"),
-        (num_values, _numbers,
-         lambda i: f"value of feature {num_ids[i]!r} {number} {num_values[i]!r}")))
+        (codes, _integers, lambda i: f"code {integer} {_quote(codes[i])}"),
+        (times, _numbers, lambda i: f"t {number} {_quote(times[i])}"),
+        (cat_ids, _integers,
+         lambda i: f"categorical feature id {integer} {_quote(cat_ids[i])}"),
+        (num_ids, _integers,
+         lambda i: f"numerical feature id {integer} {_quote(num_ids[i])}"),
+        (num_values, _numbers, lambda i: f"value of feature {_quote(num_ids[i])} "
+                                         f"{number} {_quote(num_values[i])}")))
 
 
 def _range_fault(config, codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values):
@@ -280,17 +295,18 @@ def _range_fault(config, codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_v
     per_event = list(map(operator.add, cat_ptr, num_ptr))
     counts = list(map(operator.sub, per_event[1:], per_event))
     return _first_fault((
-        (codes, below(n_c), lambda i: f"code {codes[i]} outside [0, {n_c})"),
-        (times, _finite, lambda i: f"non-finite time {times[i]!r}"),
+        (codes, below(n_c), lambda i: f"code {_quote(codes[i])} outside [0, {n_c})"),
+        (times, _finite, lambda i: f"non-finite time {_quote(times[i])}"),
         (counts, lambda values: max(values) <= max_f,
          lambda i: f"{cat_ptr[i + 1] - cat_ptr[i]} categorical + "
                    f"{num_ptr[i + 1] - num_ptr[i]} numerical features exceed "
                    f"maxFeat={max_f}"),
         (cat_ids, below(n_f),
-         lambda i: f"categorical feature id {cat_ids[i]} outside [0, {n_f})"),
+         lambda i: f"categorical feature id {_quote(cat_ids[i])} outside [0, {n_f})"),
         (num_ids, below(n_f),
-         lambda i: f"numerical feature id {num_ids[i]} outside [0, {n_f})"),
-        (num_values, _finite, lambda i: f"non-finite value for feature {num_ids[i]}")))
+         lambda i: f"numerical feature id {_quote(num_ids[i])} outside [0, {n_f})"),
+        (num_values, _finite,
+         lambda i: f"non-finite value for feature {_quote(num_ids[i])}")))
 
 
 def _shape_fault(raw):
@@ -303,10 +319,10 @@ def _shape_fault(raw):
         if key not in raw:
             return f"missing key {key!r}"
     if type(raw.get("cat", [])) is not list:
-        return f"cat must be a list of feature ids, got {raw['cat']!r}"
+        return f"cat must be a list of feature ids, got {_quote(raw['cat'])}"
     num = raw.get("num", [])
     if type(num) is not list or not all(type(p) is list and len(p) == 2 for p in num):
-        return f"num must be a list of [id, value] pairs, got {num!r}"
+        return f"num must be a list of [id, value] pairs, got {_quote(num)}"
     return None
 
 
@@ -336,7 +352,7 @@ def _parse_record(obj, config: DatasetConfig, where: str) -> EventSequence:
     except KeyError as err:
         raise DatasetError(f"{where}: missing key {err}") from None
     if isinstance(label, bool) or label not in (0, 1):  # True == 1 in Python
-        raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
+        raise DatasetError(f"{where}: label must be 0 or 1, got {_quote(label)}")
     if not isinstance(raw_events, list):
         raise DatasetError(f"{where}: events must be a list, got "
                            f"{type(raw_events).__name__}")

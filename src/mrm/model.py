@@ -15,6 +15,7 @@ layer whatever its size; the loss adds one more.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,21 +225,36 @@ def encode_events(seq: EventSequence, params: MrmParams, config: MrmConfig) -> d
 
 def neighborhood_bounds(times, window_hours: float, offsets=None):
     """For every i, the contiguous [lo, hi) of indices with
-    |t_j - t_i| <= window_hours (inclusive, self included).
+    |t_j - t_i| <= window_hours (inclusive, self included), as intp arrays.
 
     With offsets, times holds several sorted sequences back to back,
-    sequence b at [offsets[b], offsets[b + 1]), and no window crosses into
-    another sequence."""
+    sequence b at [offsets[b], offsets[b + 1]) (offsets runs from 0 to
+    len(times)), and no window crosses into another sequence. One sequence
+    is one pair of searches. Several are one pair too, over the complex
+    keys b + 1j * t, which numpy orders by sequence, then by time. A NaN
+    time or an unsorted sequence breaks that order, so such times are
+    searched sequence by sequence. Either way the result is that of one
+    pair of searches per sequence, bit for bit."""
     t = np.asarray(times, dtype=np.float64)
-    if offsets is None:
-        offsets = (0, t.size)
-    lo = np.empty(t.size, dtype=np.intp)
-    hi = np.empty(t.size, dtype=np.intp)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        seg = t[a:b]
-        lo[a:b] = np.searchsorted(seg, seg - window_hours, side="left") + a
-        hi[a:b] = np.searchsorted(seg, seg + window_hours, side="right") + a
-    return lo, hi
+    if offsets is None or len(offsets) <= 2:
+        return (t.searchsorted(t - window_hours, side="left"),
+                t.searchsorted(t + window_hours, side="right"))
+    offsets = np.asarray(offsets)
+    keys = np.empty(t.size, dtype=np.complex128)
+    keys.real = np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])
+    keys.imag = t
+    seq = keys.real
+    if np.isnan(t).any() or ((t[1:] < t[:-1]) & (seq[1:] == seq[:-1])).any():
+        lo, hi = np.empty((2, t.size), dtype=np.intp)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            seg_lo, seg_hi = neighborhood_bounds(t[a:b], window_hours)
+            lo[a:b], hi[a:b] = seg_lo + a, seg_hi + a
+        return lo, hi
+    probe = keys.copy()
+    np.subtract(t, window_hours, out=probe.imag)
+    lo = keys.searchsorted(probe, side="left")
+    np.add(t, window_hours, out=probe.imag)
+    return lo, keys.searchsorted(probe, side="right")
 
 
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
@@ -287,7 +303,39 @@ def _group_starts(partition: Partition, n_events: int) -> list:
 
 
 def _offsets(lengths) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _batch_group_starts(partitions, offsets) -> tuple:
+    """(starts, counts) of several sequences: the first row of every group
+    in the concatenated rows, and each sequence's number of groups.
+
+    Built in one pass over every partition's groups, with one vectorized
+    test that sequence b's groups tile [offsets[b], offsets[b + 1]) in
+    order. Only when that test fails do the starts come sequence by
+    sequence from _group_starts, which raises its error for the first
+    sequence not covered."""
+    counts = np.fromiter((len(part.groups) for part in partitions), dtype=np.intp,
+                         count=len(partitions))
+    ends = np.cumsum(counts)
+    try:
+        bounds = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(
+                part.groups for part in partitions)),
+            dtype=np.intp, count=2 * int(ends[-1])).reshape(-1, 2)
+    except (TypeError, ValueError):  # groups that are not pairs of integers
+        bounds = None
+    if bounds is not None and counts.all():
+        bounds += np.repeat(offsets[:-1], counts)[:, None]
+        # the groups chain from row 0, and each sequence's last group ends
+        # at its last row, so the next sequence's first group starts there
+        if (bounds[0, 0] == 0 and (bounds[1:, 0] == bounds[:-1, 1]).all()
+                and (bounds[ends - 1, 1] == offsets[1:]).all()):
+            return bounds[:, 0], counts
+    return np.concatenate([np.add(_group_starts(part, b - a), a) for part, a, b
+                           in zip(partitions, offsets[:-1], offsets[1:])]), counts
 
 
 def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
@@ -299,8 +347,11 @@ def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
     sequence. params.kind selects the model: "mrm" runs attention with
     windows that stop at the seams and max-pools each group of every
     sequence's partition (partitions[i], which must tile the truncated
-    events, or computed when partitions is None), one row per group;
-    "plain_lstm" returns the event vectors, one row per event.
+    events, one per sequence, or computed when partitions is None), one
+    row per group; "plain_lstm" returns the event vectors, one row per
+    event. The group starts of several sequences are one array built in
+    one pass (_batch_group_starts); one sequence's come from
+    _group_starts.
     """
     used = [_truncate(seq, config)[0] for seq in seqs]
     lengths = [len(seq) for seq in used]
@@ -313,10 +364,15 @@ def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
         if partitions is None:
             partitions = [optimal_partition(t, config.max_groups, config.max_group_len)
                           for t in times]
-        starts = [_group_starts(part, n) for part, n in zip(partitions, lengths)]
-        x = dc.group_maxpool(x, np.concatenate(
-            [np.add(s, offset) for s, offset in zip(starts, offsets)]))
-        offsets = _offsets([len(s) for s in starts])
+        elif len(partitions) != len(used):
+            raise ValueError(f"{len(partitions)} partitions for {len(used)} sequences")
+        if len(partitions) == 1:
+            starts = _group_starts(partitions[0], lengths[0])
+            counts = [len(starts)]
+        else:
+            starts, counts = _batch_group_starts(partitions, offsets)
+        x = dc.group_maxpool(x, starts)
+        offsets = _offsets(counts)
     return x, offsets
 
 

@@ -274,6 +274,30 @@ def candidate_spans(times) -> np.ndarray:
     return np.unique(t[iu[1]] - t[iu[0]])
 
 
+def neighborhood_bounds_oracle(times, window_hours, offsets=None):
+    """model.neighborhood_bounds as one pair of searches per sequence, each
+    shifted to its offset: the windows oracle."""
+    t = np.asarray(times, dtype=np.float64)
+    if offsets is None:
+        offsets = (0, t.size)
+    lo = np.empty(t.size, dtype=np.intp)
+    hi = np.empty(t.size, dtype=np.intp)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        seg = t[a:b]
+        lo[a:b] = np.searchsorted(seg, seg - window_hours, side="left") + a
+        hi[a:b] = np.searchsorted(seg, seg + window_hours, side="right") + a
+    return lo, hi
+
+
+def concatenated_pointers_oracle(ptrs):
+    """The CSR pointers of events.concatenate, built sequence by sequence:
+    each sequence's pointers after its leading 0, shifted by the items of
+    the sequences before it."""
+    shift = np.cumsum([0] + [p[-1] for p in ptrs[:-1]])
+    return np.concatenate([np.zeros(1, dtype=np.int32)]
+                          + [p[1:] + s for p, s in zip(ptrs, shift)])
+
+
 def linear_greedy(times: list, threshold: float, max_group_len: int, limit=None):
     """The greedy groups by a linear scan, one exact test per event; None
     as soon as there are more than ``limit`` of them: the greedy probe

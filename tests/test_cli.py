@@ -310,6 +310,26 @@ def test_inspect_on_json_nested_past_the_recursion_limit_exits_2(tmp_path, datas
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("event", [
+    {"code": 0, "t": 0.0, "cat": "x" * 1_000_000},
+    {"code": "x" * 100_000, "t": 0.0},
+    {"code": 0, "t": 0.0, "num": [[1, "9" * 100_000]]},
+    {"code": 0, "t": 0.0, "cat": json.loads("[" * 500 + "]" * 500)},
+], ids=["cat string", "code string", "numeric value", "nested cat"])
+def test_inspect_on_a_huge_bad_value_exits_2_with_a_short_error(tmp_path, dataset,
+                                                                capsys, event):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"patient_id": "a", "label": 0, "events": [event]}) + "\n")
+    (tmp_path / "bad.jsonl.config").write_text(
+        (tmp_path / "data.jsonl.config").read_text())
+    assert cli.main(["inspect", "--data", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mrm: error: line 1: bad event 0: ")
+    assert len(captured.err) < 200
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("model", ["mrm", "lr"])
 def test_evaluate_on_one_class_exits_2_before_printing(tmp_path, dataset, capsys, model):
     ckpt = tmp_path / "m.npz"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from mrm import events as ev
 from mrm import syngen
 
+from .conftest import concatenated_pointers_oracle
+
 
 CFG = ev.DatasetConfig(n_codes=8, n_features=5, max_features=3)
 
@@ -238,11 +240,20 @@ def test_load_names_the_line_of_json_nested_past_the_recursion_limit(tmp_path):
 # rule -> (values that break it, how one of them breaks an event, and the
 # message of the error it makes); the type rules, then the range rules of CFG
 BIG = 10 ** 400  # a JSON integer no float holds
+
+
+def shown(value):
+    """How an error message quotes value: its repr, cut to 80 characters
+    plus an ellipsis when longer."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "\u2026"
+
+
 TYPE_FAULTS = {
     "code": (st.sampled_from([1.5, True, "1", None, []]), lambda e, v: e.update(code=v),
              lambda v: f"code must be an integer, got {v!r}"),
     "t": (st.sampled_from(["1.0", False, None, {}, BIG, -BIG]), lambda e, v: e.update(t=v),
-          lambda v: f"t must be a finite number, got {v!r}"),
+          lambda v: f"t must be a finite number, got {shown(v)}"),
     "cat id": (st.sampled_from([2.0, True, "3", None]), lambda e, v: e["cat"].append(v),
                lambda v: f"categorical feature id must be an integer, got {v!r}"),
     "num id": (st.sampled_from([0.0, False, "0", None, [0]]),
@@ -250,11 +261,11 @@ TYPE_FAULTS = {
                lambda v: f"numerical feature id must be an integer, got {v!r}"),
     "num value": (st.sampled_from(["0.5", True, None, [], BIG]),
                   lambda e, v: e["num"].append([4, v]),
-                  lambda v: f"value of feature 4 must be a finite number, got {v!r}"),
+                  lambda v: f"value of feature 4 must be a finite number, got {shown(v)}"),
 }
 RANGE_FAULTS = {
     "code": (st.sampled_from([-1, 8, 9, BIG]), lambda e, v: e.update(code=v),
-             lambda v: f"code {v} outside [0, 8)"),
+             lambda v: f"code {shown(v)} outside [0, 8)"),
     "t": (st.sampled_from([float("nan"), float("inf"), -float("inf")]),
           lambda e, v: e.update(t=v), lambda v: f"non-finite time {v!r}"),
     "feature count": (st.integers(0, 4),
@@ -262,9 +273,9 @@ RANGE_FAULTS = {
                       lambda v: f"{v} categorical + {4 - v} numerical features exceed "
                                 f"maxFeat=3"),
     "cat id": (st.sampled_from([-1, 5, BIG]), lambda e, v: e["cat"].append(v),
-               lambda v: f"categorical feature id {v} outside [0, 5)"),
+               lambda v: f"categorical feature id {shown(v)} outside [0, 5)"),
     "num id": (st.sampled_from([-2, 5, -BIG]), lambda e, v: e["num"].append([v, 1.0]),
-               lambda v: f"numerical feature id {v} outside [0, 5)"),
+               lambda v: f"numerical feature id {shown(v)} outside [0, 5)"),
     "num value": (st.sampled_from([float("nan"), float("inf")]),
                   lambda e, v: e["num"].append([3, v]),
                   lambda v: "non-finite value for feature 3"),
@@ -300,6 +311,44 @@ def test_load_names_the_line_event_and_rule_of_a_single_fault(tmp_path_factory, 
     where = (f"line {line + 1}: bad event {k}" if kind == "type"
              else f"line {line + 1} event {k}")
     assert str(exc.value) == f"{where}: {message(value)}"
+
+
+# a value far too long to quote whole, by where it sits and the start of
+# the message about it
+HUGE_VALUES = {
+    "cat string": ({"code": 0, "t": 0.0, "cat": "x" * 1_000_000},
+                   "bad event 0: cat must be a list of feature ids, got 'xxx"),
+    "code string": ({"code": "x" * 100_000, "t": 0.0},
+                    "bad event 0: code must be an integer, got 'xxx"),
+    "numeric value": ({"code": 0, "t": 0.0, "num": [[1, "9" * 100_000]]},
+                      "bad event 0: value of feature 1 must be a finite number, "
+                      "got '999"),
+    "nested cat": ({"code": 0, "t": 0.0, "cat": json.loads("[" * 500 + "]" * 500)},
+                   "bad event 0: categorical feature id must be an integer, got [[["),
+    "num pairs": ({"code": 0, "t": 0.0, "num": [[1]] * 100_000},
+                  "bad event 0: num must be a list of [id, value] pairs, got [[1], "),
+    "huge code": ({"code": 10 ** 4000, "t": 0.0}, "event 0: code 1000"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_VALUES)
+def test_load_quotes_at_most_80_characters_of_a_bad_value(tmp_path, case):
+    event, start = HUGE_VALUES[case]
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([event])])
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    message = str(exc.value)
+    assert message.startswith(f"line 1{'' if case == 'huge code' else ':'} {start}")
+    assert "\u2026" in message and len(message) < 200
+
+
+def test_load_quotes_at_most_80_characters_of_a_bad_label(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [record([{"code": 0, "t": 0.0}], label="y" * 100_000)])
+    with pytest.raises(ev.DatasetError) as exc:
+        ev.load_dataset(path, CFG)
+    assert str(exc.value) == f"line 1: label must be 0 or 1, got '{'y' * 79}\u2026"
 
 
 def test_write_load_roundtrip(tmp_path):
@@ -543,6 +592,24 @@ def test_concatenate_joins_events_back_to_back():
                                   ev.ClinicalEvent(3, 6.0, [1, 0], [(3, -2.0)])])
     joined = ev.concatenate([a, b, a])
     assert joined.events == a.events + b.events + a.events
+
+
+def test_concatenate_gives_the_pointers_of_the_per_sequence_join():
+    rng = np.random.default_rng(6)
+    seqs = syngen.generate(syngen.SynthConfig(n_sequences=30, seq_len_range=(8, 12),
+                                              seed=6))
+    seqs += [seq.take([0]) for seq in seqs[:5]]  # one event each
+    seqs.append(ev.EventSequence("bare", 0, [ev.ClinicalEvent(1, 0.0)] * 3))
+    for _ in range(50):
+        batch = [seqs[i] for i in rng.integers(0, len(seqs), rng.integers(2, 9))]
+        if rng.random() < 0.3:  # a joined batch inside a batch: int64 pointers
+            batch.insert(0, ev.concatenate(batch[:2]))
+        joined = ev.concatenate(batch)
+        for name in ("cat_ptr", "num_ptr"):
+            want = concatenated_pointers_oracle([getattr(s, name) for s in batch])
+            got = getattr(joined, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert ev.concatenate(seqs[:1]) is seqs[0]
 
 
 def test_loaded_dataset_round_trips_through_the_events_view(tmp_path):

@@ -11,7 +11,8 @@ from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
 from .conftest import (dense_weights, full_band_kept_slots, head_loss_oracle,
-                       head_weights, param_rel_err, topk_mask)
+                       head_weights, neighborhood_bounds_oracle, param_rel_err,
+                       topk_mask)
 
 
 def small_config(**overrides):
@@ -396,6 +397,88 @@ def test_neighborhood_matches_brute_scan():
         i = int(rng.integers(0, n))
         brute = {j for j in range(n) if abs(times[j] - times[i]) <= window}
         assert neighbors(i, times, window) == brute
+
+
+# times with ties, negative values, both zeros and steps from 1e-9 to 1e6
+BOUND_TIMES = st.sampled_from([-1e6, -2.5, -1.0, -1e-9, -0.0, 0.0, 1e-9, 0.25, 0.5,
+                               0.5 + 1e-9, 1.0, 3.0, 1e6])
+BOUND_WINDOWS = st.one_of(st.sampled_from([1e-9, 0.25, 0.5, 1.0, 1e6]),
+                          st.floats(1e-9, 1e6))
+
+
+def _bounds_bytes(lo, hi):
+    return lo.dtype, lo.tobytes(), hi.dtype, hi.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(segments=st.lists(st.lists(BOUND_TIMES, max_size=6).map(sorted),
+                         min_size=1, max_size=12),
+       window=BOUND_WINDOWS, as_list=st.booleans())
+@example(segments=[[0.0]], window=1e-9, as_list=False)  # one one-event sequence
+@example(segments=[[], [0.5], [], []], window=0.5, as_list=False)  # empty ones
+@example(segments=[[-0.0, 0.0], [0.0, 0.5], [0.5]], window=1e-9,
+         as_list=True)  # ties within and across seams
+def test_neighborhood_bounds_give_the_bits_of_one_search_per_sequence(
+        segments, window, as_list):
+    times = np.array([t for seg in segments for t in seg], dtype=np.float64)
+    offsets = np.cumsum([0] + [len(seg) for seg in segments])
+    if as_list:
+        offsets = offsets.tolist()
+    got = mm.neighborhood_bounds(times, window, offsets)
+    assert _bounds_bytes(*got) == _bounds_bytes(
+        *neighborhood_bounds_oracle(times, window, offsets))
+    if len(segments) == 1:
+        assert _bounds_bytes(*mm.neighborhood_bounds(times, window)) == \
+            _bounds_bytes(*got)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(segments=st.lists(st.lists(st.one_of(BOUND_TIMES, st.sampled_from(
+           [float("nan"), float("inf"), -float("inf")])), max_size=6),
+           min_size=1, max_size=12),
+       window=BOUND_WINDOWS)
+def test_neighborhood_bounds_of_unsorted_or_non_finite_times_are_unchanged(
+        segments, window):
+    # such times break the order of the complex keys; they are searched
+    # sequence by sequence, with the bits of the per-sequence search
+    times = np.array([t for seg in segments for t in seg], dtype=np.float64)
+    offsets = np.cumsum([0] + [len(seg) for seg in segments])
+    assert _bounds_bytes(*mm.neighborhood_bounds(times, window, offsets)) == \
+        _bounds_bytes(*neighborhood_bounds_oracle(times, window, offsets))
+
+
+def _outcome(fn):
+    """fn()'s output bytes, or the type and text of what it raised."""
+    try:
+        x, offsets = fn()
+    except Exception as err:  # the exception is the outcome compared
+        return type(err), str(err)
+    return x.data.tobytes(), offsets.tobytes()
+
+
+def test_group_vectors_on_non_finite_times_raise_as_with_one_search_per_sequence():
+    config = small_config(max_groups=4, max_group_len=4)
+    params = mm.MrmParams.init(config, seed=5)
+    rng = np.random.default_rng(5)
+    raised = set()
+    for _ in range(300):
+        seqs = [random_sequence(rng, int(rng.integers(1, 6)), config)
+                for _ in range(int(rng.integers(2, 5)))]
+        for k, seq in enumerate(seqs):
+            if rng.random() < 0.5:
+                codes, times, *features = seq.columns()
+                times = times.copy()
+                times[rng.integers(0, times.size)] = rng.choice(
+                    [np.nan, np.inf, -np.inf])
+                seqs[k] = EventSequence.from_columns("p", 0, codes, times, *features)
+        got = _outcome(lambda: mm.group_vectors(seqs, params, config))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mm, "neighborhood_bounds", neighborhood_bounds_oracle)
+            want = _outcome(lambda: mm.group_vectors(seqs, params, config))
+        assert got == want
+        raised.add(got[0] if isinstance(got[0], type) else None)
+    # both the windows check of attention and the partition's check fire
+    assert {dc.ShapeError, ValueError} <= raised
 
 
 def test_topk_mask_selects_largest():
@@ -1039,6 +1122,63 @@ def test_forward_rejects_partition_that_does_not_cover_the_events():
     with pytest.raises(ValueError, match="do not cover"):
         mm.forward(seq, mm.MrmParams.init(short, seed=16), short,
                    partition=optimal_partition(times, 8, 4))
+
+
+def _cover_message(groups, n_events):
+    return (f"the {len(groups)} partition groups do not cover the {n_events} "
+            f"events of the (truncated) sequence in order")
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda groups, n: groups[:-1],                          # stops short
+    lambda groups, n: groups + [(n, n + 1)],                # runs past the end
+    lambda groups, n: [],                                   # no groups
+    lambda groups, n: [(s + 1, e + 1) for s, e in groups],  # shifted by one
+    lambda groups, n: [(0, n - 1)] if n > 1 else [(1, 1)],  # the last event missing
+    lambda groups, n: [(1, n)],                             # the first event missing
+    lambda groups, n: [(0, 1), (2, max(n, 3))],             # a gap
+    lambda groups, n: [(0, n + 1)],                         # one group too long
+])
+def test_batch_partition_that_does_not_cover_sequence_b_raises_its_text(spoil):
+    config = small_config(max_groups=8, max_group_len=4)
+    params = mm.MrmParams.init(config, seed=17)
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        seqs = [random_sequence(rng, int(rng.integers(1, 12)), config)
+                for _ in range(int(rng.integers(2, 6)))]
+        parts = [optimal_partition(s.times(), 8, 4) for s in seqs]
+        b = 0 if trial % 2 else int(rng.integers(1, len(seqs)))
+        n = len(seqs[b])
+        groups = spoil(list(parts[b].groups), n)
+        parts[b] = Partition(tuple(groups), (0.0,) * len(groups), 0.0)
+        with pytest.raises(ValueError) as exc:
+            mm.group_vectors(seqs, params, config, parts)
+        assert str(exc.value) == _cover_message(groups, n)
+
+
+def test_batch_partitions_that_cover_the_batch_but_not_each_sequence_raise():
+    # sequence 0's groups take one event of sequence 1, whose groups start
+    # one event late: the joined groups tile the batch, the partitions not
+    config = small_config(max_groups=8, max_group_len=4)
+    params = mm.MrmParams.init(config, seed=18)
+    rng = np.random.default_rng(18)
+    seqs = [random_sequence(rng, n, config) for n in (3, 4, 2)]
+    parts = [Partition(groups, (0.0,) * len(groups), 0.0)
+             for groups in (((0, 2), (2, 4)), ((1, 4),), ((0, 2),))]
+    with pytest.raises(ValueError) as exc:
+        mm.group_vectors(seqs, params, config, parts)
+    assert str(exc.value) == _cover_message(parts[0].groups, 3)
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 4])
+def test_group_vectors_needs_one_partition_per_sequence(n_parts):
+    config = small_config(max_groups=8, max_group_len=4)
+    params = mm.MrmParams.init(config, seed=19)
+    rng = np.random.default_rng(19)
+    seqs = [random_sequence(rng, n, config) for n in (3, 2, 4)]
+    parts = [optimal_partition(s.times(), 8, 4) for s in seqs + seqs[:1]]
+    with pytest.raises(ValueError, match=f"^{n_parts} partitions for 3 sequences$"):
+        mm.group_vectors(seqs, params, config, parts[:n_parts])
 
 
 def test_forward_batch_rejects_mrm_kind_with_plain_params():

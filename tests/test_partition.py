@@ -265,6 +265,28 @@ def test_unsorted_times_rejected():
         optimal_partition([1.0, 0.0], 2, 2)
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0.0, float("nan")], "times must be finite, got nan"),
+    ([float("inf"), 1.0], "times must be finite, got inf"),
+    ([0.0, 1.0, -float("inf")], "times must be finite, got -inf"),
+    ([2.0, float("nan"), 1.0], "times must be finite, got nan"),  # before the order
+    ([1.0, 0.5], "times must be sorted non-decreasing"),
+    ([0.0, 0.0, 1.0, 1.0 - 1e-12], "times must be sorted non-decreasing"),
+    ([], "times must be a non-empty 1-d list, got shape (0,)"),
+    ([[0.0, 1.0]], "times must be a non-empty 1-d list, got shape (1, 2)"),
+    (3.0, "times must be a non-empty 1-d list, got shape ()"),
+])
+def test_check_sorted_keeps_its_messages(times, message):
+    with pytest.raises(ValueError) as exc:
+        partition._check_sorted(times)
+    assert str(exc.value) == message
+
+
+def test_check_sorted_returns_float64_times():
+    t = partition._check_sorted([-0.0, 0.0, 0, 2])
+    assert t.dtype == np.float64 and t.tolist() == [0.0, 0.0, 0.0, 2.0]
+
+
 def test_exhaustive_optimality_small_instances():
     rng = np.random.default_rng(11)
     checked = 0
