@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evalmetrics as ev
-from .events import (DATASET_KEYS, ConfigError, DatasetConfig, DatasetError,
+from .events import (DATASET_KEYS, ConfigError, DatasetConfig, DatasetError, _quote,
                      build_config, check_number, entries, frequency_vector,
                      normalize_numeric)
 from .model import MrmConfig, MrmParams, check_arrays
@@ -98,7 +98,7 @@ def read_archive(path):
             and version[0] == CHECKPOINT_FORMAT_VERSION):
         raise DatasetError(f"{path}: checkpoint format version must be the "
                            f"one-element integer array [{CHECKPOINT_FORMAT_VERSION}], "
-                           f"got {version!r}")
+                           f"got {_quote(version)}")
     if not isinstance(meta, dict):
         raise DatasetError(f"{path}: checkpoint metadata is a JSON "
                            f"{type(meta).__name__}, not an object")
@@ -138,18 +138,18 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
 
     kind = meta.get("kind")
     if kind not in KINDS:
-        raise fault("kind", f"unknown model kind {kind!r}")
+        raise fault("kind", f"unknown model kind {_quote(kind)}")
     blocks = {"kind", "dataset", "feature_stats", "train",
               "l2" if kind == "lr" else "model"}
     odd = sorted(blocks ^ set(meta))
     if odd:
-        raise fault(odd[0], "missing" if odd[0] in blocks
+        raise fault(_quote(odd[0], str), "missing" if odd[0] in blocks
                     else f"not part of a {kind} checkpoint")
     for block in sorted(blocks & set(_TABLES)):
         keys = _TABLES[block]
         if not isinstance(meta[block], dict) or set(meta[block]) != set(keys):
             raise fault(block, f"must be an object with keys {sorted(keys)}, "
-                               f"got {meta[block]!r}")
+                               f"got {_quote(meta[block])}")
     dataset = build_config(DatasetConfig, meta["dataset"], DATASET_KEYS,
                            f"{where} dataset.")
     stats = meta["feature_stats"]
@@ -159,7 +159,7 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
                                      f"[0, {dataset.n_features}) to [mean, std]")
     for fid, pair in stats.items():
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise fault(f"feature_stats.{fid}", f"must be [mean, std], got {pair!r}")
+            raise fault(f"feature_stats.{fid}", f"must be [mean, std], got {_quote(pair)}")
     try:
         dataset = dataclasses.replace(dataset, feature_stats={
             int(fid): tuple(pair) for fid, pair in stats.items()})

@@ -133,6 +133,9 @@ def _model_config(args, data_config) -> model_mod.MrmConfig:
 
 
 def cmd_train(args) -> int:
+    folder = os.path.dirname(args.out) or "."  # checked now, not after the last epoch
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {args.out}: no writable directory {folder}")
     patience = (min(ev.TrainConfig.patience, args.max_epochs - 1)
                 if args.patience is None else args.patience)
     train_config = ev.TrainConfig(lr=args.lr, batch_size=args.batch_size,

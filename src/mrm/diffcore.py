@@ -2,19 +2,21 @@
 
 Deliberately small: only the operations the model and its baselines
 call, each with an explicit backward rule; event encoding, attention,
-pooling, the LSTM, the outcome head and the loss are one fused op each.
-Graphs are built eagerly during the forward pass; a Tensor doubles as its
-graph node and is freed when the output goes out of scope. Everything is
-double precision so gradient checks against central finite differences
-are reliable.
+pooling, the LSTM, the outcome head, the loss and the L2 penalty are one
+fused op each. Graphs are built eagerly during the forward pass; a Tensor
+doubles as its graph node and is freed when the output goes out of scope.
+Everything is double precision so gradient checks against central finite
+differences are reliable.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -177,8 +179,11 @@ def _both(f, g, n: int):
 
 def _on_workers(calls):
     """[fn(*args) for fn, args in calls], the first call on the calling
-    thread and the others on the pool; returns once every call has ended."""
-    futures = [_POOL.submit(fn, *args) for fn, args in calls[1:]]
+    thread and the others on the pool, in a copy of the caller's context
+    (numpy's errstate is a context variable); returns once every call has
+    ended."""
+    futures = [_POOL.submit(partial(contextvars.copy_context().run, fn), *args)
+               for fn, args in calls[1:]]
     try:
         fn, args = calls[0]
         first = fn(*args)
@@ -189,34 +194,6 @@ def _on_workers(calls):
 
 # ---------------------------------------------------------------------------
 # elementwise operations
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
-    return _node(a.data + b.data, "add", (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-    return _node(a.data * b.data, "mul", (a, b), bwd)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g):
-        _accum(a, g * s)
-    return _node(a.data * s, "scale", (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -702,6 +679,21 @@ def cross_entropy(p: Tensor, labels, clamp: float) -> Tensor:
     def bwd(g):
         _accum(p, np.where(keep, -float(g * inv_n) / likelihood * sign, 0.0))
     return _node((-np.log(likelihood)).sum() * inv_n, "cross_entropy", (p,), bwd)
+
+
+def add_l2(loss: Tensor, w: Tensor, l2: float) -> Tensor:
+    """loss + l2 * sum(w * w) for a scalar loss, in one node. Backward
+    sends g to loss and (g * l2) * w to w twice, once per factor of w * w."""
+    if loss.data.ndim != 0:
+        raise ShapeError(f"add_l2: need a scalar loss, got shape {loss.shape}")
+    l2, wd = float(l2), w.data
+
+    def bwd(g):
+        _accum(loss, g)
+        gw = (g * l2) * wd
+        _accum(w, gw)
+        _accum(w, gw)
+    return _node(loss.data + (wd * wd).sum() * l2, "add_l2", (loss, w), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,12 @@ def auc(scores, labels) -> float:
         raise ValueError(f"auc needs both classes, got {n_pos} positive / "
                          f"{n_neg} negative")
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
     sorted_s = s[order]
-    i = 0
-    while i < n:  # average ranks across tied scores
-        j = i
-        while j + 1 < n and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run [first, last] of tied sorted scores shares its average rank
+    first = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    last = np.r_[first[1:], n] - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -178,6 +175,7 @@ def _check_splits(datasets):
                 f"{len(seqs) - n_pos} negative of {len(seqs)} sequences")
 
 
+@np.errstate(all="ignore")  # the non-finite checks, not numpy's warnings, report divergence
 def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalReport:
     """Shared early-stopping loop and its report.
 
@@ -311,7 +309,7 @@ def train_lr_baseline(datasets, l2: float, train_config: TrainConfig,
         mean = mrm_model.loss(
             dc.logistic(dc.Tensor(fv["train"][indices]), weight, bias), labels)
         if l2 > 0:
-            mean = dc.add(mean, dc.scale(dc.sum_all(dc.mul(weight, weight)), l2))
+            mean = dc.add_l2(mean, weight, l2)
         return mean
 
     def scores(split):

@@ -55,7 +55,7 @@ def check_number(name, value, least=None, integer=False, strict=False):
                                              else value < least)):
         bound = "" if least is None else f" {'>' if strict else '>='} {least:g}"
         what = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{name} must be {what}{bound}, got {value!r}", field=name)
+        raise ConfigError(f"{name} must be {what}{bound}, got {_quote(value)}", field=name)
 
 
 @dataclass(slots=True)
@@ -236,11 +236,11 @@ class DatasetConfig:
             check_number(f"feature_stats[{fid}] std", std, 0, strict=True)
 
 
-def _quote(value) -> str:
-    """repr(value) for an error message, cut to its first 80 characters
+def _quote(value, show=repr) -> str:
+    """show(value) for an error message, cut to its first 80 characters
     plus "…" when longer, so a huge or deeply nested value in a file makes
     a short message."""
-    text = repr(value)
+    text = show(value)
     return text if len(text) <= 80 else text[:80] + "…"
 
 
@@ -533,8 +533,8 @@ def build_config(make, values: dict, keys: dict, where: str, **given):
     fields = {field: values[key] for key, (field, _) in keys.items() if key in values}
     for key, (field, _) in keys.items():
         if field in fields and field in given and fields[field] != given[field]:
-            raise DatasetError(f"{where}{key}: holds {fields[field]!r}, but "
-                               f"{given[field]!r} is given")
+            raise DatasetError(f"{where}{key}: holds {_quote(fields[field])}, but "
+                               f"{_quote(given[field])} is given")
     try:
         return make(**{**fields, **given})
     except ConfigError as err:
@@ -557,7 +557,8 @@ def read_keyvalue_file(path, keys: dict | None = None) -> dict:
                 raise DatasetError(f"{path} line {ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in lines:
-                raise DatasetError(f"{path} line {ln}: {key} repeats line {lines[key]}")
+                raise DatasetError(f"{path} line {ln}: {_quote(key, str)} repeats "
+                                   f"line {lines[key]}")
             lines[key] = ln
             kind = keys[key][1] if keys and key in keys else str
             try:
@@ -565,7 +566,7 @@ def read_keyvalue_file(path, keys: dict | None = None) -> dict:
             except ValueError:
                 raise DatasetError(f"{path} line {ln}: {key} must be "
                                    f"{'an integer' if kind is int else 'a number'}, "
-                                   f"got {value!r}") from None
+                                   f"got {_quote(value)}") from None
     return out
 
 

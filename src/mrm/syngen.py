@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import (ConfigError, DatasetConfig, DatasetError, EventSequence,
-                     build_config, check_number, event_columns, read_keyvalue_file)
+                     _quote, build_config, check_number, event_columns, read_keyvalue_file)
 
 # Times are hours. A background stream spans about seq_len_max / base_rate
 # hours and the signal window is t_signal; both stay within MAX_HOURS, so
@@ -114,7 +114,7 @@ def load_synth_config(path, seed: int) -> SynthConfig:
     values = read_keyvalue_file(path, SYNTH_KEYS)
     unknown = sorted(set(values) - set(SYNTH_KEYS))
     if unknown:
-        raise DatasetError(f"{path}: unknown keys {unknown}")
+        raise DatasetError(f"{path}: unknown keys {_quote(unknown)}")
     return build_config(_from_file, values, SYNTH_KEYS, f"{path}: ", seed=seed)
 
 

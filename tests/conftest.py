@@ -194,6 +194,29 @@ def head_loss_oracle(x, w, b, labels, clamp, l2=0.0, one_sequence=False):
     return loss, dx, dw, db
 
 
+def auc_oracle(scores, labels) -> float:
+    """evalmetrics.auc with its average ranks of tied scores found by a
+    loop over the sorted scores, a run at a time: the oracle of its one
+    pass over the run starts."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n = s.size
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(n, dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[y == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def lstm_steps_oracle(pre, first, running, w_hidden):
     """The forward loop of diffcore.lstm, each step's values made as new
     arrays and then copied into place: the oracle of diffcore._lstm_steps."""

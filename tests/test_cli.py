@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from mrm import checkpoint as ck
 from mrm import cli
+from mrm import diffcore as dc
 from mrm import events as ev
 from mrm import model as mm
 
@@ -531,6 +533,50 @@ def test_train_one_class_split_fails_before_training(tmp_path, capsys, caplog):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/m.npz", "d.jsonl/m.npz"])
+def test_train_checks_the_out_directory_before_loading_data(
+        tmp_path, dataset, capsys, caplog, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.jsonl").write_text("")  # a file, no directory
+    # no data file either: the --out check must come first
+    with caplog.at_level("INFO", logger="mrm.train"):
+        code = cli.main(train_args("nowhere.jsonl", out))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"mrm: error: --out {out}: no writable directory {out[:-6]}\n"
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("model, split", [("lr", False), ("mrm", False), ("mrm", True)])
+def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(
+        tmp_path, capsys, monkeypatch, model, split):
+    # a batch of 40-60-event sequences has over 1024 rows, so its row
+    # blocks run on two threads, and the pool thread must not warn either
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    splits, on_workers = [], dc._on_workers
+    monkeypatch.setattr(dc, "_on_workers",
+                        lambda calls: splits.append(1) or on_workers(calls))
+    config = tmp_path / "gen.config"
+    config.write_text(GEN_CONFIG.replace("seq_len_min = 8", "seq_len_min = 40")
+                      .replace("seq_len_max = 14", "seq_len_max = 60") if split
+                      else GEN_CONFIG)
+    data = tmp_path / "d.jsonl"
+    assert cli.main(["generate", "--config", str(config), "--out", str(data),
+                     "--seed", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MRM_LOG", "quiet")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(train_args(data, tmp_path / "m.npz", model,
+                                   ["--lr", "1e308", "--batch-size", "64"]))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("mrm: error: ") and "non-finite" in err and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+    assert bool(splits) == split
+
+
 # ---------------------------------------------------------------------------
 # checkpoints with a bad version, bad metadata values or bad arrays exit 2
 
@@ -591,3 +637,102 @@ def test_checkpoint_feature_stats_that_are_no_finite_pair_are_runtime_error(
     bad = tmp_path / "bad_stats.npz"
     ck.write_archive(bad, arrays, meta)
     assert "feature" in _evaluate_exits_2(dataset, bad, capsys)
+
+
+# ---------------------------------------------------------------------------
+# one fuzz over every file kind: a huge or deeply nested bad value
+
+
+# the text of each fuzzed value as it stands in a file: a 1,000,000-character
+# JSON string, 1,000,000 digits, nesting past the recursion limit and
+# nesting just inside it
+FUZZ_VALUES = {"string": json.dumps("x" * 1_000_000), "digits": "9" * 1_000_000,
+               "deep": "[" * 100_000 + "]" * 100_000, "nested": "[" * 900 + "]" * 900}
+_SLOT = "@@"  # where a file takes the fuzzed value
+_RECORD = {"patient_id": "p", "label": 0,
+           "events": [{"code": 0, "t": 0.0, "cat": [1], "num": [[2, 0.5]]}]}
+_SIDECAR = "N_c = 12\nN_f = 3\nmaxFeat = 3\n"
+
+
+def _with_slot(tree, path):
+    """A copy of the JSON tree with the slot string at path, as JSON text
+    whose slot takes the value's text in place of the string."""
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _SLOT
+    return json.dumps(tree).replace(json.dumps(_SLOT), _SLOT)
+
+
+def _fuzz_cases(kind, checkpoints):
+    """(place, command, {file name: text}) for each place of kind's files
+    that takes a fuzzed value; a checkpoint is (arrays, metadata text)."""
+    record = json.dumps(_RECORD) + "\n"
+    if kind == "dataset":
+        for path in (("label",), ("events",), ("events", 0), ("events", 0, "code"),
+                     ("events", 0, "t"), ("events", 0, "cat"), ("events", 0, "cat", 0),
+                     ("events", 0, "num"), ("events", 0, "num", 0),
+                     ("events", 0, "num", 0, 1)):
+            yield (path, ["inspect", "--data", "d.jsonl"],
+                   {"d.jsonl": _with_slot(_RECORD, path) + "\n",
+                    "d.jsonl.config": _SIDECAR})
+    elif kind in ("sidecar", "generator config"):
+        base = _SIDECAR if kind == "sidecar" else GEN_CONFIG
+        name, command = (("d.jsonl.config", ["inspect", "--data", "d.jsonl"])
+                         if kind == "sidecar" else
+                         ("g.config", ["generate", "--config", "g.config", "--out",
+                                       "o.jsonl", "--seed", "1"]))
+        # the fuzzed value goes first on the key's line, the old value after a #
+        texts = {key: base.replace(f"{key} = ", f"{key} = {_SLOT} #", 1)
+                 for key in (line.split(" = ")[0] for line in base.splitlines())}
+        texts["repeated key"] = f"{_SLOT} = 1\n{base}{_SLOT} = 1\n"
+        if kind == "generator config":
+            texts["unknown key"] = f"{base}{_SLOT} = 1\n"
+        for place, text in texts.items():
+            yield place, command, {"d.jsonl": record, name: text}
+    else:
+        for model, path in checkpoints.items():
+            arrays, meta = ck.read_archive(path)
+            meta[_SLOT] = 0  # an unknown entry, its name fuzzed
+            for entry in [(key,) for key in meta] + [
+                    (block, key) for block in meta if isinstance(meta[block], dict)
+                    for key in meta[block]]:
+                text = (json.dumps(meta) if entry == (_SLOT,) else
+                        _with_slot({k: v for k, v in meta.items() if k != _SLOT}, entry))
+                yield ((model, *entry),
+                       ["evaluate", "--data", "d.jsonl", "--ckpt", "c.npz"],
+                       {"d.jsonl": record, "d.jsonl.config": _SIDECAR,
+                        "c.npz": (arrays, text)})
+
+
+@pytest.mark.parametrize("kind", ["dataset", "sidecar", "generator config",
+                                  "checkpoint"])
+def test_a_huge_or_deeply_nested_value_in_any_file_exits_with_a_short_error(
+        tmp_path, dataset, capsys, monkeypatch, kind):
+    checkpoints = {}
+    if kind == "checkpoint":
+        for model in ("mrm", "lr"):
+            checkpoints[model] = tmp_path / f"{model}.npz"
+            assert cli.main(train_args(dataset, checkpoints[model], model)) == 0
+        capsys.readouterr()
+    monkeypatch.chdir(tmp_path)  # short relative paths in the messages
+    cases = 0
+    for place, command, files in _fuzz_cases(kind, checkpoints):
+        for label, value in FUZZ_VALUES.items():
+            for name, content in files.items():
+                if isinstance(content, tuple):
+                    arrays, text = content
+                    np.savez(name, __format_version__=np.array([1]),
+                             __meta__=np.array(text.replace(_SLOT, value)), **arrays)
+                else:
+                    (tmp_path / name).write_text(content.replace(_SLOT, value))
+            code = cli.main(command)
+            out, err = capsys.readouterr()
+            case = (place, label, err[:300])
+            assert code in (1, 2), case
+            assert out == "", case
+            assert len(err.encode()) < 300, case
+            assert err.count("\n") == 1 and "Traceback" not in err, case
+            cases += 1
+    assert cases >= 4 * len(FUZZ_VALUES)

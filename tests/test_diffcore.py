@@ -30,12 +30,10 @@ def test_logistic_shape_error_reports_the_shapes():
             dc.logistic(t(x), t(w), t(b))
 
 
-def test_add_shape_error():
+def test_add_l2_needs_a_scalar_loss():
     with pytest.raises(dc.ShapeError) as exc:
-        dc.add(t(np.ones(3)), t(np.ones(4)))
-    assert "(3,)" in str(exc.value) and "(4,)" in str(exc.value)
-    with pytest.raises(dc.ShapeError):  # no broadcasting, not even of a scalar
-        dc.add(t(np.ones(3)), t(1.0))
+        dc.add_l2(t(np.ones(3)), t(np.ones(3)), 0.5)
+    assert "(3,)" in str(exc.value)
 
 
 def test_sigmoid_at_zero():
@@ -104,14 +102,12 @@ def test_group_maxpool_matches_slice_and_maxpool_rows():
         probe = rng.normal(size=(starts.size, d))
         x_new, x_old = t(data), t(data)
         pooled = dc.group_maxpool(x_new, starts)
-        dc.sum_all(dc.mul(pooled, dc.Tensor(probe))).backward()
-        total = dc.Tensor(0.0)
+        pooled.backward(probe)
         for k, (s, e) in enumerate(zip(starts, ends)):
             ref = dc.maxpool_rows(dc.slice_rows(x_old, s, e))
             assert np.array_equal(pooled.data[k], ref.data)
-            total = dc.add(total, dc.sum_all(dc.mul(ref, dc.Tensor(probe[k]))))
+            ref.backward(probe[k])  # x_old is a leaf: its gradient accumulates
             tied += np.any((data[s:e] == ref.data).sum(axis=0) > 1)
-        total.backward()
         assert np.array_equal(x_new.grad, x_old.grad)
     assert tied > 50
 
@@ -142,15 +138,15 @@ def test_clip_passes_gradient_only_inside_range():
 
 
 def test_diamond_graph_accumulates():
-    # f = sum(x*x + x): shared x feeds two branches, df/dx = 2x + 1
+    # f = sum(x) + sum(x*x): shared x feeds two branches, df/dx = 2x + 1
     x = t([1.0, -2.0, 3.0])
-    out = dc.sum_all(dc.add(dc.mul(x, x), x))
+    out = dc.add_l2(dc.sum_all(x), x, 1.0)
     out.backward()
     assert np.allclose(x.grad, 2.0 * x.data + 1.0, atol=1e-15)
 
 
 def _random_composite(seed):
-    """A small randomly-shaped pipeline through every elementwise,
+    """A small randomly-shaped pipeline through every reduction,
     embedding, pooling, head and loss op."""
     rng = np.random.default_rng(seed)
     params = {
@@ -174,12 +170,14 @@ def _random_composite(seed):
         e = dc.embed(4, [(T, idx, None, None), (U, ids, ptr, factors)])  # 4x3
         pooled = dc.maxpool_rows(dc.slice_rows(e, 1, 3))  # 3-vector
         grouped = dc.group_maxpool(e, [0, 2])        # 2x3
-        squares = dc.add(dc.mul(grouped, grouped), dc.Tensor(np.ones((2, 3))))
-        total = dc.add(dc.sum_all(dc.mul(m, pooled)), dc.scale(dc.sum_all(squares), 0.5))
-        mean_m = dc.scale(dc.sum_all(m), 1.0 / 3)     # a scalar probability
-        total = dc.add(total, dc.cross_entropy(mean_m, labels[0], 1e-7))
-        # c feeds both heads: its gradient is the sum of both
-        return dc.add(total, dc.cross_entropy(dc.logistic(e, m, c), labels, 1e-7))
+        # c feeds all three heads: its gradient is the sum of the three
+        total = dc.cross_entropy(dc.logistic(e, m, c), labels, 1e-7)
+        total = dc.add_l2(total, grouped, 0.5)       # the L2 term of a non-leaf
+        pair = dc.cross_entropy(dc.logistic(grouped, pooled, c), labels[:2], 1e-7)
+        total = dc.add_l2(total, pair, 0.7)          # a second loss, squared
+        # a scalar probability, as model.forward sums its single one
+        one = dc.sum_all(dc.logistic(dc.slice_rows(e, 3, 4), m, c))
+        return dc.add_l2(total, dc.cross_entropy(one, labels[0], 1e-7), 1.0)
 
     return params, forward
 
@@ -220,7 +218,8 @@ def test_maxpool_gradient_matches_finite_differences(fd_grads, grad_rel_err):
     x = dc.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 
     def forward():
-        return dc.sum_all(dc.mul(dc.maxpool_rows(x), dc.maxpool_rows(x)))
+        # sum of the pooled row plus sum of its squares: x reached twice
+        return dc.add_l2(dc.sum_all(dc.maxpool_rows(x)), dc.maxpool_rows(x), 1.0)
 
     loss = forward()
     loss.backward()
@@ -253,7 +252,7 @@ def test_embed_matches_loop_oracle_and_finite_differences(fd_grads, grad_rel_err
         want[r] += w * params["num"].data[f]
     out = forward()
     assert np.max(np.abs(out.data - want)) < 1e-14
-    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    out.backward(probe)
     numeric = fd_grads(lambda: float(np.sum(forward().data * probe)), params)
     for name, p in params.items():
         assert grad_rel_err(p.grad, numeric[name]) < 1e-8, name
@@ -283,12 +282,11 @@ def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
     probe = rng.normal(size=(len(lengths), hid))
 
     def forward():
-        out = dc.lstm(params["x"], _offsets(lengths), params["w_input"],
-                      params["w_hidden"], params["bias"])
-        return dc.sum_all(dc.mul(out, dc.Tensor(probe)))
+        return dc.lstm(params["x"], _offsets(lengths), params["w_input"],
+                       params["w_hidden"], params["bias"])
 
-    forward().backward()
-    numeric = fd_grads(lambda: forward().item(), params)
+    forward().backward(probe)
+    numeric = fd_grads(lambda: float(np.sum(forward().data * probe)), params)
     for name, p in params.items():
         assert grad_rel_err(p.grad, numeric[name]) < 1e-6, name
 
@@ -296,7 +294,7 @@ def test_lstm_gradients_match_finite_differences(fd_grads, grad_rel_err):
 def _lstm_bytes(x, offsets, w_input, w_hidden, bias, probe):
     ts = [t(a) for a in (x, w_input, w_hidden, bias)]
     out = dc.lstm(ts[0], offsets, *ts[1:])
-    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    out.backward(probe)
     return [a.tobytes() for a in (out.data, *(p.grad for p in ts))]
 
 
@@ -339,13 +337,13 @@ def test_lstm_rejects_mismatched_shapes():
 
 
 def test_deep_chain_backward_no_recursion_limit():
+    # f = sum(x) + 3000 * 0.5 * sum(x*x): df/dx = 1 + 3000 x
     x = t(np.ones(4) * 0.01)
-    y = x
+    out = dc.sum_all(x)
     for _ in range(3000):
-        y = dc.add(y, x)
-    out = dc.sum_all(y)
+        out = dc.add_l2(out, x, 0.5)
     out.backward()
-    assert np.allclose(x.grad, 3001.0)
+    assert np.allclose(x.grad, 31.0)
 
 
 def test_forward_determinism():
@@ -357,7 +355,7 @@ def test_forward_determinism():
 def test_no_grad_blocks_graph_construction():
     x = t([1.0, 2.0])
     with dc.no_grad():
-        out = dc.sum_all(dc.mul(x, x))
+        out = dc.add_l2(dc.sum_all(x), x, 1.0)
     assert out._backward is None and out._parents == ()
 
 

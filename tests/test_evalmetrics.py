@@ -9,6 +9,8 @@ from mrm import model as mm
 from mrm import syngen
 from mrm.diffcore import Tensor
 
+from .conftest import auc_oracle
+
 
 # ---------------------------------------------------------------------------
 # metric oracles: literal definitions
@@ -64,6 +66,21 @@ def test_auc_matches_pair_counting_oracle():
         if labels.min() == labels.max():
             continue
         assert abs(em.auc(scores, labels) - pair_count_auc(scores, labels)) < 1e-12
+
+
+# scores from a small pool, so runs of ties are common, with both zeros,
+# both infinities and NaN (its own run each)
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 0.25, -1.5, 1e300, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TIED_SCORES | st.floats(), st.integers(0, 1)), min_size=2,
+                max_size=80).filter(lambda p: len({y for _, y in p}) == 2))
+def test_auc_gives_the_bits_of_the_tie_loop(pairs):
+    scores = [s for s, _ in pairs]
+    labels = [y for _, y in pairs]
+    got, want = em.auc(scores, labels), auc_oracle(scores, labels)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

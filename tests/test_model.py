@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrm import diffcore as dc
+from mrm import evalmetrics as em
 from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
@@ -646,7 +647,7 @@ def test_attention_backward_matches_finite_differences(fd_grads):
             return float(np.sum(out.data * probe))
 
         out, _ = mm.sparse_attention(x, times, params, config)
-        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        out.backward(probe)
         numeric = fd_grads(loss_value, named)
         for name, t in named.items():
             assert t.grad is not None, name
@@ -699,7 +700,7 @@ def test_attention_backward_on_a_joined_batch_matches_finite_differences(fd_grad
             alone, _ = mm.sparse_attention(dc.Tensor(x.data[a:b]), times[a:b],
                                            params, config)
             assert np.max(np.abs(out.data[a:b] - alone.data)) < 1e-12
-        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        out.backward(probe)
         numeric = fd_grads(loss_value, named)
         for name, t in named.items():
             assert param_rel_err(name, t.grad, numeric[name],
@@ -795,7 +796,7 @@ def _attention_bytes(x, w, n_heads, lo, hi, topk, probe):
     call, each as (shape, dtype, bytes)."""
     xt, wt = dc.Tensor(x, requires_grad=True), dc.Tensor(w, requires_grad=True)
     out, (rows, weights) = dc.windowed_attention(xt, wt, n_heads, lo, hi, topk)
-    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    out.backward(probe)
     return [(a.shape, a.dtype.str, a.tobytes())
             for a in (out.data, rows, weights, xt.grad, wt.grad)]
 
@@ -1242,7 +1243,7 @@ def test_head_and_loss_give_the_bits_of_the_micro_op_graph(one_sequence, l2):
             y_hat = dc.sum_all(y_hat)  # as forward does
         total = mm.loss(y_hat, labels)
         if l2 > 0:  # as the lr baseline's batch loss adds it
-            total = dc.add(total, dc.scale(dc.sum_all(dc.mul(tw, tw)), l2))
+            total = dc.add_l2(total, tw, l2)
         total.backward()
         want = head_loss_oracle(x, w, b, labels, mm._CLAMP, l2, one_sequence)
         got = (total.data, tx.grad, tw.grad, tb.grad)
@@ -1284,6 +1285,26 @@ def test_a_training_batch_is_one_node_per_layer(kind, grouped):
         want[1:1] = ["windowed_attention"] + (["group_maxpool"] if grouped else [])
     assert ops[::-1] == want
     assert n_nodes == len(want) + len(params.named())
+
+
+def test_an_lr_training_batch_is_three_nodes(monkeypatch):
+    # the lr baseline's batch loss with l2 > 0: the head, the loss and the
+    # L2 term, one node each, over the frequency, weight and bias leaves
+    rng = np.random.default_rng(47)
+    config = small_config()
+    seqs = [EventSequence("p", k % 2, random_sequence(rng, 5, config).events)
+            for k in range(6)]
+    graphs = []
+
+    def fit(named, batch_loss, scores, datasets, train_config):
+        graphs.append(_graph_ops(batch_loss(np.arange(2), np.array([0, 1]))))
+
+    monkeypatch.setattr(em, "_fit", fit)
+    em.train_lr_baseline((seqs[:2], seqs[2:4], seqs[4:]), 0.37, em.TrainConfig(),
+                         config.n_codes)
+    [(ops, n_nodes)] = graphs
+    assert ops[::-1] == ["logistic", "cross_entropy", "add_l2"]
+    assert n_nodes == 3 + 3
 
 
 def test_loss_of_a_vector_is_the_mean_of_scalar_losses():

@@ -55,7 +55,7 @@ def _pipeline(seqs, config, params):
     out, (rows, weights) = dc.windowed_attention(x, params.named()["attention.qkv"],
                                                  config.n_heads, lo, hi, config.topk)
     probe = np.random.default_rng(0).normal(size=out.shape)
-    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    out.backward(probe)
     grads = {name: t.grad for name, t in params.named().items() if t.grad is not None}
     return (x.data, out.data, rows, weights), grads, (lo, hi)
 
@@ -127,7 +127,7 @@ def test_the_split_backward_gives_the_bits_of_one_pass(monkeypatch, submits):
         x_t = dc.Tensor(x.copy(), requires_grad=True)
         w_t = dc.Tensor(w_qkv.copy(), requires_grad=True)
         out, kept = dc.windowed_attention(x_t, w_t, config.n_heads, lo, hi, config.topk)
-        dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+        out.backward(probe)
         runs[workers] = (x_t.grad, w_t.grad), kept, list(submits)
     # forward rows, backward rows, then the value scatter beside the key one
     assert runs[1][2] == [] and runs[2][2] == [(cut, n), (cut, n), ()]
@@ -204,7 +204,7 @@ def test_embed_sums_equal_np_add_at():
     # backward: the table gradient matches np.add.at byte for byte
     probe = rng.normal(size=(n, d))
     probe[::5] = -0.0
-    dc.sum_all(dc.mul(out, dc.Tensor(probe))).backward()
+    out.backward(probe)
     want_grad = np.zeros_like(table.data)
     np.add.at(want_grad, ids, probe[rows] * weights[:, None])
     assert table.grad.tobytes() == want_grad.tobytes()
