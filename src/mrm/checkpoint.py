@@ -184,11 +184,21 @@ def read_checkpoint(path, sidecar: DatasetConfig | None = None) -> Checkpoint:
     return Checkpoint(kind, dataset, model, params, train, meta.get("l2"))
 
 
-def checkpoint_scores(ckpt: Checkpoint, sequences) -> np.ndarray:
+def checkpoint_scores(ckpt: Checkpoint, sequences, name="the checkpoint") -> np.ndarray:
     """Outcome probabilities of sequences (as loaded, not yet normalized)
-    under a checkpoint's model, in input order."""
-    if ckpt.kind == "lr":
-        fv = np.stack([frequency_vector(s, ckpt.dataset.n_codes) for s in sequences])
-        return ev.lr_scores(ckpt.params["weight"], ckpt.params["bias"], fv)
-    return ev.score_sequences(ckpt.kind, ckpt.params,
-                              normalize_numeric(sequences, ckpt.dataset), ckpt.model)
+    under a checkpoint's model, in input order. Finite weights can still
+    overflow, so numpy's warnings are off and a score that is not finite
+    raises ConfigError, naming the checkpoint by name."""
+    with np.errstate(all="ignore"):
+        if ckpt.kind == "lr":
+            fv = np.stack([frequency_vector(s, ckpt.dataset.n_codes) for s in sequences])
+            scores = ev.lr_scores(ckpt.params["weight"], ckpt.params["bias"], fv)
+        else:
+            scores = ev.score_sequences(ckpt.kind, ckpt.params,
+                                        normalize_numeric(sequences, ckpt.dataset),
+                                        ckpt.model)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ConfigError(f"{name} scores sequence {bad[0]} as "
+                          f"{float(scores[bad[0]])!r}, not a finite probability")
+    return scores

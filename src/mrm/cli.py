@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
         model_config = _model_config(args, data_config)
         params, report = ev.train(args.model, splits, train_config, model_config)
         ckpt = Checkpoint(args.model, data_config, model_config, params, train_config)
-    file_scores = checkpoint_scores(ckpt, sequences)
+    file_scores = checkpoint_scores(ckpt, sequences, f"checkpoint {args.out}")
     extra = {}
     file_labels = [s.label for s in sequences]
     if 0 < sum(file_labels) < len(file_labels):
@@ -177,7 +177,7 @@ def cmd_evaluate(args) -> int:
     ckpt = read_checkpoint(args.ckpt, events_mod.load_sidecar_config(sidecar)
                            if os.path.exists(sidecar) else None)
     sequences = events_mod.load_dataset(args.data, ckpt.dataset)
-    scores = checkpoint_scores(ckpt, sequences)
+    scores = checkpoint_scores(ckpt, sequences, f"checkpoint {args.ckpt}")
     labels = [s.label for s in sequences]
     auc, ap = ev.auc(scores, labels), ev.average_precision(scores, labels)  # may raise
     print(f"n_sequences = {len(sequences)}")
@@ -226,13 +226,15 @@ def cmd_inspect(args) -> int:
             f"--index {args.index} outside [0, {len(sequences)})")
     seq = sequences[args.index]
     ckpt = None if args.ckpt is None else read_checkpoint(args.ckpt, data_config)
+    if ckpt is not None:  # scored first: a checkpoint that fails prints nothing
+        prediction = checkpoint_scores(ckpt, [seq], f"checkpoint {args.ckpt}")[0]
     print(f"patient_id = {seq.patient_id}")
     print(f"label = {seq.label}")
     print(f"n_events = {len(seq)}")
     print(f"t_first = {float(seq.times()[0])!r}")
     print(f"t_last = {float(seq.times()[-1])!r}")
     if ckpt is not None:
-        print(f"prediction = {float(checkpoint_scores(ckpt, [seq])[0])!r}")
+        print(f"prediction = {float(prediction)!r}")
         if ckpt.kind == "mrm":
             part = model_mod.sequence_partition(seq, ckpt.model)
             print(f"n_groups = {len(part.groups)}")

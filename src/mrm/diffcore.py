@@ -204,9 +204,12 @@ def sum_all(a: Tensor) -> Tensor:
 
 def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """The logistic function, stable at any magnitude: one divide of 1 (x
-    >= 0) or exp(-|x|) (x < 0) by 1 + exp(-|x|), into out when given."""
+    >= 0) or exp(-|x|) (x < 0) by 1 + exp(-|x|), into out when given.
+    exp(-|x|) lies in [0, 1] or is NaN, which maximum passes on, so its
+    maximum with the 0 or 1 of x >= 0 picks that numerator without a
+    where."""
     z = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, z), 1.0 + z, out=out)
+    return np.divide(np.maximum(z, x >= 0), 1.0 + z, out=out)
 
 
 # ---------------------------------------------------------------------------

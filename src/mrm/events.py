@@ -43,10 +43,10 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def check_number(name, value, least=None, integer=False, strict=False):
+def check_number(name, value, least=None, integer=False, strict=False, most=None):
     """Raise ConfigError unless value is a finite number >= least (> least
-    when strict), or an integer >= least when integer is set. Bools are no
-    numbers here."""
+    when strict), or an integer >= least when integer is set, and at most
+    most when given. Bools are no numbers here."""
     number = (not isinstance(value, bool)
               and isinstance(value, numbers.Integral if integer else numbers.Real)
               # an int is finite however large; math.isfinite may overflow on it
@@ -56,6 +56,9 @@ def check_number(name, value, least=None, integer=False, strict=False):
         bound = "" if least is None else f" {'>' if strict else '>='} {least:g}"
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {what}{bound}, got {_quote(value)}", field=name)
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}, got {_quote(value)}",
+                          field=name)
 
 
 @dataclass(slots=True)
@@ -218,6 +221,9 @@ def concatenate(sequences) -> EventSequence:
         np.concatenate(num_values))
 
 
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Vocabulary sizes plus (once fitted) per-feature normalization stats."""
@@ -228,8 +234,9 @@ class DatasetConfig:
     feature_stats: dict | None = None  # feature_id -> (mean, std), std pre-floored
 
     def __post_init__(self):
-        check_number("n_codes", self.n_codes, 1, integer=True)
-        check_number("n_features", self.n_features, 0, integer=True)
+        # a vocabulary size is an array length, so it must fit an index
+        check_number("n_codes", self.n_codes, 1, integer=True, most=_MAX_INDEX)
+        check_number("n_features", self.n_features, 0, integer=True, most=_MAX_INDEX)
         check_number("max_features", self.max_features, 0, integer=True)
         for fid, (mean, std) in (self.feature_stats or {}).items():
             check_number(f"feature_stats[{fid}] mean", mean)

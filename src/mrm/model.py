@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .events import ConfigError, EventSequence, check_number, concatenate
-from .partition import Partition, optimal_partition
+from .partition import Partition, batch_partition_starts, optimal_partition
 
 
 @dataclass(frozen=True)
@@ -350,23 +350,26 @@ def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
     events, one per sequence, or computed when partitions is None), one
     row per group; "plain_lstm" returns the event vectors, one row per
     event. The group starts of several sequences are one array built in
-    one pass (_batch_group_starts); one sequence's come from
-    _group_starts.
+    one pass: from the times by batch_partition_starts when partitions is
+    None, else from the partitions by _batch_group_starts. One sequence's
+    come from _group_starts.
     """
     used = [_truncate(seq, config)[0] for seq in seqs]
     lengths = [len(seq) for seq in used]
     offsets = _offsets(lengths)
     x = encode_events(concatenate(used), params, config)
     if params.kind == "mrm":
-        times = [seq.times() for seq in used]
-        x, _ = sparse_attention(x, np.concatenate(times), params, config,
-                                offsets=offsets)
+        times = np.concatenate([seq.times() for seq in used])
+        x, _ = sparse_attention(x, times, params, config, offsets=offsets)
+        if partitions is None and len(used) == 1:
+            partitions = [optimal_partition(times, config.max_groups,
+                                            config.max_group_len)]
         if partitions is None:
-            partitions = [optimal_partition(t, config.max_groups, config.max_group_len)
-                          for t in times]
+            starts, counts = batch_partition_starts(times, offsets, config.max_groups,
+                                                    config.max_group_len)
         elif len(partitions) != len(used):
             raise ValueError(f"{len(partitions)} partitions for {len(used)} sequences")
-        if len(partitions) == 1:
+        elif len(partitions) == 1:
             starts = _group_starts(partitions[0], lengths[0])
             counts = [len(starts)]
         else:

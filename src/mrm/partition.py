@@ -170,3 +170,66 @@ def optimal_partition(times, max_groups: int, max_group_len: int) -> Partition:
             groups = _greedy(tl, hi, max_group_len)[0]
     spans = tuple(tl[e - 1] - tl[s] for s, e in groups)
     return Partition(groups=tuple(groups), spans=spans, minimax_span=max(spans))
+
+
+def _sorted_between(t: np.ndarray, seams: np.ndarray) -> bool:
+    """Whether t is non-decreasing from each seam to the next, the first
+    seam 0 left out; seams ascend within 1..len(t) - 1."""
+    down = t[1:] < t[:-1]
+    down[seams - 1] = False
+    return not down.any()
+
+
+def batch_partition_starts(times, offsets, max_groups: int, max_group_len: int):
+    """(starts, counts) of the optimal partitions of several sequences held
+    back to back, sequence b at times[offsets[b]:offsets[b + 1]] (offsets
+    runs from 0 to len(times)): the first row of every group in the
+    concatenated rows, and each sequence's number of groups.
+
+    One vectorized pass finds the runs of equal times and cuts each run
+    every max_group_len events. Those are the groups of the greedy at
+    threshold 0.0, so a sequence with at most max_groups of them is done
+    (see optimal_partition). Every other sequence goes through
+    optimal_partition, and so does every sequence of a batch that holds an
+    empty sequence, a non-finite time or a time out of order, so that the
+    first bad sequence raises what it raises on its own. When no sequence
+    has at most max_groups runs, the pass stops after counting them, so a
+    batch of long sequences costs a few array calls more than the
+    searches alone.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    n, firsts = t.size, offsets[:-1]
+    starts = np.zeros(0, dtype=np.intp)
+    counts = np.zeros(firsts.size, dtype=np.intp)
+    fits = counts != 0
+    if n and max_group_len >= 1 and (offsets[1:] > firsts).all():
+        new = np.empty(n, dtype=bool)  # the first row of each run of equal times
+        np.not_equal(t[1:], t[:-1], out=new[1:])
+        new[firsts] = True
+        starts = np.flatnonzero(new)
+        ends = starts.searchsorted(offsets)
+        counts = ends[1:] - ends[:-1]  # runs per sequence; the cut only adds
+        if ((counts <= max_groups).any() and np.isfinite(t).all()
+                and _sorted_between(t, firsts[1:])):
+            if (starts[1:] - starts[:-1]).max(initial=n - starts[-1]) > max_group_len:
+                rows = np.arange(n)
+                # each row's place in its run, cut where it is a multiple
+                rank = rows - np.maximum.accumulate(np.where(new, rows, 0))
+                starts = np.flatnonzero(rank % max_group_len == 0)
+                ends = starts.searchsorted(offsets)
+                counts = ends[1:] - ends[:-1]
+            fits = counts <= max_groups
+            if fits.all():
+                return starts, counts
+    bounds = offsets.tolist()
+    slow = np.flatnonzero(~fits).tolist()
+    parts = [optimal_partition(t[bounds[b]:bounds[b + 1]], max_groups, max_group_len)
+             for b in slow]
+    starts = np.concatenate([
+        starts[np.repeat(fits, counts)],
+        np.fromiter((bounds[b] + s for b, part in zip(slow, parts) for s, _ in part.groups),
+                    dtype=np.intp)])
+    starts.sort()  # the searched sequences' starts go between the others'
+    counts[slow] = [len(part) for part in parts]
+    return starts, counts

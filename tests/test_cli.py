@@ -1,4 +1,5 @@
 import json
+import types
 import warnings
 
 import numpy as np
@@ -578,6 +579,70 @@ def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(
 
 
 # ---------------------------------------------------------------------------
+# scores that are not finite exit 2 with one line that names the checkpoint
+
+
+def _huge_copy(ckpt, out):
+    """out: ckpt with every weight 1e308, finite, so it loads, but its
+    scores overflow."""
+    arrays, meta = ck.read_archive(ckpt)
+    ck.write_archive(out, {name: np.full_like(a, 1e308) for name, a in arrays.items()},
+                     meta)
+    return out
+
+
+def _run_without_warnings(args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(args)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+def test_an_mrm_checkpoint_that_scores_nan_exits_2_naming_it(tmp_path, dataset, capsys,
+                                                             command):
+    ckpt = tmp_path / "m.npz"
+    assert cli.main(train_args(dataset, ckpt)) == 0
+    huge = _huge_copy(ckpt, tmp_path / "huge.npz")
+    capsys.readouterr()
+    args = ["--data", str(dataset), "--ckpt", str(huge)]
+    code = _run_without_warnings(["evaluate", *args] if command == "evaluate"
+                                 else ["inspect", *args, "--index", "2"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"mrm: error: checkpoint {huge} scores sequence 0 as nan, not a finite "
+            f"probability\n")
+
+
+def test_an_lr_checkpoint_of_huge_weights_scores_without_numpy_warnings(
+        tmp_path, dataset, capsys):
+    # its logits overflow to +inf, whose probability 1.0 is finite
+    ckpt = tmp_path / "m.npz"
+    assert cli.main(train_args(dataset, ckpt, "lr")) == 0
+    huge = _huge_copy(ckpt, tmp_path / "huge.npz")
+    capsys.readouterr()
+    assert _run_without_warnings(["evaluate", "--data", str(dataset),
+                                  "--ckpt", str(huge)]) == 0
+    out, err = capsys.readouterr()
+    assert "auc = 0.5\n" in out and err == ""
+
+
+@pytest.mark.parametrize("model", ["mrm", "lr"])
+def test_train_exits_2_when_the_file_scores_are_not_finite(tmp_path, dataset, capsys,
+                                                           monkeypatch, model):
+    # the checkpoint's scoring path alone sees NaN; training does not
+    monkeypatch.setattr(ck, "ev", types.SimpleNamespace(
+        score_sequences=lambda kind, params, seqs, config: np.full(len(seqs), np.nan),
+        lr_scores=lambda weight, bias, fv: np.full(len(fv), np.nan)))
+    out = tmp_path / "m.npz"
+    assert cli.main(train_args(dataset, out, model)) == 2
+    assert capsys.readouterr().err == (f"mrm: error: checkpoint {out} scores sequence 0 "
+                                       f"as nan, not a finite probability\n")
+    assert list(tmp_path.glob("m.npz*")) == []
+
+
+# ---------------------------------------------------------------------------
 # checkpoints with a bad version, bad metadata values or bad arrays exit 2
 
 
@@ -717,9 +782,13 @@ def test_a_huge_or_deeply_nested_value_in_any_file_exits_with_a_short_error(
             assert cli.main(train_args(dataset, checkpoints[model], model)) == 0
         capsys.readouterr()
     monkeypatch.chdir(tmp_path)  # short relative paths in the messages
+    # a sidecar integer too large for an array length; maxFeat caps a count,
+    # so any integer is a valid one
+    past_intp = {"past intp": "9" * 4000} if kind == "sidecar" else {}
     cases = 0
     for place, command, files in _fuzz_cases(kind, checkpoints):
-        for label, value in FUZZ_VALUES.items():
+        values = {**FUZZ_VALUES, **(past_intp if place != "maxFeat" else {})}
+        for label, value in values.items():
             for name, content in files.items():
                 if isinstance(content, tuple):
                     arrays, text = content
@@ -736,3 +805,25 @@ def test_a_huge_or_deeply_nested_value_in_any_file_exits_with_a_short_error(
             assert err.count("\n") == 1 and "Traceback" not in err, case
             cases += 1
     assert cases >= 4 * len(FUZZ_VALUES)
+
+
+@pytest.mark.parametrize("line", ["N_c = " + "9" * 4000, f"N_c = {2 ** 63}",
+                                  f"N_f = {2 ** 63}"],
+                         ids=["N_c 4000 nines", "N_c 2**63", "N_f 2**63"])
+def test_a_vocabulary_past_the_index_range_exits_2_in_every_command(
+        tmp_path, dataset, trained, capsys, line):
+    key = line.split(" = ")[0]
+    sidecar = tmp_path / "big.config"
+    sidecar.write_text("".join(
+        line + "\n" if old.startswith(key) else old
+        for old in dataset.with_name(dataset.name + ".config").read_text().splitlines(True)))
+    data = ["--data", str(dataset), "--data-config", str(sidecar)]
+    for args in (train_args(dataset, tmp_path / "lr.npz", "lr", data[2:]),
+                 train_args(dataset, tmp_path / "m.npz", "mrm", data[2:]),
+                 ["evaluate", *data, "--ckpt", str(trained)],
+                 ["inspect", *data], ["inspect", *data, "--index", "0"]):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), args
+        assert err.startswith(f"mrm: error: {sidecar}: {key}: ") and "at most" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 300 + len(str(sidecar))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrm import diffcore as dc
 
@@ -64,6 +66,14 @@ def test_sigmoid_into_writes_the_bytes_of_sigmoid():
     strided = np.full((x.size, 3), 7.0)  # into a column, as into a gate block
     dc._sigmoid(x[:, None], out=strided[:, 1:2])
     assert strided[:, 1].tobytes() == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_sigmoid_gives_the_bytes_of_the_oracle_on_any_float64_bits(bits):
+    # every bit pattern: subnormals, signed zeros, infinities and NaN payloads
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert dc._sigmoid(x).tobytes() == sigmoid_oracle(x).tobytes()
 
 
 def test_maxpool_rows_coordinatewise():

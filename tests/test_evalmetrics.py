@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from mrm import evalmetrics as em
 from mrm import events as ev
 from mrm import model as mm
-from mrm import syngen
+from mrm import partition, syngen
 from mrm.diffcore import Tensor
+from mrm.partition import optimal_partition
 
 from .conftest import auc_oracle
 
@@ -316,6 +317,33 @@ def test_two_pass_scoring_of_random_cohorts(max_groups, max_group_len, data):
         spies = _spy_on_the_two_passes(monkeypatch)
         for kind in ("mrm", "plain_lstm"):
             _check_two_passes(kind, seqs, config, spies)
+
+
+@pytest.mark.parametrize("shape", ["short", "grouped"])
+def test_batch_scoring_searches_only_records_whose_runs_do_not_fit(monkeypatch, shape):
+    # short: 12-36 events under M = 64, so every group is a run of equal
+    # times and no search runs; grouped: 200-600 events in about 41
+    # distinct times under M = 16, so every record needs the search
+    max_groups, max_group_len, lengths = {"short": (64, 32, (12, 36)),
+                                          "grouped": (16, 64, (200, 600))}[shape]
+    config = _scoring_config(max_groups, max_group_len)
+    rng = np.random.default_rng(31)
+    seqs = [_scoring_sequence(rng, int(n), f"p{i}")
+            for i, n in enumerate(np.linspace(*lengths, 6).astype(int))]
+    params = mm.MrmParams.init(config, seed=31)
+    parts = [mm.sequence_partition(s, config) for s in seqs]
+    calls = []
+
+    def spy(times, *args):
+        calls.append(len(times))
+        return optimal_partition(times, *args)
+
+    monkeypatch.setattr(partition, "optimal_partition", spy)
+    monkeypatch.setattr(mm, "optimal_partition", spy)
+    scores = em.score_sequences("mrm", params, seqs, config)
+    assert sorted(calls) == ([] if shape == "short" else [len(s) for s in seqs])
+    assert scores.tobytes() == em.score_sequences("mrm", params, seqs, config,
+                                                  parts).tobytes()
 
 
 def test_score_sequences_rejects_a_kind_other_than_the_params():

@@ -438,3 +438,107 @@ def test_threshold_search_probes_halve_the_float_gap(case):
     else:
         gap = _float_gap(first_lag, times[-1] - times[0])
         assert len(calls) <= 2 + gap.bit_length() <= 65
+
+
+# ---------------------------------------------------------------------------
+# batch_partition_starts: the partitions of a whole batch in one pass
+
+
+def _batch(seqs):
+    """(times, offsets) of sequences held back to back."""
+    return (np.array([t for seq in seqs for t in seq], dtype=np.float64),
+            np.cumsum([0] + [len(seq) for seq in seqs]))
+
+
+def _starts_one_by_one(seqs, max_groups, max_group_len):
+    """(starts, counts) from optimal_partition, one sequence at a time."""
+    starts, counts, first = [], [], 0
+    for seq in seqs:
+        part = optimal_partition(seq, max_groups, max_group_len)
+        starts += [first + s for s, _ in part.groups]
+        counts.append(len(part))
+        first += len(seq)
+    return starts, counts
+
+
+_batch_times = st.one_of(
+    _probe_times, _mixed_scales,
+    # ties of -0.0 and 0.0, which sort as equals and so stay in drawn order
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=40).map(sorted))
+
+
+@st.composite
+def _batch_cases(draw):
+    max_groups = draw(st.integers(1, 8))
+    max_group_len = draw(st.integers(1, 8))
+    cap = max_groups * max_group_len
+    seqs = draw(st.lists(_batch_times.map(lambda t: t[-cap:]), min_size=1, max_size=5))
+    return seqs, max_groups, max_group_len
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_batch_cases())
+@example(([[1.0, 2.0, 3.0]], 3, 1))                     # L = M, one sequence
+@example(([[0.0] * 12, [5.0] * 12], 3, 4))              # L = M * L_G, runs cut by L_G
+@example(([[-0.0, 0.0, 0.0, -0.0, 1.0], [0.0, -0.0]], 1, 5))
+@example(([[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], [0.5]], 2, 2))  # mixed
+def test_batch_partition_starts_match_one_search_per_sequence(case):
+    seqs, m, lg = case
+    starts, counts = partition.batch_partition_starts(*_batch(seqs), m, lg)
+    assert starts.dtype == counts.dtype == np.intp
+    assert (starts.tolist(), counts.tolist()) == _starts_one_by_one(seqs, m, lg)
+    # each sequence's groups are optimal by the DP, and for short ones by
+    # enumeration
+    ends = np.cumsum(counts)
+    bounds = starts.tolist() + [len(_batch(seqs)[0])]
+    first = 0
+    for seq, count, end in zip(seqs, counts.tolist(), ends.tolist()):
+        cuts = [b - first for b in bounds[end - count:end + 1]]
+        assert count <= m and all(0 < e - s <= lg for s, e in zip(cuts, cuts[1:]))
+        widest = max(seq[e - 1] - seq[s] for s, e in zip(cuts, cuts[1:]))
+        assert widest == dp_minimax(seq, m, lg)
+        if len(seq) <= 8:
+            assert widest == brute_minimax(seq, m, lg)
+        first += len(seq)
+
+
+def test_batch_partition_starts_search_only_the_sequences_that_need_it(monkeypatch):
+    calls = []
+    real = partition.optimal_partition
+
+    def spy(times, *args):
+        calls.append(list(times))
+        return real(times, *args)
+
+    monkeypatch.setattr(partition, "optimal_partition", spy)
+    fits, needs = [0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0]
+    for seqs in ([fits, fits], [needs, fits, needs], [needs], [fits, needs, fits]):
+        calls.clear()
+        starts, counts = partition.batch_partition_starts(*_batch(seqs), 2, 2)
+        assert (starts.tolist(), counts.tolist()) == _starts_one_by_one(seqs, 2, 2)
+        assert calls == [seq for seq in seqs if seq is needs]
+
+
+_BAD = [[0.0, float("nan")], [float("inf")], [-float("inf"), 0.0], [1.0, 0.5], []]
+
+
+@pytest.mark.parametrize("bad", _BAD)
+@pytest.mark.parametrize("before, after", [([], []), ([[0.0]], []), ([[0.0, 1.0]], [[2.0]]),
+                                           ([], [[0.0, 0.0, 0.0, 0.0, 0.0]])])
+@pytest.mark.parametrize("later", [[], [[1.0, 0.0]]])  # a second bad sequence
+def test_batch_partition_starts_raise_what_the_first_bad_sequence_raises(
+        bad, before, after, later):
+    seqs = before + [bad] + after + later
+    with pytest.raises(Exception) as want:
+        _starts_one_by_one(seqs, 2, 2)
+    with pytest.raises(Exception) as got:
+        partition.batch_partition_starts(*_batch(seqs), 2, 2)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert isinstance(got.value, ValueError)
+
+
+def test_batch_partition_starts_of_too_many_events_raise_as_the_search():
+    seqs = [[0.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]]  # 5 events, capacity 4
+    with pytest.raises(InfeasiblePartitionError) as exc:
+        partition.batch_partition_starts(*_batch(seqs), 2, 2)
+    assert str(exc.value) == "5 events cannot fit into 2 groups of at most 2"
