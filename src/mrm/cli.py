@@ -22,6 +22,7 @@ from .checkpoint import (KINDS, Checkpoint, checkpoint_scores, read_checkpoint,
                          write_checkpoint)
 from .partition import InfeasiblePartitionError, optimal_partition
 
+
 class _UsageError(Exception):
     pass
 

@@ -11,12 +11,8 @@ differences are reliable.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -127,72 +123,6 @@ def _node(value, op: str, parents, backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row-parallel kernels
-
-# Workers for row-separable kernels: the calling thread plus pool
-# threads, one per CPU this process may run on, at most two (the only count
-# measured). The pool exists from import on, so no module attribute changes
-# later, and it starts its thread on the first split only.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-_MIN_BLOCK_ROWS = 512  # smaller blocks lose more to the hand-off than they gain
-# Attention scores its window slots one key gather and einsum at a time, or
-# a few slots at once while they hold at most this many query rows in all,
-# so that short inputs pay fewer numpy calls.
-_SLOT_ROWS = 256
-
-
-def _new_pool():
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mrm-rows")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has no pool thread, but a copied pool would wait for one
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def _row_blocks(fn, n: int):
-    """Call fn(r0, r1) on blocks that tile the rows [0, n) in order: one
-    block per worker when each gets at least _MIN_BLOCK_ROWS rows, else
-    one block, [0, n), on the calling thread. The calling thread runs the
-    first block and the pool the others. fn must write only its own rows
-    of arrays made beforehand and do numpy work only: no Tensor, no
-    no_grad state, no public function of this package."""
-    blocks = min(_WORKERS, n // _MIN_BLOCK_ROWS)
-    if blocks <= 1:
-        fn(0, n)
-        return
-    cuts = [n * b // blocks for b in range(blocks + 1)]
-    _on_workers([(fn, cut) for cut in zip(cuts[:-1], cuts[1:])])
-
-
-def _both(f, g, n: int):
-    """(f(), g()): g on the pool when a call over n rows splits
-    (_row_blocks), else both on the calling thread. f and g keep to what
-    _row_blocks asks of fn."""
-    if min(_WORKERS, n // _MIN_BLOCK_ROWS) <= 1:
-        return f(), g()
-    return tuple(_on_workers([(f, ()), (g, ())]))
-
-
-def _on_workers(calls):
-    """[fn(*args) for fn, args in calls], the first call on the calling
-    thread and the others on the pool, in a copy of the caller's context
-    (numpy's errstate is a context variable); returns once every call has
-    ended."""
-    futures = [_POOL.submit(partial(contextvars.copy_context().run, fn), *args)
-               for fn, args in calls[1:]]
-    try:
-        fn, args = calls[0]
-        first = fn(*args)
-    finally:
-        wait(futures)  # no call may still write once this returns
-    return [first] + [future.result() for future in futures]
-
-
-# ---------------------------------------------------------------------------
 # elementwise operations
 
 
@@ -224,10 +154,9 @@ def embed(n_rows: int, lookups) -> Tensor:
     entry k adds weights[k] * table[ids[k]] to its row. ptr None means
     entry k goes to row k (then ids has n_rows entries); weights None
     means 1. Each lookup is summed into its own block, a row's entries one
-    after the other in entry order, and the blocks are added in order; the
-    output rows are filled in row blocks (_row_blocks). Backward is one
-    np.bincount per table over id * d + column, which adds each table
-    row's entries in entry order from zero, as np.add.at would.
+    after the other in entry order, and the blocks are added in order.
+    Backward is one np.bincount per table over id * d + column, which adds
+    each table row's entries in entry order from zero, as np.add.at would.
     """
     terms = []
     for table, ids, ptr, weights in lookups:
@@ -248,23 +177,17 @@ def embed(n_rows: int, lookups) -> Tensor:
         terms.append((table, ids, ptr, weights))
     if not terms:
         raise ShapeError("embed: no lookup has any entries")
-    out = np.empty((n_rows, terms[0][0].shape[1]))
-
-    def fill(r0, r1):
-        block = out[r0:r1]
-        for j, (table, ids, ptr, weights) in enumerate(terms):
-            a, b = (r0, r1) if ptr is None else (ptr[r0], ptr[r1])
-            vals = table.data[ids[a:b]]
-            if weights is not None:
-                vals = vals * weights[a:b]
-            if ptr is not None:
-                vals = _sum_entries(vals, ptr[r0:r1 + 1] - a)
-            if j:
-                block += vals
-            else:
-                block[...] = vals
-
-    _row_blocks(fill, n_rows)
+    out = None
+    for table, ids, ptr, weights in terms:
+        vals = table.data[ids]  # fancy indexing copies, so out may be added to
+        if weights is not None:
+            vals = vals * weights
+        if ptr is not None:
+            vals = _sum_entries(vals, ptr)
+        if out is None:
+            out = vals
+        else:
+            out += vals
 
     def bwd(g):
         for table, ids, ptr, weights in terms:
@@ -351,6 +274,12 @@ def group_maxpool(x: Tensor, starts) -> Tensor:
     return _node(out, "group_maxpool", (x,), bwd)
 
 
+# Attention scores its window slots one key gather and einsum at a time, or
+# a few slots at once while they hold at most this many query rows in all,
+# so that short inputs pay fewer numpy calls.
+_SLOT_ROWS = 256
+
+
 def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int):
     """Multi-head attention of every row of x over a contiguous window of rows.
 
@@ -376,21 +305,13 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     narrower than k is filled up with padding entries of weight exactly 0
     whose row is lo[i].
 
-    The queries, keys and values of all rows are projected first; the rest
-    of the forward runs in row blocks (_row_blocks), each filling its own
-    rows of the outputs, so the results do not depend on the number of
-    blocks.
-
     Returns (out, (rows, weights)): out is the (n, heads * head_dim)
     tensor; rows[i, h] are the k rows that query i keeps in head h, in
     row order (padding last), and weights[i, h] their softmax weights,
     both (n, heads, k). The backward rule treats the selection as
-    constant. Its row-separable part (the query gradient and the score
-    gradients the other two need) runs in row blocks too; then it
-    scatters the key and the value gradients of the kept entries onto
-    their rows with np.bincount, the two scatters side by side when the
-    rows split (_both). No sum changes its order with the number of
-    workers.
+    constant: it takes the score and the query gradients over the kept
+    entries, then scatters the key and the value gradients of the kept
+    entries onto their rows with np.bincount.
     """
     if (w_qkv.data.ndim != 2 or w_qkv.shape[1] != x.shape[1]
             or w_qkv.shape[0] % (3 * n_heads)):
@@ -412,45 +333,28 @@ def windowed_attention(x: Tensor, w_qkv: Tensor, n_heads: int, lo, hi, topk: int
     q = q.reshape(n, n_heads, head_dim)
     size = hi - lo
     k = min(topk, int(size.max()))
-    out = np.empty((n, n_heads, head_dim))
-    rows = np.empty((n, n_heads, k), dtype=np.intp)
-    p = np.empty((n, n_heads, k))
-    v_kept = np.empty((n, n_heads, k, head_dim))
-
-    def fill(r0, r1):
-        lo_b = lo[r0:r1, None, None]
-        slots, s = _kept_slots(q[r0:r1], keys, lo[r0:r1], hi[r0:r1], k)
-        valid = slots < size[r0:r1, None, None]
-        rows[r0:r1] = np.where(valid, lo_b + slots, lo_b)
-        s[~valid] = -np.inf
-        e = np.exp(s - _over_kept(np.maximum, s)[..., None])
-        np.divide(e, _over_kept(np.add, e)[..., None], out=p[r0:r1])
-        # head h of row r is row r * heads + h of the (n, heads * head_dim)
-        # keys and values seen as (n * heads, head_dim) arrays
-        flat = rows[r0:r1] * n_heads + np.arange(n_heads)[:, None]
-        np.take(values.reshape(n * n_heads, head_dim), flat, axis=0, out=v_kept[r0:r1],
-                mode="clip")  # "clip" writes straight to out; flat is in range
-        np.einsum("ihk,ihka->iha", p[r0:r1], v_kept[r0:r1], out=out[r0:r1])
-
-    _row_blocks(fill, n)
+    lo_b = lo[:, None, None]
+    slots, s = _kept_slots(q, keys, lo, hi, k)
+    valid = slots < size[:, None, None]
+    rows = np.where(valid, lo_b + slots, lo_b)
+    s[~valid] = -np.inf
+    e = np.exp(s - _over_kept(np.maximum, s)[..., None])
+    # the scores are a transposed view; the weights are made in row order
+    p = np.divide(e, _over_kept(np.add, e)[..., None], order="C")
+    # head h of row r is row r * heads + h of the (n, heads * head_dim)
+    # keys and values seen as (n * heads, head_dim) arrays
+    flat = rows * n_heads + np.arange(n_heads)[:, None]
+    v_kept = np.take(values.reshape(n * n_heads, head_dim), flat, axis=0)
+    out = np.einsum("ihk,ihka->iha", p, v_kept)
 
     def bwd(g):
         g3 = g.reshape(n, n_heads, head_dim)
-        flat = rows * n_heads + np.arange(n_heads)[:, None]
-        ds = np.empty((n, n_heads, k))
-        dq = np.empty((n, n_heads, head_dim))
-
-        def back(r0, r1):
-            dp = np.einsum("iha,ihka->ihk", g3[r0:r1], v_kept[r0:r1])
-            p_b = p[r0:r1]
-            np.multiply(p_b, dp - _over_kept(np.add, p_b * dp)[..., None], out=ds[r0:r1])
-            k_kept = np.take(keys.reshape(n * n_heads, head_dim), flat[r0:r1], axis=0)
-            np.einsum("ihk,ihka->iha", ds[r0:r1], k_kept, out=dq[r0:r1])
-
-        _row_blocks(back, n)
-        # the key and the value scatter sum over every row: one per worker
-        dk, dv = _both(lambda: _scatter_kept(flat, ds, q, n * n_heads),
-                       lambda: _scatter_kept(flat, p, g3, n * n_heads), n)
+        dp = np.einsum("iha,ihka->ihk", g3, v_kept)
+        ds = p * (dp - _over_kept(np.add, p * dp)[..., None])
+        k_kept = np.take(keys.reshape(n * n_heads, head_dim), flat, axis=0)
+        dq = np.einsum("ihk,ihka->iha", ds, k_kept)
+        dk = _scatter_kept(flat, ds, q, n * n_heads)
+        dv = _scatter_kept(flat, p, g3, n * n_heads)
         dproj = np.concatenate([dq.reshape(n, ha), dk.reshape(n, ha), dv.reshape(n, ha)],
                                axis=1)
         _accum(x, dproj @ w_qkv.data)

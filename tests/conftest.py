@@ -118,9 +118,8 @@ def full_band_kept_slots(q, keys, lo, hi, k):
 def attention_backward_oracle(x, w_qkv, n_heads, rows, weights, g):
     """(dx, dw_qkv) of diffcore.windowed_attention for the output gradient
     g, given the kept entries (rows, weights) of its forward: the whole
-    backward in one pass over all rows on one thread, the kept keys and
-    values gathered by fancy indexing, then dq, dk and dv one after the
-    other. The oracle of the split backward."""
+    backward in one pass over all rows, the kept keys and values gathered
+    by fancy indexing, then dq, dk and dv one after the other."""
     n = len(x)
     head_dim = w_qkv.shape[0] // (3 * n_heads)
     ha = n_heads * head_dim

@@ -7,7 +7,6 @@ import pytest
 
 from mrm import checkpoint as ck
 from mrm import cli
-from mrm import diffcore as dc
 from mrm import events as ev
 from mrm import model as mm
 
@@ -549,18 +548,13 @@ def test_train_checks_the_out_directory_before_loading_data(
     assert not caplog.records
 
 
-@pytest.mark.parametrize("model, split", [("lr", False), ("mrm", False), ("mrm", True)])
+@pytest.mark.parametrize("model, large", [("lr", False), ("mrm", False), ("mrm", True)])
 def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(
-        tmp_path, capsys, monkeypatch, model, split):
-    # a batch of 40-60-event sequences has over 1024 rows, so its row
-    # blocks run on two threads, and the pool thread must not warn either
-    monkeypatch.setattr(dc, "_WORKERS", 2)
-    splits, on_workers = [], dc._on_workers
-    monkeypatch.setattr(dc, "_on_workers",
-                        lambda calls: splits.append(1) or on_workers(calls))
+        tmp_path, capsys, monkeypatch, model, large):
+    # large: a batch of 40-60-event sequences, over 1024 rows
     config = tmp_path / "gen.config"
     config.write_text(GEN_CONFIG.replace("seq_len_min = 8", "seq_len_min = 40")
-                      .replace("seq_len_max = 14", "seq_len_max = 60") if split
+                      .replace("seq_len_max = 14", "seq_len_max = 60") if large
                       else GEN_CONFIG)
     data = tmp_path / "d.jsonl"
     assert cli.main(["generate", "--config", str(config), "--out", str(data),
@@ -575,7 +569,6 @@ def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(
     assert code == 2
     assert err.startswith("mrm: error: ") and "non-finite" in err and err.count("\n") == 1
     assert [str(w.message) for w in caught] == []
-    assert bool(splits) == split
 
 
 # ---------------------------------------------------------------------------

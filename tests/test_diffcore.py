@@ -1,3 +1,11 @@
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +284,44 @@ def test_embed_rejects_mismatched_rows():
         dc.embed(3, [(table, [0, 1, 2], None, None), (table, [1], [0, 1, 1, 2], None)])
 
 
+def test_embed_sums_equal_np_add_at():
+    rng = np.random.default_rng(5)
+    n, d = 1500, 6
+    table = t(rng.normal(size=(12, d)))
+    counts = rng.integers(0, 4, size=n)
+    rows = np.repeat(np.arange(n), counts)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    ids = rng.integers(0, 9, size=rows.size)  # table rows 9..11 get no entry
+    weights = rng.normal(size=rows.size)
+    weights[::7] = -0.0
+    want = np.zeros((n, d))
+    np.add.at(want, rows, table.data[ids] * weights[:, None])
+    out = dc.embed(n, [(table, ids, ptr, weights)])
+    got = out.data
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # backward: the table gradient matches np.add.at byte for byte
+    probe = rng.normal(size=(n, d))
+    probe[::5] = -0.0
+    out.backward(probe)
+    want_grad = np.zeros_like(table.data)
+    np.add.at(want_grad, ids, probe[rows] * weights[:, None])
+    assert table.grad.tobytes() == want_grad.tobytes()
+
+
+def test_embed_rejects_bad_pointers():
+    table = t(np.zeros((4, 2)), grad=False)
+    dc.embed(3, [(table, [0, 1], [0, 1, 1, 2], None)])
+    for ptr in ([0, 1, 2],        # one pointer short
+                [0, 0, 1, 2, 2],  # one pointer too many
+                [1, 1, 2, 2],     # does not start at 0
+                [0, 1, 1, 1],     # ends before the last id
+                [0, 1, 2, 3],     # ends after it
+                [0, 2, 1, 2]):    # decreases
+        with pytest.raises(dc.ShapeError):
+            dc.embed(3, [(table, [0, 1], ptr, None)])
+
+
 def _offsets(lengths):
     return np.concatenate([[0], np.cumsum(lengths)])
 
@@ -367,6 +413,78 @@ def test_no_grad_blocks_graph_construction():
     with dc.no_grad():
         out = dc.add_l2(dc.sum_all(x), x, 1.0)
     assert out._backward is None and out._parents == ()
+
+
+# ---------------------------------------------------------------------------
+# every kernel on the calling thread
+
+
+def _long_attention():
+    """A 2048-row attention input, windows of up to 11 rows, and a probe."""
+    rng = np.random.default_rng(0)
+    n = 2048
+    lo = np.maximum(np.arange(n) - 5, 0)
+    return (rng.normal(size=(n, 8)), rng.normal(size=(24, 8)), lo,
+            np.minimum(lo + 11, n), rng.normal(size=(n, 8)))
+
+
+def _attention_bytes(x, w, lo, hi, probe):
+    """The bytes of the forward, its kept entries and both gradients."""
+    x_t, w_t = t(x), t(w)
+    out, (rows, weights) = dc.windowed_attention(x_t, w_t, 2, lo, hi, 4)
+    out.backward(probe)
+    return b"".join(a.tobytes() for a in (out.data, rows, weights, x_t.grad, w_t.grad))
+
+
+def test_the_callers_errstate_reaches_the_attention_kernel():
+    x, w, lo, hi, probe = _long_attention()
+    x, w = x * 1e154, w * 1e154  # q and k overflow
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        dc.windowed_attention(t(x), t(w), 2, lo, hi, 4)
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _attention_bytes(x, w, lo, hi, probe)
+    assert [str(c.message) for c in caught] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_the_attention_bits_of_its_parent():
+    args = _long_attention()
+    want = _attention_bytes(*args)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if _attention_bytes(*args) == want else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_one_cpu_gives_the_attention_bits_of_every_cpu():
+    code = """
+import hashlib, os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tests.test_diffcore import _attention_bytes, _long_attention
+print(hashlib.sha256(_attention_bytes(*_long_attention())).hexdigest())
+assert threading.active_count() == 1, threading.enumerate()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(dc.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert done.returncode == 0, done.stderr
+    want = hashlib.sha256(_attention_bytes(*_long_attention())).hexdigest()
+    assert done.stdout.split() == [want]
 
 
 # ---------------------------------------------------------------------------

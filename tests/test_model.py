@@ -1,19 +1,22 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mrm
 from mrm import diffcore as dc
 from mrm import evalmetrics as em
+from mrm import events, syngen
 from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from .conftest import (dense_weights, full_band_kept_slots, head_loss_oracle,
-                       head_weights, neighborhood_bounds_oracle, param_rel_err,
-                       topk_mask)
+from .conftest import (attention_backward_oracle, dense_weights, full_band_kept_slots,
+                       head_loss_oracle, head_weights, neighborhood_bounds_oracle,
+                       param_rel_err, topk_mask)
 
 
 def small_config(**overrides):
@@ -871,6 +874,91 @@ def test_one_slot_at_a_time_scores_the_bits_of_the_band(head_dim, n):
         assert np.any(want[:, :, 1:] == want[:, :, :-1])  # ties, if only 0 = 0
 
 
+def _tied_batch():
+    """Five sequences, 1280 events in all, of a vocabulary so small that
+    many events of a window encode to the same vector (tied scores)."""
+    synth = syngen.SynthConfig(n_sequences=5, vocab_size=5, seq_len_range=(200, 300),
+                               base_rate=8.0, n_feature_ids=2, max_features=2, seed=4)
+    seqs = syngen.generate(synth)
+    config = mm.MrmConfig(n_codes=5, n_features=2, max_features=2, model_dim=16,
+                          n_heads=4, head_dim=4, topk=3, window_hours=0.5)
+    return seqs, config
+
+
+def _tied_pipeline(seqs, config, params):
+    """Encoding, attention and every gradient of a fixed loss on them."""
+    for t in params.named().values():
+        t.grad = None
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])])
+    times = np.concatenate([s.times() for s in seqs])
+    lo, hi = mm.neighborhood_bounds(times, config.window_hours, offsets)
+    x = mm.encode_events(events.concatenate(seqs), params, config)
+    out, (rows, weights) = dc.windowed_attention(x, params.named()["attention.qkv"],
+                                                 config.n_heads, lo, hi, config.topk)
+    probe = np.random.default_rng(0).normal(size=out.shape)
+    out.backward(probe)
+    grads = {name: t.grad for name, t in params.named().items() if t.grad is not None}
+    return (x.data, out.data, rows, weights), grads, (lo, hi)
+
+
+def _ties_at_the_last_kept(x, w_qkv, config, lo, hi):
+    """How many (query, head) pairs score their topk-th and (topk+1)-th
+    best window rows the same."""
+    ha = config.n_heads * config.head_dim
+    q = (x @ w_qkv[:ha].T).reshape(len(x), config.n_heads, -1)
+    keys = (x @ w_qkv[ha:2 * ha].T).reshape(len(x), config.n_heads, -1)
+    ties = 0
+    for i in np.flatnonzero(hi - lo > config.topk):
+        scores = np.sort(np.einsum("ha,wha->hw", q[i], keys[lo[i]:hi[i]]), axis=1)
+        ties += np.sum(scores[:, -config.topk] == scores[:, -config.topk - 1])
+    return ties
+
+
+def test_attention_backward_on_a_tied_score_batch_gives_the_oracle_bits():
+    seqs, config = _tied_batch()
+    params = mm.MrmParams.init(config, seed=5)
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in seqs])])
+    lo, hi = mm.neighborhood_bounds(np.concatenate([s.times() for s in seqs]),
+                                    config.window_hours, offsets)
+    with dc.no_grad():
+        x = mm.encode_events(events.concatenate(seqs), params, config).data
+    w_qkv = params.named()["attention.qkv"].data
+    n = len(x)
+    # windows across the middle row, windows stopped at every seam, and
+    # kept entries picked among tied scores
+    assert n == 1280 and np.any((lo < n // 2) & (hi > n // 2))
+    assert np.all(hi[offsets[1:-1] - 1] == offsets[1:-1])
+    assert np.all(lo[offsets[1:-1]] == offsets[1:-1])
+    assert _ties_at_the_last_kept(x, w_qkv, config, lo, hi) > 0
+    probe = np.random.default_rng(1).normal(size=(n, config.n_heads * config.head_dim))
+    probe[::7] = -0.0
+    x_t = dc.Tensor(x.copy(), requires_grad=True)
+    w_t = dc.Tensor(w_qkv.copy(), requires_grad=True)
+    out, (rows, weights) = dc.windowed_attention(x_t, w_t, config.n_heads, lo, hi,
+                                                 config.topk)
+    out.backward(probe)
+    want = attention_backward_oracle(x, w_qkv, config.n_heads, rows, weights, probe)
+    assert all(got.dtype == w.dtype and got.tobytes() == w.tobytes()
+               for got, w in zip((x_t.grad, w_t.grad), want))
+
+
+def test_narrow_first_selection_gives_the_full_band_bits_on_a_tied_score_batch():
+    seqs, config = _tied_batch()
+    params = mm.MrmParams.init(config, seed=3)
+    got, got_grads, _ = _tied_pipeline(seqs, config, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_kept_slots", full_band_kept_slots)
+        want, want_grads, (lo, hi) = _tied_pipeline(seqs, config, params)
+    # both kinds of window, and kept entries picked among tied scores
+    assert len(lo) == 1280 and 0 < np.mean(hi - lo > config.topk) < 1
+    w_qkv = params.named()["attention.qkv"].data
+    assert _ties_at_the_last_kept(want[0], w_qkv, config, lo, hi) > 0
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want))
+    assert got_grads.keys() == want_grads.keys() and len(want_grads) == 4
+    assert all(got_grads[name].tobytes() == g.tobytes() for name, g in want_grads.items())
+
+
 def test_attention_locality_outside_window():
     # x_j with j outside Ne(i) must not move v_i at all
     config = small_config()
@@ -1312,6 +1400,70 @@ def test_loss_of_a_vector_is_the_mean_of_scalar_losses():
     mean = mm.loss(dc.Tensor(probs), labels).item()
     singles = [mm.loss(dc.Tensor(p), y).item() for p, y in zip(probs, labels)]
     assert abs(mean - np.mean(singles)) < 1e-15
+
+
+def _long_record():
+    """One 2048-event record, as scoring sees it near capacity."""
+    synth = syngen.SynthConfig(n_sequences=1, seq_len_range=(2048, 2048), seed=1)
+    config = mm.MrmConfig(n_codes=50, n_features=8, max_features=3)
+    return syngen.generate(synth)[0], mm.MrmParams.init(config, seed=0), config
+
+
+def _snapshot():
+    modules = [mrm, *(getattr(mrm, name) for name in
+                      ("checkpoint", "cli", "diffcore", "evalmetrics", "events",
+                       "model", "partition", "syngen"))]
+    snap = {m.__name__: dict(vars(m)) for m in modules}
+    snap["Tensor"] = dict(vars(dc.Tensor))
+    return snap
+
+
+def _changed(before, after):
+    return sorted(f"{owner}.{name}" for owner, attrs in before.items()
+                  for name in attrs.keys() | after[owner].keys()
+                  if attrs.get(name, before) is not after[owner].get(name, after))
+
+
+def test_a_2048_event_scoring_call_changes_no_module_attribute():
+    # the benchmark's tracer wraps module attributes and checks that a run
+    # leaves them as they were
+    import mrm.checkpoint  # noqa: F401  (every module, for the snapshot)
+    import mrm.cli  # noqa: F401
+    seq, params, config = _long_record()
+    before = _snapshot()
+    scores = em.score_sequences("mrm", params, [seq], config)
+    assert _changed(before, _snapshot()) == []
+    assert 0.0 < scores[0] < 1.0
+
+
+def test_no_mrm_call_starts_a_thread():
+    threads = threading.active_count()
+    # one training step on a batch of 1280 rows
+    seqs, config = _tied_batch()
+    params = mm.MrmParams.init(config, seed=7)
+    named = params.named()
+    assert sum(len(s) for s in seqs) > 1024
+    mm.loss(mm.forward_batch(seqs, params, config), [s.label for s in seqs]).backward()
+    grads = {name: t.grad for name, t in named.items() if t.grad is not None}
+    dc.clip_gradients(grads, 1.0)
+    dc.adam_step(named, grads, dc.AdamState())
+    # then the scoring of one 2048-event record
+    seq, params, config = _long_record()
+    assert 0.0 < em.score_sequences("mrm", params, [seq], config)[0] < 1.0
+    assert threading.active_count() == threads
+    assert [t.name for t in threading.enumerate() if t.name.startswith("mrm-rows")] == []
+
+
+def test_a_short_train_benchmark_round_starts_no_thread(tmp_path):
+    # its training split report scores 1183 events in one call, above the
+    # old two-worker floor of 1024 rows
+    from perfbench import workloads
+    threads = threading.active_count()
+    tally = workloads.Tally()
+    rnd = workloads.run_round(workloads.WORKLOADS["short_train"], 1, str(tmp_path), tally)
+    assert sum(len(s) for s in rnd.prep.splits[0]) == 1183
+    assert tally.attempted > 0 and tally.failed == 0, tally.messages
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
