@@ -95,13 +95,15 @@ class EvalReport:
     loss_trace: list = field(default_factory=list)  # (epoch, train_loss, valid_auc)
 
 
-def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndarray:
+def score_sequences(kind: str, params, seqs, config, cohort=None) -> np.ndarray:
     """Forward probabilities for a list of sequences, no graph kept.
 
     kind must be params.kind (ConfigError otherwise). One mrm sequence
     goes through model.forward, the single-sequence entry point. Otherwise
-    scoring takes two passes. The sequences are sorted by length and their
-    per-event layers (model.group_vectors) run in chunks of at most
+    scoring takes two passes over a model.Cohort of seqs: the one passed
+    by a caller that scores seqs again and again, or one built here. The
+    cohort stores the sequences sorted by length, and their per-event
+    layers (model.group_vectors) run on slices of at most
     config.capacity() truncated events, so a chunk costs about as much
     memory as one sequence of maximal length. The pooled rows of
     consecutive chunks are then buffered and scored by one model.outcome
@@ -115,29 +117,30 @@ def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndar
         raise ConfigError(f"cannot score {params.kind!r} params as a {kind!r} model")
     if kind == "mrm" and len(seqs) == 1:
         with dc.no_grad():
-            y_hat, _ = mrm_model.forward(seqs[0], params, config,
-                                         None if partitions is None else partitions[0])
+            y_hat, _ = mrm_model.forward(seqs[0], params, config)
         return y_hat.data.reshape(1)
     scores = np.empty(len(seqs))
+    if not len(seqs):
+        return scores
+    if cohort is None:
+        cohort = mrm_model.Cohort(seqs, config, kind)
     cap = config.capacity()
-    lengths = [min(len(s), cap) for s in seqs]
-    chunks, size = [], 0
-    for i in sorted(range(len(seqs)), key=lengths.__getitem__):
-        if not chunks or size + lengths[i] > cap:
-            chunks.append([])
+    bounds, size = [], 0  # the first stored sequence of every chunk
+    for p, n in enumerate(cohort.lengths.tolist()):
+        if not bounds or size + n > cap:
+            bounds.append(p)
             size = 0
-        chunks[-1].append(i)
-        size += lengths[i]
+        size += n
+    bounds.append(len(cohort))
     with dc.no_grad():
-        pending, rows = [], 0  # (chunk, pooled rows, offsets) awaiting the LSTM
-        for chunk in chunks:
-            parts = None if partitions is None else [partitions[i] for i in chunk]
-            x, offsets = mrm_model.group_vectors([seqs[i] for i in chunk], params,
-                                                 config, parts)
+        pending, rows = [], 0  # (input indices, pooled rows, offsets) awaiting the LSTM
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            x, offsets = mrm_model.group_vectors(cohort.chunk(start, stop), params,
+                                                 config)
             if rows + x.shape[0] > cap:  # never on the first: a chunk fits
                 _score_pooled(pending, params, scores)
                 pending, rows = [], 0
-            pending.append((chunk, x, offsets))
+            pending.append((cohort.order[start:stop], x, offsets))
             rows += x.shape[0]
         if pending:
             _score_pooled(pending, params, scores)
@@ -145,14 +148,14 @@ def score_sequences(kind: str, params, seqs, config, partitions=None) -> np.ndar
 
 
 def _score_pooled(pending, params, scores):
-    """One model.outcome call over the pooled rows of the pending (chunk,
-    rows, offsets) triples; writes the scores of their sequences."""
+    """One model.outcome call over the pooled rows of the pending (input
+    indices, rows, offsets) triples; writes the scores of their sequences."""
     # one chunk (a small cohort, or any plain_lstm chunk) is scored from its
     # rows as they are: the copy and the offset list cost short cohorts ~2 %
     if len(pending) == 1:
         index, x, ends = pending[0]
     else:
-        index = [i for chunk, _, _ in pending for i in chunk]
+        index = np.concatenate([chunk for chunk, _, _ in pending])
         ends = [0]
         for _, _, offsets in pending:
             ends.extend(offsets[1:] + ends[-1])
@@ -184,7 +187,9 @@ def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalRep
     indices, whose labels are given; scores(split) returns the scores of
     split "train", "valid" or "test". Keeps the best validation-AUC
     parameters and restores them; only then are the test and training
-    splits scored for the report.
+    splits scored for the report. Each epoch logs its training loss, its
+    validation AUC, the mean and the largest gradient norm before clipping
+    and the share of steps that clipped.
     """
     labels = {name: np.array([s.label for s in seqs], dtype=np.intp)
               for name, seqs in zip(_SPLITS, datasets)}
@@ -199,6 +204,7 @@ def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalRep
     for epoch in range(1, train_config.max_epochs + 1):
         order = rng.permutation(n_train)
         epoch_loss = 0.0
+        norms = []  # the gradient norm of every step, before clipping
         for batch_id, start in enumerate(range(0, n_train, train_config.batch_size)):
             batch = order[start:start + train_config.batch_size]
             total = batch_loss_fn(batch, labels["train"][batch])
@@ -210,7 +216,7 @@ def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalRep
             total.backward()
             grads = {name: t.grad for name, t in named_params.items()
                      if t.grad is not None}
-            dc.clip_gradients(grads, train_config.clip_norm)
+            norms.append(dc.clip_gradients(grads, train_config.clip_norm))
             try:
                 dc.adam_step(named_params, grads, state)
             except FloatingPointError as err:
@@ -220,8 +226,10 @@ def _fit(named_params, batch_loss_fn, scores, datasets, train_config) -> EvalRep
         train_loss = epoch_loss / n_train
         valid_auc = auc(scores("valid"), labels["valid"])
         trace.append((epoch, train_loss, valid_auc))
-        log.info("epoch %d: train_loss=%.4f valid_auc=%.4f", epoch, train_loss,
-                 valid_auc)
+        log.info("epoch %d: train_loss=%.4f valid_auc=%.4f grad_norm_mean=%.4g "
+                 "grad_norm_max=%.4g clip_rate=%.4f", epoch, train_loss, valid_auc,
+                 sum(norms) / len(norms), max(norms),
+                 sum(norm > train_config.clip_norm for norm in norms) / len(norms))
         if valid_auc > best_auc:
             best_auc = valid_auc
             best_epoch = epoch
@@ -255,8 +263,12 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
     """Train an "mrm" or "plain_lstm" model on (train, valid, test) splits.
 
     Adam on the mean cross entropy of shuffled mini-batches, each one
-    batched forward graph (model.forward_batch); after each epoch the
-    validation AUC decides early stopping and model selection.
+    batched forward graph (model.group_vectors, then model.outcome); after
+    each epoch the validation AUC decides early stopping and model
+    selection. Each split is one model.Cohort, built before the first
+    epoch: every training batch is gathered from the training cohort, and
+    every scoring call (validation each epoch, then test and train) passes
+    its split's cohort to score_sequences with the split list itself.
     Test data is only touched after selection finishes. Returns
     (params, EvalReport).
     """
@@ -264,22 +276,18 @@ def train(model_kind: str, datasets, train_config: TrainConfig,
                                       kind=model_kind)
     _check_splits(datasets)
     splits = dict(zip(_SPLITS, datasets))
-    partitions = dict.fromkeys(splits)
-    if model_kind == "mrm":
-        # times never change, so the per-sequence partition is computed once
-        partitions = {k: [mrm_model.sequence_partition(s, model_config) for s in v]
-                      for k, v in splits.items()}
+    # times never change, so each split's structure is built once
+    cohorts = {name: mrm_model.Cohort(seqs, model_config, model_kind)
+               for name, seqs in splits.items()}
 
     def batch_loss(indices, labels):
-        seqs, parts = splits["train"], partitions["train"]
-        y_hat = mrm_model.forward_batch(
-            [seqs[i] for i in indices], params, model_config,
-            None if parts is None else [parts[i] for i in indices])
-        return mrm_model.loss(y_hat, labels)
+        x, offsets = mrm_model.group_vectors(cohorts["train"].batch(indices), params,
+                                             model_config)
+        return mrm_model.loss(mrm_model.outcome(x, offsets, params), labels)
 
     def scores(split):
         return score_sequences(model_kind, params, splits[split], model_config,
-                               partitions[split])
+                               cohorts[split])
 
     return params, _fit(params.named(), batch_loss, scores, datasets, train_config)
 

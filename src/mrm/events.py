@@ -78,12 +78,13 @@ def _pointers(counts) -> np.ndarray:
 
 
 def _take_rows(ptr: np.ndarray, index: np.ndarray):
-    """Row pointers of the CSR rows ``index`` (in that order) and the
-    positions of their items in the flat array."""
-    counts = np.diff(ptr)[index]
-    new_ptr = np.zeros(index.size + 1, dtype=np.int32)
+    """Row pointers of the CSR rows ``index`` (in that order), of the
+    dtype of ptr, and the positions of their items in the flat array."""
+    first = ptr[index]
+    counts = ptr[index + 1] - first
+    new_ptr = np.zeros(index.size + 1, dtype=ptr.dtype)
     np.cumsum(counts, out=new_ptr[1:])
-    item = np.repeat(ptr[index] - new_ptr[:-1], counts) + np.arange(new_ptr[-1])
+    item = np.repeat(first - new_ptr[:-1], counts) + np.arange(new_ptr[-1])
     return new_ptr, item
 
 

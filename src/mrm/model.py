@@ -5,17 +5,19 @@ it with multi-head attention restricted to events within window_hours
 (keeping only the topk strongest scores per query), compress the sequence
 with the minimax-span partition and per-group max pooling, then run an
 LSTM over the group vectors and squash the last hidden state into an
-outcome probability. group_vectors runs the per-event layers of a whole
-batch as one concatenated sequence: one encoding node, one attention node
-whose windows stop at the seams and one pooling node. outcome runs one
-LSTM node and one head node over the group vectors of any number of
-sequences. forward_batch is the two in a row, so a batch is one node per
-layer whatever its size; the loss adds one more.
+outcome probability. A Batch holds what those layers need besides the
+parameters: the truncated events back to back, the attention windows
+(which stop at the seams) and the group starts. A Cohort builds that once
+for a list of sequences and gathers or slices a Batch of any of them.
+group_vectors runs the per-event layers of a Batch as one concatenated
+sequence: one encoding node, one attention node and one pooling node.
+outcome runs one LSTM node and one head node over the group vectors of
+any number of sequences. forward_batch is the two in a row, so a batch is
+one node per layer whatever its size; the loss adds one more.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -223,6 +225,12 @@ def encode_events(seq: EventSequence, params: MrmParams, config: MrmConfig) -> d
 # windowed sparse attention
 
 
+# Sequences of at most this many events on average are searched jointly;
+# beyond about 50-100 events one pair of float searches per sequence costs
+# less than the complex comparisons of the joined search.
+_JOINED_SEARCH_EVENTS = 64
+
+
 def neighborhood_bounds(times, window_hours: float, offsets=None):
     """For every i, the contiguous [lo, hi) of indices with
     |t_j - t_i| <= window_hours (inclusive, self included), as intp arrays.
@@ -230,31 +238,33 @@ def neighborhood_bounds(times, window_hours: float, offsets=None):
     With offsets, times holds several sorted sequences back to back,
     sequence b at [offsets[b], offsets[b + 1]) (offsets runs from 0 to
     len(times)), and no window crosses into another sequence. One sequence
-    is one pair of searches. Several are one pair too, over the complex
-    keys b + 1j * t, which numpy orders by sequence, then by time. A NaN
-    time or an unsorted sequence breaks that order, so such times are
-    searched sequence by sequence. Either way the result is that of one
-    pair of searches per sequence, bit for bit."""
+    is one pair of searches. Several short ones (_JOINED_SEARCH_EVENTS
+    events or fewer on average) are one pair too, over the complex keys
+    b + 1j * t, which numpy orders by sequence, then by time. Longer
+    sequences are searched one by one, and so are times with a NaN or out
+    of order, which break the order of the keys. Either way the result is
+    that of one pair of searches per sequence, bit for bit."""
     t = np.asarray(times, dtype=np.float64)
     if offsets is None or len(offsets) <= 2:
         return (t.searchsorted(t - window_hours, side="left"),
                 t.searchsorted(t + window_hours, side="right"))
     offsets = np.asarray(offsets)
-    keys = np.empty(t.size, dtype=np.complex128)
-    keys.real = np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])
-    keys.imag = t
-    seq = keys.real
-    if np.isnan(t).any() or ((t[1:] < t[:-1]) & (seq[1:] == seq[:-1])).any():
-        lo, hi = np.empty((2, t.size), dtype=np.intp)
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            seg_lo, seg_hi = neighborhood_bounds(t[a:b], window_hours)
-            lo[a:b], hi[a:b] = seg_lo + a, seg_hi + a
-        return lo, hi
-    probe = keys.copy()
-    np.subtract(t, window_hours, out=probe.imag)
-    lo = keys.searchsorted(probe, side="left")
-    np.add(t, window_hours, out=probe.imag)
-    return lo, keys.searchsorted(probe, side="right")
+    if t.size <= _JOINED_SEARCH_EVENTS * (offsets.size - 1):
+        keys = np.empty(t.size, dtype=np.complex128)
+        keys.real = np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])
+        keys.imag = t
+        seq = keys.real
+        if not (np.isnan(t).any() or ((t[1:] < t[:-1]) & (seq[1:] == seq[:-1])).any()):
+            probe = keys.copy()
+            np.subtract(t, window_hours, out=probe.imag)
+            lo = keys.searchsorted(probe, side="left")
+            np.add(t, window_hours, out=probe.imag)
+            return lo, keys.searchsorted(probe, side="right")
+    lo, hi = np.empty((2, t.size), dtype=np.intp)
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        seg_lo, seg_hi = neighborhood_bounds(t[a:b], window_hours)
+        lo[a:b], hi[a:b] = seg_lo + a, seg_hi + a
+    return lo, hi
 
 
 def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
@@ -308,75 +318,135 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
-def _batch_group_starts(partitions, offsets) -> tuple:
-    """(starts, counts) of several sequences: the first row of every group
-    in the concatenated rows, and each sequence's number of groups.
+@dataclass(frozen=True)
+class Batch:
+    """What the per-event layers of some sequences need besides the
+    parameters, with the sequences back to back: events holds their
+    truncated events as one sequence, sequence b at rows [offsets[b],
+    offsets[b + 1]). For kind "mrm", row i attends to the rows [lo[i],
+    hi[i]), which stop at the seams; the groups of all sequences start at
+    the rows starts, sequence b's being starts[group_offsets[b]:
+    group_offsets[b + 1]]. A "plain_lstm" batch leaves those four None.
+    """
 
-    Built in one pass over every partition's groups, with one vectorized
-    test that sequence b's groups tile [offsets[b], offsets[b + 1]) in
-    order. Only when that test fails do the starts come sequence by
-    sequence from _group_starts, which raises its error for the first
-    sequence not covered."""
-    counts = np.fromiter((len(part.groups) for part in partitions), dtype=np.intp,
-                         count=len(partitions))
-    ends = np.cumsum(counts)
-    try:
-        bounds = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(
-                part.groups for part in partitions)),
-            dtype=np.intp, count=2 * int(ends[-1])).reshape(-1, 2)
-    except (TypeError, ValueError):  # groups that are not pairs of integers
-        bounds = None
-    if bounds is not None and counts.all():
-        bounds += np.repeat(offsets[:-1], counts)[:, None]
-        # the groups chain from row 0, and each sequence's last group ends
-        # at its last row, so the next sequence's first group starts there
-        if (bounds[0, 0] == 0 and (bounds[1:, 0] == bounds[:-1, 1]).all()
-                and (bounds[ends - 1, 1] == offsets[1:]).all()):
-            return bounds[:, 0], counts
-    return np.concatenate([np.add(_group_starts(part, b - a), a) for part, a, b
-                           in zip(partitions, offsets[:-1], offsets[1:])]), counts
+    kind: str
+    events: EventSequence
+    offsets: np.ndarray
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    group_offsets: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, seqs, config: MrmConfig, kind: str = "mrm") -> Batch:
+        """The batch of seqs in their order, each truncated to its most
+        recent max_groups * max_group_len events: one events.concatenate,
+        one neighborhood_bounds call with seams and one
+        batch_partition_starts call. ValueError for no sequence."""
+        if not len(seqs):
+            raise ValueError("a batch needs at least one sequence")
+        used = [_truncate(seq, config)[0] for seq in seqs]
+        events = concatenate(used)
+        offsets = _offsets([len(seq) for seq in used])
+        if kind != "mrm":
+            return cls(kind, events, offsets)
+        times = events.times()
+        starts, counts = batch_partition_starts(times, offsets, config.max_groups,
+                                                config.max_group_len)
+        return cls(kind, events, offsets,
+                   *neighborhood_bounds(times, config.window_hours, offsets),
+                   starts, _offsets(counts))
 
 
-def group_vectors(seqs, params: MrmParams, config: MrmConfig, partitions=None):
-    """The per-event layers of a batch -> (x, offsets): the rows the LSTM
+class Cohort:
+    """A list of sequences prepared once for any number of batches.
+
+    The truncated events, the attention windows and the group starts
+    depend on the event times only, never on the parameters, so a Cohort
+    holds them for all of seqs in one Batch, rows, built by Batch.of. The
+    sequences are stored in order of truncated length, ties in input
+    order: the order score_sequences chunks them in, so that every chunk
+    is a slice. Stored sequence p is seqs[order[p]] with lengths[p]
+    truncated events. batch(index) gathers the sequences at input indices
+    index, in that order, and chunk(start, stop) slices the stored ones;
+    both shift rows, windows and group starts with a few vectorized calls
+    and give the arrays that Batch.of would build for those sequences
+    (though a lone sequence's pointers may come as int64, not int32).
+    """
+
+    def __init__(self, seqs, config: MrmConfig, kind: str = "mrm"):
+        cap = config.capacity()
+        lengths = np.fromiter((min(len(seq), cap) for seq in seqs), dtype=np.intp,
+                              count=len(seqs))
+        self.order = np.argsort(lengths, kind="stable")
+        self.lengths = lengths[self.order]
+        self.rows = Batch.of([seqs[i] for i in self.order.tolist()], config, kind)
+        self._position = np.empty_like(self.order)  # input index -> stored position
+        self._position[self.order] = np.arange(self.order.size)
+
+    def __len__(self):
+        return self.order.size
+
+    def batch(self, index) -> Batch:
+        """The sequences at the input indices index, in that order."""
+        at = self._position[np.asarray(index, dtype=np.intp)]
+        if not at.size:
+            raise ValueError("a batch needs at least one sequence")
+        rows = self.rows
+        first, lengths = rows.offsets[at], self.lengths[at]
+        offsets = _offsets(lengths)
+        shift = np.repeat(first - offsets[:-1], lengths)  # cohort row - batch row
+        taken = np.arange(offsets[-1]) + shift
+        events = rows.events.take(taken)
+        if rows.kind != "mrm":
+            return Batch(rows.kind, events, offsets)
+        g_first = rows.group_offsets[at]
+        counts = rows.group_offsets[at + 1] - g_first
+        group_offsets = _offsets(counts)
+        groups = np.arange(group_offsets[-1]) + np.repeat(g_first - group_offsets[:-1],
+                                                          counts)
+        starts = rows.starts[groups] - np.repeat(first - offsets[:-1], counts)
+        return Batch(rows.kind, events, offsets, rows.lo[taken] - shift,
+                     rows.hi[taken] - shift, starts, group_offsets)
+
+    def chunk(self, start: int, stop: int) -> Batch:
+        """The stored sequences start..stop - 1, as views shifted to row 0."""
+        rows = self.rows
+        if start == 0 and stop == len(self):
+            return rows
+        a, b = rows.offsets[start], rows.offsets[stop]
+        codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = rows.events.columns()
+        cat_a, cat_b, num_a, num_b = cat_ptr[a], cat_ptr[b], num_ptr[a], num_ptr[b]
+        events = EventSequence.from_columns(
+            "", 0, codes[a:b], times[a:b], cat_ptr[a:b + 1] - cat_a,
+            cat_ids[cat_a:cat_b], num_ptr[a:b + 1] - num_a, num_ids[num_a:num_b],
+            num_values[num_a:num_b])
+        offsets = rows.offsets[start:stop + 1] - a
+        if rows.kind != "mrm":
+            return Batch(rows.kind, events, offsets)
+        g_a, g_b = rows.group_offsets[start], rows.group_offsets[stop]
+        return Batch(rows.kind, events, offsets, rows.lo[a:b] - a, rows.hi[a:b] - a,
+                     rows.starts[g_a:g_b] - a,
+                     rows.group_offsets[start:stop + 1] - g_a)
+
+
+def group_vectors(batch: Batch, params: MrmParams, config: MrmConfig):
+    """The per-event layers of a Batch -> (x, offsets): the rows the LSTM
     reads, sequence b at x[offsets[b]:offsets[b + 1]].
 
-    Every sequence is truncated to its most recent max_groups *
-    max_group_len events, and the batch is encoded as one concatenated
-    sequence. params.kind selects the model: "mrm" runs attention with
-    windows that stop at the seams and max-pools each group of every
-    sequence's partition (partitions[i], which must tile the truncated
-    events, one per sequence, or computed when partitions is None), one
-    row per group; "plain_lstm" returns the event vectors, one row per
-    event. The group starts of several sequences are one array built in
-    one pass: from the times by batch_partition_starts when partitions is
-    None, else from the partitions by _batch_group_starts. One sequence's
-    come from _group_starts.
+    The batch is encoded as one sequence. params.kind, which must be the
+    batch's kind (ConfigError otherwise), selects the model: "mrm" runs
+    attention over the batch's windows and max-pools every group, one row
+    per group; "plain_lstm" returns the event vectors, one row per event.
     """
-    used = [_truncate(seq, config)[0] for seq in seqs]
-    lengths = [len(seq) for seq in used]
-    offsets = _offsets(lengths)
-    x = encode_events(concatenate(used), params, config)
-    if params.kind == "mrm":
-        times = np.concatenate([seq.times() for seq in used])
-        x, _ = sparse_attention(x, times, params, config, offsets=offsets)
-        if partitions is None and len(used) == 1:
-            partitions = [optimal_partition(times, config.max_groups,
-                                            config.max_group_len)]
-        if partitions is None:
-            starts, counts = batch_partition_starts(times, offsets, config.max_groups,
-                                                    config.max_group_len)
-        elif len(partitions) != len(used):
-            raise ValueError(f"{len(partitions)} partitions for {len(used)} sequences")
-        elif len(partitions) == 1:
-            starts = _group_starts(partitions[0], lengths[0])
-            counts = [len(starts)]
-        else:
-            starts, counts = _batch_group_starts(partitions, offsets)
-        x = dc.group_maxpool(x, starts)
-        offsets = _offsets(counts)
-    return x, offsets
+    if batch.kind != params.kind:
+        raise ConfigError(f"a {batch.kind!r} batch cannot feed {params.kind!r} params")
+    x = encode_events(batch.events, params, config)
+    if batch.kind != "mrm":
+        return x, batch.offsets
+    x, _ = dc.windowed_attention(x, params.named()["attention.qkv"], config.n_heads,
+                                 batch.lo, batch.hi, config.topk)
+    return dc.group_maxpool(x, batch.starts), batch.group_offsets
 
 
 def outcome(x: dc.Tensor, offsets, params: MrmParams) -> dc.Tensor:
@@ -388,13 +458,13 @@ def outcome(x: dc.Tensor, offsets, params: MrmParams) -> dc.Tensor:
     return dc.logistic(h_last, w["output.weight"], w["output.bias"])
 
 
-def forward_batch(seqs, params: MrmParams, config: MrmConfig,
-                  partitions=None) -> dc.Tensor:
+def forward_batch(seqs, params: MrmParams, config: MrmConfig) -> dc.Tensor:
     """Outcome probabilities of a batch of sequences as a (B,) tensor:
-    outcome of group_vectors, so a batch is one graph of one node per
-    layer (embed, windowed_attention and group_maxpool for "mrm", then
-    lstm and logistic)."""
-    return outcome(*group_vectors(seqs, params, config, partitions), params)
+    outcome of group_vectors over Batch.of(seqs), so a batch is one graph
+    of one node per layer (embed, windowed_attention and group_maxpool for
+    "mrm", then lstm and logistic)."""
+    return outcome(*group_vectors(Batch.of(seqs, config, params.kind), params, config),
+                   params)
 
 
 def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
@@ -410,10 +480,14 @@ def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
     if params.kind != "mrm":
         raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
     used, truncated = _truncate(seq, config)
+    times = used.times()
     if partition is None:
-        partition = optimal_partition(used.times(), config.max_groups,
-                                      config.max_group_len)
-    y_hat = dc.sum_all(forward_batch([used], params, config, [partition]))
+        partition = optimal_partition(times, config.max_groups, config.max_group_len)
+    starts = _group_starts(partition, len(used))
+    batch = Batch("mrm", used, _offsets([len(used)]),
+                  *neighborhood_bounds(times, config.window_hours), starts,
+                  _offsets([len(starts)]))
+    y_hat = dc.sum_all(outcome(*group_vectors(batch, params, config), params))
     diagnostics = {
         "n_events": len(used),
         "truncated": truncated,

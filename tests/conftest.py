@@ -4,6 +4,7 @@ import pytest
 from mrm import diffcore
 from mrm import events as events_mod
 from mrm import model as model_mod
+from mrm.partition import optimal_partition
 
 
 def finite_difference_gradients(loss_fn, tensors, h=1e-5):
@@ -309,6 +310,48 @@ def neighborhood_bounds_oracle(times, window_hours, offsets=None):
         lo[a:b] = np.searchsorted(seg, seg - window_hours, side="left") + a
         hi[a:b] = np.searchsorted(seg, seg + window_hours, side="right") + a
     return lo, hi
+
+
+def batch_oracle(seqs, config, kind="mrm"):
+    """The model.Batch of seqs built one piece at a time, as every batch
+    was before cohorts: events.concatenate of the truncated sequences,
+    model.neighborhood_bounds with offsets and one optimal_partition per
+    sequence, its groups shifted to the sequence's rows."""
+    used = [model_mod._truncate(seq, config)[0] for seq in seqs]
+    events = events_mod.concatenate(used)
+    offsets = np.cumsum([0] + [len(seq) for seq in used], dtype=np.intp)
+    if kind != "mrm":
+        return model_mod.Batch(kind, events, offsets)
+    lo, hi = model_mod.neighborhood_bounds(events.times(), config.window_hours, offsets)
+    parts = [optimal_partition(seq.times(), config.max_groups, config.max_group_len)
+             for seq in used]
+    starts = np.array([a + s for a, part in zip(offsets.tolist(), parts)
+                       for s, _ in part.groups], dtype=np.intp)
+    group_offsets = np.cumsum([0] + [len(part) for part in parts], dtype=np.intp)
+    return model_mod.Batch(kind, events, offsets, lo, hi, starts, group_offsets)
+
+
+class OracleCohort:
+    """model.Cohort's interface over batch_oracle: every batch and every
+    chunk is built afresh from its sequences, in the order model.Cohort
+    stores them (by truncated length, ties in input order)."""
+
+    def __init__(self, seqs, config, kind="mrm"):
+        self.seqs, self.config, self.kind = list(seqs), config, kind
+        cap = config.capacity()
+        self.order = np.array(sorted(range(len(seqs)),
+                                     key=lambda i: min(len(seqs[i]), cap)), dtype=np.intp)
+        self.lengths = np.array([min(len(seqs[i]), cap) for i in self.order],
+                                dtype=np.intp)
+
+    def __len__(self):
+        return len(self.seqs)
+
+    def batch(self, index):
+        return batch_oracle([self.seqs[i] for i in index], self.config, self.kind)
+
+    def chunk(self, start, stop):
+        return self.batch(self.order[start:stop])
 
 
 def concatenated_pointers_oracle(ptrs):

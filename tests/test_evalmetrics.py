@@ -10,7 +10,7 @@ from mrm import partition, syngen
 from mrm.diffcore import Tensor
 from mrm.partition import optimal_partition
 
-from .conftest import auc_oracle
+from .conftest import OracleCohort, auc_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +219,15 @@ def _scoring_sequence(rng, n, name):
 
 
 def _spy_on_the_two_passes(monkeypatch):
-    """Record the sequences of every model.group_vectors call, the rows of
+    """Record the input indices of every model.Cohort chunk, the rows of
     every model.outcome call and the sequence of every model.forward
     call."""
     chunks, rows, forwards = [], [], []
-    group_vectors, outcome, forward = mm.group_vectors, mm.outcome, mm.forward
+    chunk, outcome, forward = mm.Cohort.chunk, mm.outcome, mm.forward
 
-    def group_vectors_spy(batch, *args, **kwargs):
-        chunks.append(list(batch))
-        return group_vectors(batch, *args, **kwargs)
+    def chunk_spy(cohort, start, stop):
+        chunks.append(cohort.order[start:stop].tolist())
+        return chunk(cohort, start, stop)
 
     def outcome_spy(x, *args, **kwargs):
         rows.append(x.shape[0])
@@ -237,7 +237,7 @@ def _spy_on_the_two_passes(monkeypatch):
         forwards.append(seq)
         return forward(seq, *args, **kwargs)
 
-    monkeypatch.setattr(mm, "group_vectors", group_vectors_spy)
+    monkeypatch.setattr(mm.Cohort, "chunk", chunk_spy)
     monkeypatch.setattr(mm, "outcome", outcome_spy)
     monkeypatch.setattr(mm, "forward", forward_spy)
     return chunks, rows, forwards
@@ -247,8 +247,9 @@ def _check_two_passes(kind, seqs, config, spies, seed=8):
     """score_sequences on seqs: each sequence in one event chunk of at most
     capacity() truncated events, at most capacity() rows per outcome call,
     mrm scores within 1e-12 of forward, plain_lstm scores the bytes of
-    forward_batch over each chunk, and a one-sequence mrm call one forward
-    call and its bytes. Returns the number of event chunks and of outcome
+    forward_batch over each chunk, a one-sequence mrm call one forward
+    call and its bytes, and the bytes of batches built one at a time by
+    batch_oracle. Returns the number of event chunks and of outcome
     calls."""
     cap = config.capacity()
     params = mm.MrmParams.init(config, seed=seed, kind=kind)
@@ -263,12 +264,12 @@ def _check_two_passes(kind, seqs, config, spies, seed=8):
         assert scores.tobytes() == want.reshape(1).tobytes()
         return len(seen_chunks), len(seen_rows)
     assert seen_forwards == []
-    assert sorted(id(s) for chunk in seen_chunks for s in chunk) == sorted(map(id, seqs))
-    assert all(sum(min(len(s), cap) for s in chunk) <= cap for chunk in seen_chunks)
+    assert sorted(i for index in seen_chunks for i in index) == list(range(len(seqs)))
+    assert all(sum(min(len(seqs[i]), cap) for i in index) <= cap
+               for index in seen_chunks)
     assert all(n <= cap for n in seen_rows), seen_rows
-    position = {id(s): i for i, s in enumerate(seqs)}
-    for chunk in seen_chunks:
-        index = [position[id(s)] for s in chunk]
+    for index in seen_chunks:
+        chunk = [seqs[i] for i in index]
         if kind == "mrm":
             for i in index:
                 want = mm.forward(seqs[i], params, config)[0].item()
@@ -276,10 +277,9 @@ def _check_two_passes(kind, seqs, config, spies, seed=8):
         else:
             want = mm.forward_batch(chunk, params, config).data
             assert scores[index].tobytes() == want.tobytes()
-    if kind == "mrm":
-        parts = [mm.sequence_partition(s, config) for s in seqs]
-        assert np.array_equal(em.score_sequences(kind, params, seqs, config, parts),
-                              scores)
+    for cohort in (mm.Cohort(seqs, config, kind), OracleCohort(seqs, config, kind)):
+        assert em.score_sequences(kind, params, seqs, config,
+                                  cohort).tobytes() == scores.tobytes()
     return len(seen_chunks), len(seen_rows)
 
 
@@ -331,7 +331,6 @@ def test_batch_scoring_searches_only_records_whose_runs_do_not_fit(monkeypatch, 
     seqs = [_scoring_sequence(rng, int(n), f"p{i}")
             for i, n in enumerate(np.linspace(*lengths, 6).astype(int))]
     params = mm.MrmParams.init(config, seed=31)
-    parts = [mm.sequence_partition(s, config) for s in seqs]
     calls = []
 
     def spy(times, *args):
@@ -342,8 +341,8 @@ def test_batch_scoring_searches_only_records_whose_runs_do_not_fit(monkeypatch, 
     monkeypatch.setattr(mm, "optimal_partition", spy)
     scores = em.score_sequences("mrm", params, seqs, config)
     assert sorted(calls) == ([] if shape == "short" else [len(s) for s in seqs])
-    assert scores.tobytes() == em.score_sequences("mrm", params, seqs, config,
-                                                  parts).tobytes()
+    assert scores.tobytes() == em.score_sequences(
+        "mrm", params, seqs, config, OracleCohort(seqs, config)).tobytes()
 
 
 def test_score_sequences_rejects_a_kind_other_than_the_params():
@@ -360,14 +359,14 @@ def test_train_touches_test_split_only_after_selection(monkeypatch):
     order = []
     real = em.score_sequences
 
-    def spy(kind, params, seqs, config, partitions=None):
+    def spy(kind, params, seqs, config, cohort=None):
         if seqs is splits[1]:
             order.append("valid")
         elif seqs is splits[2]:
             order.append("test")
         elif seqs is splits[0]:
             order.append("train")
-        return real(kind, params, seqs, config, partitions)
+        return real(kind, params, seqs, config, cohort)
 
     monkeypatch.setattr(em, "score_sequences", spy)
     tcfg = em.TrainConfig(max_epochs=3, patience=2, batch_size=8, seed=4)
@@ -380,14 +379,107 @@ def test_train_touches_test_split_only_after_selection(monkeypatch):
 def test_train_reports_divergence_with_batch_id(monkeypatch):
     splits, data_cfg = tiny_dataset()
 
-    def nan_forward(seqs, params, config, partitions=None):
-        return Tensor(np.full(len(seqs), np.nan))
+    def nan_outcome(x, offsets, params):
+        return Tensor(np.full(len(offsets) - 1, np.nan))
 
-    monkeypatch.setattr(mm, "forward_batch", nan_forward)
+    monkeypatch.setattr(mm, "outcome", nan_outcome)
     tcfg = em.TrainConfig(max_epochs=1, patience=0, batch_size=8, seed=5)
     with pytest.raises(em.TrainingDiverged) as exc:
         em.train("mrm", splits, tcfg, tiny_model_config(data_cfg))
     assert "batch 0" in str(exc.value)
+
+
+def _shaped_run(shape):
+    """Splits, model config and train config shaped like the benchmark's
+    short_train (12-36 events, every group one event) or grouped_train
+    (200-600 events in 16 groups of up to 64, found by the partition
+    search) workload, at a smaller model dimension."""
+    n, lengths, max_groups, max_group_len, batch_size = {
+        "short": (64, (12, 36), 64, 32, 16), "grouped": (24, (200, 600), 16, 64, 4)}[shape]
+    cfg = syngen.SynthConfig(n_sequences=n, vocab_size=50, seq_len_range=lengths,
+                             base_rate=2.0, t_signal=0.4, seed=13)
+    data_cfg = syngen.dataset_config_for(cfg)
+    splits = ev.split_dataset(syngen.generate(cfg), (0.4, 0.3, 0.3), seed=0)
+    data_cfg = ev.fit_normalization(splits[0], data_cfg)
+    splits = tuple(ev.normalize_numeric(p, data_cfg) for p in splits)
+    model_cfg = mm.MrmConfig(n_codes=data_cfg.n_codes, n_features=data_cfg.n_features,
+                             max_features=data_cfg.max_features, model_dim=8,
+                             n_heads=2, head_dim=4, max_groups=max_groups,
+                             max_group_len=max_group_len)
+    tcfg = em.TrainConfig(lr=3e-3, batch_size=batch_size, max_epochs=2, patience=1)
+    return splits, model_cfg, tcfg
+
+
+@pytest.mark.parametrize("shape", ["short", "grouped"])
+def test_train_gives_the_bits_of_batches_built_one_at_a_time(monkeypatch, shape):
+    # the oracle cohort builds every training batch and scoring chunk from
+    # its sequences (batch_oracle), as train() did before cohorts
+    splits, model_cfg, tcfg = _shaped_run(shape)
+    for kind in ("mrm", "plain_lstm"):
+        runs = []
+        for cohort in (mm.Cohort, OracleCohort):
+            monkeypatch.setattr(mm, "Cohort", cohort)
+            params, report = em.train(kind, splits, tcfg, model_cfg)
+            runs.append((repr(report), [a.tobytes() for a in params.arrays().values()]))
+        assert runs[0] == runs[1], (shape, kind)
+
+
+def test_train_builds_the_structure_of_each_split_once(monkeypatch):
+    # one windows call and one partition pass per split, whatever the
+    # number of epochs and of batches; plain_lstm needs neither
+    splits, data_cfg = tiny_dataset()
+    calls, steps = [], []
+    for name in ("neighborhood_bounds", "batch_partition_starts"):
+        real = getattr(mm, name)
+
+        def spy(times, *args, _real=real, _name=name):
+            calls.append((_name, len(times)))
+            return _real(times, *args)
+        monkeypatch.setattr(mm, name, spy)
+    adam_step = em.dc.adam_step
+    monkeypatch.setattr(em.dc, "adam_step",
+                        lambda *args: steps.append(1) or adam_step(*args))
+    tcfg = em.TrainConfig(max_epochs=3, patience=2, batch_size=8, seed=4)
+    config = tiny_model_config(data_cfg)
+    _, report = em.train("mrm", splits, tcfg, config)
+    assert len(report.loss_trace) == 3 and len(steps) > 3 * 3
+    events = sorted(sum(min(len(s), config.capacity()) for s in split) for split in splits)
+    assert sorted(n for name, n in calls if name == "neighborhood_bounds") == events
+    assert sorted(n for name, n in calls if name == "batch_partition_starts") == events
+    calls.clear()
+    em.train("plain_lstm", splits, tcfg, config)
+    assert calls == []
+
+
+def test_each_epoch_logs_the_gradient_norms_before_clipping(monkeypatch, caplog):
+    splits, data_cfg = tiny_dataset()
+    norms = []
+    clip_gradients = em.dc.clip_gradients
+
+    def spy(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(em.dc, "clip_gradients", spy)
+    tcfg = em.TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=4, clip_norm=0.3)
+    with caplog.at_level("INFO", logger="mrm.train"):
+        _, report = em.train("mrm", splits, tcfg, tiny_model_config(data_cfg))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("epoch ") and "train_loss" in r.getMessage()]
+    assert len(lines) == len(report.loss_trace) == 2
+    steps = len(norms) // 2
+    rates = []
+    for epoch, line in enumerate(lines):
+        fields = dict(item.split("=") for item in line.split(": ", 1)[1].split())
+        mine = norms[epoch * steps:(epoch + 1) * steps]
+        rates.append(sum(n > 0.3 for n in mine) / steps)
+        assert fields == {
+            "train_loss": f"{report.loss_trace[epoch][1]:.4f}",
+            "valid_auc": f"{report.loss_trace[epoch][2]:.4f}",
+            "grad_norm_mean": f"{sum(mine) / steps:.4g}",
+            "grad_norm_max": f"{max(mine):.4g}",
+            "clip_rate": f"{rates[-1]:.4f}"}
+    assert 0.0 < min(rates) and max(rates) < 1.0  # some steps clip, some do not
 
 
 def test_train_rejects_unknown_kind():

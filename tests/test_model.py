@@ -14,9 +14,9 @@ from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
 from mrm.partition import Partition, optimal_partition
 
-from .conftest import (attention_backward_oracle, dense_weights, full_band_kept_slots,
-                       head_loss_oracle, head_weights, neighborhood_bounds_oracle,
-                       param_rel_err, topk_mask)
+from .conftest import (attention_backward_oracle, batch_oracle, dense_weights,
+                       full_band_kept_slots, head_loss_oracle, head_weights,
+                       neighborhood_bounds_oracle, param_rel_err, topk_mask)
 
 
 def small_config(**overrides):
@@ -417,23 +417,52 @@ def _bounds_bytes(lo, hi):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(segments=st.lists(st.lists(BOUND_TIMES, max_size=6).map(sorted),
                          min_size=1, max_size=12),
-       window=BOUND_WINDOWS, as_list=st.booleans())
-@example(segments=[[0.0]], window=1e-9, as_list=False)  # one one-event sequence
-@example(segments=[[], [0.5], [], []], window=0.5, as_list=False)  # empty ones
+       window=BOUND_WINDOWS, as_list=st.booleans(), joined=st.booleans())
+# one one-event sequence; empty ones
+@example(segments=[[0.0]], window=1e-9, as_list=False, joined=True)
+@example(segments=[[], [0.5], [], []], window=0.5, as_list=False, joined=True)
 @example(segments=[[-0.0, 0.0], [0.0, 0.5], [0.5]], window=1e-9,
-         as_list=True)  # ties within and across seams
+         as_list=True, joined=True)  # ties within and across seams
 def test_neighborhood_bounds_give_the_bits_of_one_search_per_sequence(
-        segments, window, as_list):
+        segments, window, as_list, joined):
+    # joined False searches sequence by sequence, as for long sequences
     times = np.array([t for seg in segments for t in seg], dtype=np.float64)
     offsets = np.cumsum([0] + [len(seg) for seg in segments])
     if as_list:
         offsets = offsets.tolist()
-    got = mm.neighborhood_bounds(times, window, offsets)
+    with pytest.MonkeyPatch.context() as patch:
+        if not joined:
+            patch.setattr(mm, "_JOINED_SEARCH_EVENTS", 0)
+        got = mm.neighborhood_bounds(times, window, offsets)
     assert _bounds_bytes(*got) == _bounds_bytes(
         *neighborhood_bounds_oracle(times, window, offsets))
     if len(segments) == 1:
         assert _bounds_bytes(*mm.neighborhood_bounds(times, window)) == \
             _bounds_bytes(*got)
+
+
+@pytest.mark.parametrize("lengths, searches", [
+    ((65, 200, 80, 120), 4),  # more than _JOINED_SEARCH_EVENTS on average
+    ((64, 64, 20, 108), 0),   # exactly that many: one joined search
+])
+def test_neighborhood_bounds_search_long_sequences_one_by_one(monkeypatch, lengths,
+                                                              searches):
+    rng = np.random.default_rng(22)
+    segments = [np.sort(np.round(rng.uniform(0.0, 40.0, n), 1)) for n in lengths]
+    times = np.concatenate(segments)
+    offsets = np.cumsum([0] + list(lengths))
+    calls = []
+    real = mm.neighborhood_bounds
+
+    def spy(times, window_hours, offsets=None):
+        calls.append(offsets)
+        return real(times, window_hours, offsets)
+
+    monkeypatch.setattr(mm, "neighborhood_bounds", spy)
+    got = mm.neighborhood_bounds(times, 0.5, offsets)
+    assert len(calls) == 1 + searches and all(o is None for o in calls[1:])
+    assert _bounds_bytes(*got) == _bounds_bytes(
+        *neighborhood_bounds_oracle(times, 0.5, offsets))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -475,13 +504,27 @@ def test_group_vectors_on_non_finite_times_raise_as_with_one_search_per_sequence
                 times[rng.integers(0, times.size)] = rng.choice(
                     [np.nan, np.inf, -np.inf])
                 seqs[k] = EventSequence.from_columns("p", 0, codes, times, *features)
-        got = _outcome(lambda: mm.group_vectors(seqs, params, config))
+        lengths = [len(seq) for seq in seqs]
+        times = np.concatenate([seq.times() for seq in seqs])
+        x = dc.Tensor(rng.normal(size=(times.size, config.model_dim)))
+
+        def attend():
+            out, (rows, _) = mm.sparse_attention(x, times, params, config,
+                                                 np.cumsum([0] + lengths))
+            return out, rows
+
+        def run():
+            return (_outcome(lambda: mm.group_vectors(mm.Batch.of(seqs, config), params,
+                                                      config)),
+                    _outcome(attend))
+
+        got = run()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mm, "neighborhood_bounds", neighborhood_bounds_oracle)
-            want = _outcome(lambda: mm.group_vectors(seqs, params, config))
+            want = run()
         assert got == want
-        raised.add(got[0] if isinstance(got[0], type) else None)
-    # both the windows check of attention and the partition's check fire
+        raised.update(out[0] if isinstance(out[0], type) else None for out in got)
+    # both the windows check of attention and the batch's partition check fire
     assert {dc.ShapeError, ValueError} <= raised
 
 
@@ -1099,6 +1142,84 @@ def _mixed_batch(rng, config):
     return [random_sequence(rng, n, config) for n in lengths]
 
 
+def _batch_arrays(batch):
+    """The kind and every array of a Batch as (dtype, bytes), the pointer
+    columns as int64: events.concatenate leaves the int32 pointers of a
+    lone sequence as they are."""
+    codes, times, cat_ptr, cat_ids, num_ptr, num_ids, num_values = batch.events.columns()
+    arrays = (codes, times, np.asarray(cat_ptr, np.int64), cat_ids,
+              np.asarray(num_ptr, np.int64), num_ids, num_values, batch.offsets,
+              batch.lo, batch.hi, batch.starts, batch.group_offsets)
+    return batch.kind, [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def _sequence_at(rng, times, config):
+    """A random sequence with features at the given sorted times."""
+    codes, _, *features = random_sequence(rng, len(times), config).columns()
+    return EventSequence.from_columns("p", int(rng.integers(0, 2)), codes,
+                                      np.asarray(times, dtype=np.float64), *features)
+
+
+def _check_cohort(seqs, config, kind, subsets, ranges):
+    """Cohort(seqs) stores the sequences by truncated length, ties in input
+    order, and each batch and chunk has the arrays of batch_oracle."""
+    cap = config.capacity()
+    cohort = mm.Cohort(seqs, config, kind)
+    order = sorted(range(len(seqs)), key=lambda i: min(len(seqs[i]), cap))
+    assert cohort.order.tolist() == order
+    assert cohort.lengths.tolist() == [min(len(seqs[i]), cap) for i in order]
+    for index in subsets:
+        want = _batch_arrays(batch_oracle([seqs[i] for i in index], config, kind))
+        assert _batch_arrays(cohort.batch(np.array(index))) == want, index
+    for start, stop in ranges:
+        want = _batch_arrays(batch_oracle([seqs[i] for i in order[start:stop]],
+                                          config, kind))
+        assert _batch_arrays(cohort.chunk(start, stop)) == want, (start, stop)
+
+
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cohort_batches_and_chunks_are_the_batches_built_one_at_a_time(kind, data):
+    # times on a grid of a few values make ties and tie runs longer than
+    # L_G; lengths M, M * L_G (capacity) and past capacity come up often
+    max_groups, max_group_len = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    config = small_config(max_groups=max_groups, max_group_len=max_group_len,
+                          window_hours=data.draw(st.sampled_from([0.25, 0.5, 2.0])))
+    cap = config.capacity()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    seqs = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        n = data.draw(st.one_of(st.sampled_from([max_groups, cap, cap + 3]),
+                                st.integers(1, cap + 3)))
+        values = data.draw(st.sampled_from([1, 2, 3, 2 * n]))
+        seqs.append(_sequence_at(rng, np.sort(rng.integers(0, values, n)) / 4.0, config))
+    n = len(seqs)
+    subsets = [data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+               for _ in range(3)]
+    ranges = [sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2,
+                                        unique=True))) for _ in range(3)] if n > 1 else []
+    _check_cohort(seqs, config, kind, subsets + [list(range(n))], ranges + [[0, n]])
+
+
+@pytest.mark.parametrize("kind", ["mrm", "plain_lstm"])
+def test_cohort_of_every_edge_case_gives_the_batches_built_one_at_a_time(kind):
+    # M = 3 and L_G = 4: a tie run of 9 > L_G, L = M with distinct times,
+    # L = M * L_G, a record past capacity with ties, a lone event, and
+    # records whose runs do not fit M, so the search runs
+    config = small_config(max_groups=3, max_group_len=4)
+    rng = np.random.default_rng(21)
+    times = ([0.5] * 9, [0.0, 1.0, 2.0], np.arange(12) / 4.0,
+             np.sort(rng.integers(0, 5, 20)) / 4.0, [3.0], np.arange(7) / 4.0,
+             [0.0, 0.0, 0.25, 0.25, 0.5, 0.75, 0.75, 1.0, 2.0])
+    seqs = [_sequence_at(rng, t, config) for t in times]
+    n = len(seqs)
+    subsets = ([[i] for i in range(n)] + [[i, j] for i in range(n) for j in range(n)
+                                          if i != j] + [list(range(n))[::-1]])
+    ranges = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+    _check_cohort(seqs, config, kind, subsets, ranges)
+
+
 def test_forward_batch_matches_per_sequence_forward():
     rng = np.random.default_rng(41)
     config = small_config(max_groups=3, max_group_len=4)
@@ -1108,9 +1229,9 @@ def test_forward_batch_matches_per_sequence_forward():
     assert batch.shape == (len(seqs),)
     for p, seq in zip(batch.data, seqs):
         assert abs(p - mm.forward(seq, params, config)[0].item()) < 1e-12
-    parts = [mm.sequence_partition(s, config) for s in seqs]
-    assert np.array_equal(mm.forward_batch(seqs, params, config, parts).data,
-                          batch.data)
+    oracle = mm.outcome(*mm.group_vectors(batch_oracle(seqs, config), params, config),
+                        params)
+    assert oracle.data.tobytes() == batch.data.tobytes()
     plain = mm.MrmParams.init(config, seed=42, kind="plain_lstm")
     batch = mm.forward_batch(seqs, plain, config)
     for p, seq in zip(batch.data, seqs):
@@ -1124,15 +1245,16 @@ def test_forward_batch_is_the_outcome_of_the_group_vectors(kind):
     config = small_config(max_groups=3, max_group_len=4)
     seqs = _mixed_batch(rng, config)
     labels = np.array([s.label for s in seqs])
-    x, offsets = mm.group_vectors(seqs, mm.MrmParams.init(config, seed=47, kind=kind),
-                                  config)
+    x, offsets = mm.group_vectors(mm.Batch.of(seqs, config, kind),
+                                  mm.MrmParams.init(config, seed=47, kind=kind), config)
     rows = ([len(mm.sequence_partition(s, config).groups) for s in seqs]
             if kind == "mrm" else [min(len(s), config.capacity()) for s in seqs])
     assert x.shape == (sum(rows), config.model_dim)
     assert np.diff(offsets).tolist() == rows
     runs = []
     for build in (lambda p: mm.forward_batch(seqs, p, config),
-                  lambda p: mm.outcome(*mm.group_vectors(seqs, p, config), p)):
+                  lambda p: mm.outcome(*mm.group_vectors(mm.Batch.of(seqs, config, kind),
+                                                         p, config), p)):
         params = mm.MrmParams.init(config, seed=47, kind=kind)
         y_hat = build(params)
         total = mm.loss(y_hat, labels)
@@ -1203,8 +1325,6 @@ def test_forward_rejects_partition_that_does_not_cover_the_events():
     for part in (first_ten, gap):
         with pytest.raises(ValueError, match="do not cover"):
             mm.forward(seq, params, config, partition=part)
-        with pytest.raises(ValueError, match="do not cover"):
-            mm.forward_batch([seq], params, config, [part])
     # the partition of the events before truncation does not fit either
     short = small_config()
     assert len(seq) > short.capacity()
@@ -1228,46 +1348,46 @@ def _cover_message(groups, n_events):
     lambda groups, n: [(0, 1), (2, max(n, 3))],             # a gap
     lambda groups, n: [(0, n + 1)],                         # one group too long
 ])
-def test_batch_partition_that_does_not_cover_sequence_b_raises_its_text(spoil):
+def test_forward_partition_that_does_not_cover_the_sequence_raises_its_text(spoil):
     config = small_config(max_groups=8, max_group_len=4)
     params = mm.MrmParams.init(config, seed=17)
     rng = np.random.default_rng(17)
-    for trial in range(20):
-        seqs = [random_sequence(rng, int(rng.integers(1, 12)), config)
-                for _ in range(int(rng.integers(2, 6)))]
-        parts = [optimal_partition(s.times(), 8, 4) for s in seqs]
-        b = 0 if trial % 2 else int(rng.integers(1, len(seqs)))
-        n = len(seqs[b])
-        groups = spoil(list(parts[b].groups), n)
-        parts[b] = Partition(tuple(groups), (0.0,) * len(groups), 0.0)
+    for _ in range(20):
+        seq = random_sequence(rng, int(rng.integers(1, 12)), config)
+        n = len(seq)
+        groups = spoil(list(optimal_partition(seq.times(), 8, 4).groups), n)
         with pytest.raises(ValueError) as exc:
-            mm.group_vectors(seqs, params, config, parts)
+            mm.forward(seq, params, config,
+                       partition=Partition(tuple(groups), (0.0,) * len(groups), 0.0))
         assert str(exc.value) == _cover_message(groups, n)
 
 
-def test_batch_partitions_that_cover_the_batch_but_not_each_sequence_raise():
-    # sequence 0's groups take one event of sequence 1, whose groups start
-    # one event late: the joined groups tile the batch, the partitions not
+def test_group_vectors_needs_a_batch_of_the_params_kind():
     config = small_config(max_groups=8, max_group_len=4)
-    params = mm.MrmParams.init(config, seed=18)
-    rng = np.random.default_rng(18)
-    seqs = [random_sequence(rng, n, config) for n in (3, 4, 2)]
-    parts = [Partition(groups, (0.0,) * len(groups), 0.0)
-             for groups in (((0, 2), (2, 4)), ((1, 4),), ((0, 2),))]
-    with pytest.raises(ValueError) as exc:
-        mm.group_vectors(seqs, params, config, parts)
-    assert str(exc.value) == _cover_message(parts[0].groups, 3)
+    seqs = [random_sequence(np.random.default_rng(19), n, config) for n in (3, 2, 4)]
+    for kind, other in (("mrm", "plain_lstm"), ("plain_lstm", "mrm")):
+        params = mm.MrmParams.init(config, seed=19, kind=kind)
+        for batch in (mm.Batch.of(seqs, config, other),
+                      mm.Cohort(seqs, config, other).batch([2, 0])):
+            with pytest.raises(mm.ConfigError, match=f"{other!r} batch"):
+                mm.group_vectors(batch, params, config)
 
 
-@pytest.mark.parametrize("n_parts", [1, 2, 4])
-def test_group_vectors_needs_one_partition_per_sequence(n_parts):
-    config = small_config(max_groups=8, max_group_len=4)
-    params = mm.MrmParams.init(config, seed=19)
-    rng = np.random.default_rng(19)
-    seqs = [random_sequence(rng, n, config) for n in (3, 2, 4)]
-    parts = [optimal_partition(s.times(), 8, 4) for s in seqs + seqs[:1]]
-    with pytest.raises(ValueError, match=f"^{n_parts} partitions for 3 sequences$"):
-        mm.group_vectors(seqs, params, config, parts[:n_parts])
+def test_an_empty_batch_raises_a_clear_error():
+    config = small_config()
+    seqs = [random_sequence(np.random.default_rng(20), n, config) for n in (3, 2)]
+    message = "^a batch needs at least one sequence$"
+    for kind in ("mrm", "plain_lstm"):
+        params = mm.MrmParams.init(config, seed=20, kind=kind)
+        for build in (lambda: mm.forward_batch([], params, config),
+                      lambda: mm.Batch.of([], config, kind),
+                      lambda: mm.Cohort([], config, kind),
+                      lambda: mm.Cohort(seqs, config, kind).batch([]),
+                      lambda: mm.Cohort(seqs, config, kind).batch(np.zeros(0, int))):
+            with pytest.raises(ValueError, match=message):
+                build()
+        empty = em.score_sequences(kind, params, [], config)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_forward_batch_rejects_mrm_kind_with_plain_params():
