@@ -99,7 +99,11 @@ def score_sequences(kind: str, params, seqs, config, cohort=None) -> np.ndarray:
     """Forward probabilities for a list of sequences, no graph kept.
 
     kind must be params.kind (ConfigError otherwise). One mrm sequence
-    goes through model.forward, the single-sequence entry point. Otherwise
+    goes through model.forward, the single-sequence entry point, which runs
+    what a one-sequence cohort would (group_vectors and outcome over
+    Batch.of([seq])). The branch stays because the perfbench tracer takes
+    its per-sequence model figures from model.forward calls alone, and its
+    smoke test needs such calls in a run. Otherwise
     scoring takes two passes over a model.Cohort of seqs: the one passed
     by a caller that scores seqs again and again, or one built here. The
     cohort stores the sequences sorted by length, and their per-event

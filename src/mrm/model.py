@@ -13,7 +13,9 @@ group_vectors runs the per-event layers of a Batch as one concatenated
 sequence: one encoding node, one attention node and one pooling node.
 outcome runs one LSTM node and one head node over the group vectors of
 any number of sequences. forward_batch is the two in a row, so a batch is
-one node per layer whatever its size; the loss adds one more.
+one node per layer whatever its size; the loss adds one more. forward runs
+the same two over Batch.of([seq]), so the group starts of every batch, of
+one sequence or many, come from partition.batch_partition_starts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .events import ConfigError, EventSequence, check_number, concatenate
+from .events import ConfigError, EventSequence, _take_rows, check_number, concatenate
 from .partition import Partition, batch_partition_starts, optimal_partition
 
 
@@ -288,28 +290,19 @@ def sparse_attention(x: dc.Tensor, times, params: MrmParams, config: MrmConfig,
 # the full pipeline
 
 
-def _truncate(seq: EventSequence, config: MrmConfig):
+def _truncate(seq: EventSequence, config: MrmConfig) -> EventSequence:
     cap = config.capacity()
     if len(seq) <= cap:
-        return seq, False
+        return seq
     # keep the most recent events: they carry the most outcome signal
-    return seq.take(np.arange(len(seq) - cap, len(seq))), True
+    return seq.take(np.arange(len(seq) - cap, len(seq)))
 
 
 def sequence_partition(seq: EventSequence, config: MrmConfig) -> Partition:
-    """The partition forward() will use (after its truncation policy)."""
-    used, _ = _truncate(seq, config)
-    return optimal_partition(used.times(), config.max_groups, config.max_group_len)
-
-
-def _group_starts(partition: Partition, n_events: int) -> list:
-    """First row of every group; the groups must tile [0, n_events) in order."""
-    starts = [s for s, _ in partition.groups]
-    ends = [e for _, e in partition.groups]
-    if not starts or starts[0] != 0 or starts[1:] != ends[:-1] or ends[-1] != n_events:
-        raise ValueError(f"the {len(starts)} partition groups do not cover the "
-                         f"{n_events} events of the (truncated) sequence in order")
-    return starts
+    """The optimal_partition of seq's events after truncation: the groups
+    that forward and every batch pool, as a Partition with its spans."""
+    return optimal_partition(_truncate(seq, config).times(), config.max_groups,
+                             config.max_group_len)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -345,7 +338,7 @@ class Batch:
         batch_partition_starts call. ValueError for no sequence."""
         if not len(seqs):
             raise ValueError("a batch needs at least one sequence")
-        used = [_truncate(seq, config)[0] for seq in seqs]
+        used = [_truncate(seq, config) for seq in seqs]
         events = concatenate(used)
         offsets = _offsets([len(seq) for seq in used])
         if kind != "mrm":
@@ -393,19 +386,14 @@ class Cohort:
         if not at.size:
             raise ValueError("a batch needs at least one sequence")
         rows = self.rows
-        first, lengths = rows.offsets[at], self.lengths[at]
-        offsets = _offsets(lengths)
-        shift = np.repeat(first - offsets[:-1], lengths)  # cohort row - batch row
-        taken = np.arange(offsets[-1]) + shift
+        offsets, taken = _take_rows(rows.offsets, at)
         events = rows.events.take(taken)
         if rows.kind != "mrm":
             return Batch(rows.kind, events, offsets)
-        g_first = rows.group_offsets[at]
-        counts = rows.group_offsets[at + 1] - g_first
-        group_offsets = _offsets(counts)
-        groups = np.arange(group_offsets[-1]) + np.repeat(g_first - group_offsets[:-1],
-                                                          counts)
-        starts = rows.starts[groups] - np.repeat(first - offsets[:-1], counts)
+        group_offsets, groups = _take_rows(rows.group_offsets, at)
+        seq_shift = rows.offsets[at] - offsets[:-1]  # cohort row - batch row
+        shift = np.repeat(seq_shift, self.lengths[at])
+        starts = rows.starts[groups] - np.repeat(seq_shift, np.diff(group_offsets))
         return Batch(rows.kind, events, offsets, rows.lo[taken] - shift,
                      rows.hi[taken] - shift, starts, group_offsets)
 
@@ -467,34 +455,24 @@ def forward_batch(seqs, params: MrmParams, config: MrmConfig) -> dc.Tensor:
                    params)
 
 
-def forward(seq: EventSequence, params: MrmParams, config: MrmConfig,
-            partition: Partition | None = None):
-    """Full pipeline -> (probability tensor, diagnostics dict).
+def forward(seq: EventSequence, params: MrmParams, config: MrmConfig):
+    """Full pipeline of one sequence -> (probability tensor, diagnostics).
 
-    The single-sequence case of forward_batch: sequences longer than
-    max_groups * max_group_len are truncated to their most recent events
-    first. A precomputed partition may be passed in; it must cover exactly
-    the post-truncation events (ValueError otherwise). params must be of
-    kind "mrm" (ConfigError otherwise).
+    The one-sequence case of forward_batch: group_vectors and outcome over
+    Batch.of([seq]), which truncates seq to its most recent max_groups *
+    max_group_len events first; the probability is a scalar. The
+    diagnostics are the events kept (n_events), whether any were cut
+    (truncated) and the groups pooled (n_groups). params must be of kind
+    "mrm" (ConfigError otherwise).
     """
     if params.kind != "mrm":
         raise ConfigError(f"the mrm model needs mrm params, got kind {params.kind!r}")
-    used, truncated = _truncate(seq, config)
-    times = used.times()
-    if partition is None:
-        partition = optimal_partition(times, config.max_groups, config.max_group_len)
-    starts = _group_starts(partition, len(used))
-    batch = Batch("mrm", used, _offsets([len(used)]),
-                  *neighborhood_bounds(times, config.window_hours), starts,
-                  _offsets([len(starts)]))
-    y_hat = dc.sum_all(outcome(*group_vectors(batch, params, config), params))
-    diagnostics = {
-        "n_events": len(used),
-        "truncated": truncated,
-        "partition": partition,
-        "n_groups": len(partition.groups),
-    }
-    return y_hat, diagnostics
+    batch = Batch.of([seq], config)
+    x, offsets = group_vectors(batch, params, config)
+    n_events = len(batch.events)
+    diagnostics = {"n_events": n_events, "truncated": n_events < len(seq),
+                   "n_groups": x.shape[0]}
+    return dc.sum_all(outcome(x, offsets, params)), diagnostics
 
 
 _CLAMP = 1e-7

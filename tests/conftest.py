@@ -317,7 +317,7 @@ def batch_oracle(seqs, config, kind="mrm"):
     was before cohorts: events.concatenate of the truncated sequences,
     model.neighborhood_bounds with offsets and one optimal_partition per
     sequence, its groups shifted to the sequence's rows."""
-    used = [model_mod._truncate(seq, config)[0] for seq in seqs]
+    used = [model_mod._truncate(seq, config) for seq in seqs]
     events = events_mod.concatenate(used)
     offsets = np.cumsum([0] + [len(seq) for seq in used], dtype=np.intp)
     if kind != "mrm":
@@ -418,7 +418,7 @@ def _selection_margins_ok(seq, params, config, margin):
             block = np.sort(v.data[start:end], axis=0)
             if np.min(block[-1] - block[-2]) < margin:
                 return False
-        y_hat, _ = model_mod.forward(seq, params, config, partition=part)
+        y_hat, _ = model_mod.forward(seq, params, config)
         p = y_hat.item()
         if not (1e-6 < p < 1.0 - 1e-6):
             return False

@@ -30,13 +30,12 @@ def test_criterion_1_gradient_suite(acceptance):
         for seed in seeds:
             seq, params, config = tie_avoided_instance(seed)
             named = params.named()
-            part = mm.sequence_partition(seq, config)
 
             def loss_value():
-                y_hat, _ = mm.forward(seq, params, config, partition=part)
+                y_hat, _ = mm.forward(seq, params, config)
                 return mm.loss(y_hat, seq.label).item()
 
-            y_hat, _ = mm.forward(seq, params, config, partition=part)
+            y_hat, _ = mm.forward(seq, params, config)
             mm.loss(y_hat, seq.label).backward()
             numeric = finite_difference_gradients(loss_value, named, h=1e-5)
             for name, t in named.items():

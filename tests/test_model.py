@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import threading
 
@@ -12,7 +13,6 @@ from mrm import evalmetrics as em
 from mrm import events, syngen
 from mrm import model as mm
 from mrm.events import ClinicalEvent, EventSequence
-from mrm.partition import Partition, optimal_partition
 
 from .conftest import (attention_backward_oracle, batch_oracle, dense_weights,
                        full_band_kept_slots, head_loss_oracle, head_weights,
@@ -1091,13 +1091,29 @@ def test_forward_truncates_to_most_recent_events():
 
 
 def test_forward_group_count_bounded():
+    """forward's diagnostics are those of the truncated sequence and of its
+    sequence_partition, also for tie runs longer than L_G, for L = M * L_G
+    exactly and for L > M * L_G."""
     config = small_config()
+    cap = config.capacity()  # M = 4 groups of L_G = 4 events
     rng = np.random.default_rng(14)
     params = mm.MrmParams.init(config, seed=14)
-    for _ in range(20):
-        seq = random_sequence(rng, int(rng.integers(1, 16)), config)
+    seqs = [random_sequence(rng, int(rng.integers(1, 16)), config) for _ in range(20)]
+    seqs += [_sequence_at(rng, times, config) for times in (
+        [0.0] * 6 + [1.0, 2.0],               # a tie run longer than L_G
+        [0.0] * 9 + [3.0] * 5,                # two, cut into 5 > M groups: searched
+        [0.0] * cap,                          # L = M * L_G, all tied
+        np.sort(rng.uniform(0, 4, cap)),      # L = M * L_G, distinct
+        [0.0] * 3 + [1.0] * 13 + [2.0] * 4,   # L > M * L_G, ties across the cut
+        np.sort(rng.uniform(0, 4, cap + 5)),  # L > M * L_G, distinct
+        np.arange(10.0),                      # more runs than M: searched
+    )]
+    for seq in seqs:
         _, diag = mm.forward(seq, params, config)
+        assert diag["n_groups"] == len(mm.sequence_partition(seq, config))
         assert diag["n_groups"] <= config.max_groups
+        assert diag["n_events"] == min(len(seq), cap)
+        assert diag["truncated"] == (len(seq) > cap)
 
 
 def test_forward_invariant_to_file_order_when_times_distinct(tmp_path):
@@ -1228,7 +1244,12 @@ def test_forward_batch_matches_per_sequence_forward():
     batch = mm.forward_batch(seqs, params, config)
     assert batch.shape == (len(seqs),)
     for p, seq in zip(batch.data, seqs):
-        assert abs(p - mm.forward(seq, params, config)[0].item()) < 1e-12
+        one = mm.forward(seq, params, config)[0].data
+        assert abs(p - one) < 1e-12
+        # the bytes of a one-sequence batch built through optimal_partition
+        alone = mm.outcome(*mm.group_vectors(batch_oracle([seq], config), params, config),
+                           params)
+        assert one.tobytes() == alone.data.tobytes()
     oracle = mm.outcome(*mm.group_vectors(batch_oracle(seqs, config), params, config),
                         params)
     assert oracle.data.tobytes() == batch.data.tobytes()
@@ -1314,52 +1335,64 @@ def test_batch_loss_gradients_are_the_mean_of_per_sequence_gradients():
             assert np.max(np.abs(batched[name] - mean[name])) < 1e-12, (kind, name)
 
 
-def test_forward_rejects_partition_that_does_not_cover_the_events():
+def test_forward_takes_no_partition_and_reports_none():
     config = small_config(max_groups=8, max_group_len=4)
     params = mm.MrmParams.init(config, seed=16)
-    rng = np.random.default_rng(16)
-    seq = random_sequence(rng, 20, config)
-    times = seq.times()
-    first_ten = optimal_partition(times[:10], 8, 4)
-    gap = Partition(((0, 5), (6, 20)), (0.0, 0.0), 0.0)
-    for part in (first_ten, gap):
-        with pytest.raises(ValueError, match="do not cover"):
-            mm.forward(seq, params, config, partition=part)
-    # the partition of the events before truncation does not fit either
-    short = small_config()
-    assert len(seq) > short.capacity()
-    with pytest.raises(ValueError, match="do not cover"):
-        mm.forward(seq, mm.MrmParams.init(short, seed=16), short,
-                   partition=optimal_partition(times, 8, 4))
+    seq = random_sequence(np.random.default_rng(16), 20, config)
+    with pytest.raises(TypeError):
+        mm.forward(seq, params, config, partition=mm.sequence_partition(seq, config))
+    _, diag = mm.forward(seq, params, config)
+    assert set(diag) == {"n_events", "truncated", "n_groups"}
 
 
-def _cover_message(groups, n_events):
-    return (f"the {len(groups)} partition groups do not cover the {n_events} "
-            f"events of the (truncated) sequence in order")
+def test_forward_builds_one_batch_of_its_sequence(monkeypatch):
+    """forward is the one-sequence Batch.of: one call per forward, with
+    the sequence alone, and the probability of that batch."""
+    config = small_config()
+    params = mm.MrmParams.init(config, seed=18)
+    rng = np.random.default_rng(18)
+    seqs = [random_sequence(rng, n, config) for n in (1, 5, 16, 23)]
+    of = mm.Batch.of
+    calls = []
+
+    def spy(cls, seqs, config, kind="mrm"):
+        calls.append((list(seqs), kind))
+        return of(seqs, config, kind)
+    monkeypatch.setattr(mm.Batch, "of", classmethod(spy))
+    for seq in seqs:
+        calls.clear()
+        p, _ = mm.forward(seq, params, config)
+        assert len(calls) == 1 and calls[0][1] == "mrm"
+        assert len(calls[0][0]) == 1 and calls[0][0][0] is seq
+        alone = mm.outcome(*mm.group_vectors(of([seq], config), params, config), params)
+        assert p.data.tobytes() == alone.data.tobytes()
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda groups, n: groups[:-1],                          # stops short
-    lambda groups, n: groups + [(n, n + 1)],                # runs past the end
-    lambda groups, n: [],                                   # no groups
-    lambda groups, n: [(s + 1, e + 1) for s, e in groups],  # shifted by one
-    lambda groups, n: [(0, n - 1)] if n > 1 else [(1, 1)],  # the last event missing
-    lambda groups, n: [(1, n)],                             # the first event missing
-    lambda groups, n: [(0, 1), (2, max(n, 3))],             # a gap
-    lambda groups, n: [(0, n + 1)],                         # one group too long
+    lambda starts, n: [],                                   # no groups
+    lambda starts, n: starts[1:] or [1],                    # the first row missing
+    lambda starts, n: [s + 1 for s in starts],              # shifted by one
+    lambda starts, n: starts + [n],                         # runs past the end
+    lambda starts, n: starts + [starts[-1]],                # a start repeated
+    lambda starts, n: starts + [starts[-1] // 2],           # a start that steps back
+    lambda starts, n: [-1] + starts,                        # a negative start
+    lambda starts, n: [starts],                             # not a vector
 ])
-def test_forward_partition_that_does_not_cover_the_sequence_raises_its_text(spoil):
+def test_group_vectors_rejects_group_starts_that_do_not_split_the_rows(spoil):
+    """A one-sequence batch whose group starts are spoiled raises
+    group_maxpool's text: the check that stands for every batch's starts."""
     config = small_config(max_groups=8, max_group_len=4)
     params = mm.MrmParams.init(config, seed=17)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        seq = random_sequence(rng, int(rng.integers(1, 12)), config)
-        n = len(seq)
-        groups = spoil(list(optimal_partition(seq.times(), 8, 4).groups), n)
-        with pytest.raises(ValueError) as exc:
-            mm.forward(seq, params, config,
-                       partition=Partition(tuple(groups), (0.0,) * len(groups), 0.0))
-        assert str(exc.value) == _cover_message(groups, n)
+        batch = mm.Batch.of([random_sequence(rng, int(rng.integers(1, 12)), config)],
+                            config)
+        n = len(batch.events)
+        spoiled = np.asarray(spoil(batch.starts.tolist(), n), dtype=np.intp)
+        with pytest.raises(dc.ShapeError) as exc:
+            mm.group_vectors(dataclasses.replace(batch, starts=spoiled), params, config)
+        assert str(exc.value) == (f"group_maxpool: {spoiled.size} group starts do not "
+                                  f"split the {n} rows of x in order")
 
 
 def test_group_vectors_needs_a_batch_of_the_params_kind():
@@ -1594,13 +1627,12 @@ def test_end_to_end_gradients_match_finite_differences(make_instance, fd_grads):
     for seed in (0, 1):
         seq, params, config = make_instance(seed)
         named = params.named()
-        part = mm.sequence_partition(seq, config)
 
         def loss_value():
-            y_hat, _ = mm.forward(seq, params, config, partition=part)
+            y_hat, _ = mm.forward(seq, params, config)
             return mm.loss(y_hat, seq.label).item()
 
-        y_hat, _ = mm.forward(seq, params, config, partition=part)
+        y_hat, _ = mm.forward(seq, params, config)
         total = mm.loss(y_hat, seq.label)
         total.backward()
         analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
